@@ -10,7 +10,7 @@ from .fixpoint import (
     find_positive_fixed_points,
     iterate_map,
     predict_count,
-    quartic_coefficients,
+    solve_fixed_points,
 )
 from .model import (
     BoundaryFieldVector,
@@ -80,11 +80,11 @@ __all__ = [
     "iterate_map",
     "kolmogorov_consistency_check",
     "predict_count",
-    "quartic_coefficients",
     "reduced_step",
     "scalar_map_d2g",
     "scalar_map_dg",
     "scalar_map_g",
     "scan_grid",
+    "solve_fixed_points",
     "verify_recurrence_by_enumeration",
 ]

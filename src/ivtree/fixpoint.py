@@ -1,41 +1,66 @@
 """Fixed points of the scalar map g, their stability, and count prediction.
 
-Positive fixed points of g(x) = ((1+cdx)/(d+cx))^3 are located by two
-independent routes that must agree: sign-change bracketing of log g(x) - log x
-on a log-uniform grid (refined by bisection and polished by Newton), and the
-positive real roots of the equivalent quartic polynomial via its companion
-matrix.  Multiplicity structure follows from the slopes eta_1, eta_2 of the
-two tangent lines through the origin: for d > 2 there are three fixed points
-exactly when eta_1 < 1 < eta_2, and for d < 1 the map is strictly decreasing
-so the fixed point is unique.
+Positive fixed points of g(x) = ((1+cdx)/(d+cx))^3 are found in t = log x,
+where g(x) = x reads G(t) = 0 with
+
+    G(t)  = log g(e^t) - t = 3 (log(1 + e^(lc+ld+t)) - log(e^ld + e^(lc+t))) - t
+    G'(t) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)) - 1
+
+for lc = log c, ld = log d and the logistic function sigma.  Neither form
+builds a power of c or d, so every pair of weights the model accepts is safe.
+
+The sigmoid difference peaks at (d-1)/(d+1), so for d <= 2 G is strictly
+decreasing and has one zero; it lies in [-3|ld|, 3|ld|] because every fixed
+point lies between g(0) = d^-3 and g(inf) = d^3.  For d > 2, G' vanishes at
+exactly two abscissas t_1 < t_2, the logs of the tangency points x_crit_i
+(the roots of c^2 d x^2 - 2c(d^2-2)x + d = 0), and G(t_i) = log eta_i for the
+slopes eta_i = g(x_crit_i)/x_crit_i of the tangent lines through the origin.
+G falls, rises, then falls, so [-3 ld, t_1], [t_1, t_2] and [t_2, 3 ld] hold
+at most one zero each, and the signs of G(t_1), G(t_2) give the count: three
+exactly when eta_1 < 1 < eta_2.  A tangency point with |G(t_i)| within
+_TANGENCY_TOL is itself a (double) root, and the count is two.
+
+Each bracket is solved by Newton's method in t, started at the zero of the
+piecewise-linear limit of G and falling back to bisection whenever a step
+would leave the bracket or fails to halve the previous move.  The x-quartic
+and the closed-form eta are not evaluated here; they live on the test side
+as independent checks.  solve_fixed_points solves a whole batch of cells as
+arrays; every root stops at its own convergence test, so its value does not
+depend on which other cells share the batch.  find_positive_fixed_points
+and critical_points are batches of one.  At a fixed point
+g'(x*) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)), which never overflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import TransferWeights
-from .recurrence import scalar_map_g, scalar_map_dg
+from .recurrence import scalar_map_g
 
 STABILITY_TOL = 1e-9
 
-# |log g(x) - log x| below this at a slope-1 point counts as a tangency root
+# |log g(x) - log x| at a tangency point within this counts as a double root
 _TANGENCY_TOL = 1e-10
 
-_GRID_POINTS = 400
-_GRID_LO = 1e-8
-_GRID_HI = 1e8
+# a Newton iterate has converged once its step is below this share of max(1, |t|)
+_NEWTON_RTOL = 1e-12
+
+# bisection alone narrows the widest bracket (about 2 * 2124) to the tolerance
+# in under 70 steps
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
 class FixedPointReport:
     """Positive fixed points in ascending order with stability data.
 
-    quartic_roots holds the raw companion-matrix route for cross-checking;
-    roots holds the bracketing route after polish.
+    quartic_roots is kept for callers that read it; the solver leaves it
+    empty (the companion-matrix route is a test-side oracle).
     """
 
     roots: tuple[float, ...]
@@ -51,7 +76,7 @@ class ThresholdReport:
 
     x_crit_1, x_crit_2 solve c^2 d x^2 - 2c(d^2-2)x + d = 0 (real, positive
     only when d >= 2); eta_i = g(x_crit_i)/x_crit_i are the tangent slopes
-    through the origin, evaluated both directly and from their closed forms.
+    through the origin.
     """
 
     eta1: float | None
@@ -59,170 +84,216 @@ class ThresholdReport:
     x_crit_1: float | None
     x_crit_2: float | None
     regime: str
-    eta1_closed_form: float | None = None
-    eta2_closed_form: float | None = None
-    closed_form_agrees: bool | None = None
 
 
-def quartic_coefficients(w: TransferWeights) -> np.ndarray:
-    """Coefficients of x(d+cx)^3 - (1+cdx)^3 in descending powers.
+def _gap_slope(t, lpd, lmd, ld):
+    """G(t) and d log g / d log x at x = e^t, for lpd = lc + ld, lmd = lc - ld.
 
-    Positive roots of this quartic are exactly the positive fixed points of g.
-    The leading coefficient c^3 > 0 and constant term -1 < 0 force at least
-    one positive real root.
+    The slope is G'(t) + 1, and equals g'(x) at a fixed point.  With
+    log(e^ld + e^(lc+t)) = ld + log(1 + e^(lmd+t)) both come from
+    z = lpd + t and lmd + t, and sigma(z) = (1 + tanh(z/2))/2 cannot overflow.
     """
-    c, d = w.c, w.d
-    return np.array([
-        c**3,
-        3.0 * c**2 * d - c**3 * d**3,
-        3.0 * c * d**2 - 3.0 * c**2 * d**2,
-        d**3 - 3.0 * c * d,
-        -1.0,
-    ])
+    z1, z2 = lpd + t, lmd + t
+    gap = 3.0 * (np.logaddexp(0.0, z1) - np.logaddexp(0.0, z2) - ld) - t
+    return gap, 1.5 * (np.tanh(0.5 * z1) - np.tanh(0.5 * z2))
 
 
-def _log_gap(t: float, lc: float, ld: float) -> float:
-    """log g(e^t) - t, computed in log space so any weight magnitude is safe."""
-    return 3.0 * (np.logaddexp(0.0, lc + ld + t) - np.logaddexp(ld, lc + t)) - t
+def _model_root(lc, ld, lo, hi, sign):
+    """Zero in [lo, hi] of the piecewise-linear limit of G, a Newton start.
+
+    With log(e^a + e^b) replaced by max(a, b), G becomes
+    3 max(0, lc+ld+t) - 3 max(ld, lc+t) - t: linear between the kinks
+    -lc -+ |ld|, and within 6 log 2 of G.  Far from the kinks G is this
+    line to rounding, so a start on the right piece converges at once.
+    sign is +1 where G falls on the bracket and -1 where it rises.
+    """
+    pts = np.empty((lo.size, 4))
+    pts[:, 0], pts[:, 3] = lo, hi
+    pts[:, 1] = -lc - np.abs(ld)
+    pts[:, 2] = -lc + np.abs(ld)
+    pts[:, 1:3] = np.minimum(np.maximum(pts[:, 1:3], pts[:, :1]), pts[:, 3:])
+    lc, ld = lc[:, None], ld[:, None]
+    v = sign[:, None] * (3.0 * np.maximum(0.0, lc + ld + pts)
+                         - 3.0 * np.maximum(ld, lc + pts) - pts)
+    # first point where sign * model <= 0; the zero is on the segment before it
+    k = np.minimum(np.argmax(v <= 0.0, axis=1), 3)
+    k = np.where(v[:, 3] <= 0.0, k, 3)
+    rows = np.arange(v.shape[0])
+    a = np.maximum(k - 1, 0)
+    va, vb = v[rows, a], v[rows, k]
+    frac = np.where(va > vb, va / (va - vb), 0.0)
+    return pts[rows, a] + frac * (pts[rows, k] - pts[rows, a])
 
 
-def _log_gap_deriv(t: float, lc: float, ld: float) -> float:
-    # d/dt of logaddexp(A, B + t) is the sigmoid of (B + t - A)
-    s1 = 1.0 / (1.0 + math.exp(-(lc + ld + t)))
-    s2 = 1.0 / (1.0 + math.exp(-(lc + t - ld)))
-    return 3.0 * (s1 - s2) - 1.0
+def _newton(lc, ld, lo, hi, sign, t):
+    """Zeros of G in the brackets [lo, hi], one per entry, as log x.
 
-
-def _slope_one_points(w: TransferWeights) -> list[float]:
-    """Positive real solutions of g'(x) = 1 (candidate tangency locations)."""
-    c, d = w.c, w.d
-    if d <= 1.0:
-        return []
-    coeffs = np.array([
-        c**4,
-        4.0 * c**3 * d,
-        6.0 * c**2 * d**2 - 3.0 * c**3 * d**2 * (d * d - 1.0),
-        4.0 * c * d**3 - 6.0 * c**2 * d * (d * d - 1.0),
-        d**4 - 3.0 * c * (d * d - 1.0),
-    ])
-    if not np.all(np.isfinite(coeffs)):
-        return []
-    roots = np.roots(coeffs)
-    keep = roots[(np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))) & (roots.real > 0)]
-    return sorted(keep.real.tolist())
-
-
-def _bisect_polish(t_lo: float, t_hi: float, lc: float, ld: float) -> float:
-    f_lo = _log_gap(t_lo, lc, ld)
-    for _ in range(200):
-        if t_hi - t_lo <= 1e-15 * max(1.0, abs(t_lo), abs(t_hi)):
+    sign is +1 where G falls on the bracket and -1 where it rises.  An
+    iterate has converged when its Newton step is below
+    _NEWTON_RTOL * max(1, |t|); that test comes before the bracket check,
+    because a converged iterate may sit on the bracket's edge.  A Newton
+    step is taken when it stays in the bracket (up to the tolerance; it is
+    then clipped) and is at most half the previous move; otherwise the
+    bracket is bisected, so the iteration cannot cycle.  Converged entries
+    leave the active set at once.  Entries still open after _MAX_STEPS come
+    back as NaN.
+    """
+    out = np.full(t.shape, np.nan)
+    todo = np.arange(t.size)
+    lpd, lmd = lc + ld, lc - ld
+    prev = hi - lo
+    for _ in range(_MAX_STEPS):
+        if not t.size:
             break
-        t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = _log_gap(t_mid, lc, ld)
-        if f_mid == 0.0:
-            return t_mid
-        if (f_lo < 0) == (f_mid < 0):
-            t_lo, f_lo = t_mid, f_mid
-        else:
-            t_hi = t_mid
-    t = 0.5 * (t_lo + t_hi)
-    for _ in range(4):
-        f = _log_gap(t, lc, ld)
-        df = _log_gap_deriv(t, lc, ld)
-        if df == 0.0 or not math.isfinite(df):
-            break
-        step = f / df
-        if abs(step) > 1.0:
-            break
-        t -= step
-    return t
+        f, slope = _gap_slope(t, lpd, lmd, ld)
+        step = f / (slope - 1.0)
+        tol = _NEWTON_RTOL * np.maximum(1.0, np.abs(t))
+        done = (np.abs(step) <= tol) | (f == 0.0)
+        right = sign * f > 0.0          # the zero lies right of t
+        lo = np.where(right, t, lo)
+        hi = np.where(right, hi, t)
+        nxt = t - step
+        newton = (nxt >= lo - tol) & (nxt <= hi + tol) & (np.abs(step) <= 0.5 * prev)
+        prev = np.where(newton, np.abs(step), 0.5 * (hi - lo))
+        nxt = np.where(newton, np.minimum(np.maximum(nxt, lo), hi), 0.5 * (lo + hi))
+        closed = hi - lo <= tol
+        stop = done | closed
+        if not stop.any():
+            t = nxt
+            continue
+        out[todo[closed]] = nxt[closed]
+        out[todo[done]] = np.where(f == 0.0, t, t - step)[done]
+        keep = ~stop
+        todo, lpd, lmd, ld, lo, hi, sign, prev, t = (
+            a[keep] for a in (todo, lpd, lmd, ld, lo, hi, sign, prev, nxt))
+    return out
+
+
+@dataclass(frozen=True)
+class FixedPointBatch:
+    """Fixed points and tangency data of a batch of cells, as arrays.
+
+    Row k describes cell k.  There are three root slots per cell (left of
+    x_crit_1, between the tangency points, right of x_crit_2; a unique root
+    uses the first), and found marks the occupied ones.  log_roots holds
+    their logs (NaN in a found slot: the iteration did not converge), roots
+    their exponentials and slopes g' there.  x_crit and eta are NaN where
+    d < 2; all exponentials saturate at 0 and inf.
+    """
+
+    d: np.ndarray
+    found: np.ndarray
+    log_roots: np.ndarray
+    roots: np.ndarray
+    slopes: np.ndarray
+    x_crit: np.ndarray
+    eta: np.ndarray
+
+    def report(self, k: int) -> FixedPointReport:
+        """Fixed points of cell k.
+
+        Raises OverflowError when a root is not a normal double, and
+        FloatingPointError when its iteration did not converge.
+        """
+        roots, derivs = [], []
+        for found, t, x, dg in zip(self.found[k].tolist(), self.log_roots[k].tolist(),
+                                   self.roots[k].tolist(), self.slopes[k].tolist()):
+            if not found:
+                continue
+            if math.isnan(t):
+                raise FloatingPointError("Newton iteration for a fixed point did not converge")
+            if not sys.float_info.min <= x <= sys.float_info.max:
+                raise OverflowError(f"fixed point exp({t:.6g}) is outside the double range")
+            roots.append(x)
+            derivs.append(dg)
+        return FixedPointReport(roots=tuple(roots),
+                                stability=tuple(_stability_label(dg) for dg in derivs),
+                                derivative=tuple(derivs), count=len(roots))
+
+    def thresholds(self, k: int) -> ThresholdReport:
+        """Tangency data of cell k."""
+        d = float(self.d[k])
+        regime = "multi-capable" if d > 2.0 else "unique"
+        if d < 2.0:
+            return ThresholdReport(eta1=None, eta2=None, x_crit_1=None, x_crit_2=None,
+                                   regime=regime)
+        eta1, eta2 = self.eta[k].tolist()
+        x1, x2 = self.x_crit[k].tolist()
+        return ThresholdReport(eta1=eta1, eta2=eta2, x_crit_1=x1, x_crit_2=x2, regime=regime)
+
+
+def solve_fixed_points(c, d) -> FixedPointBatch:
+    """Positive fixed points of g for every cell of the weight arrays c, d."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN: empty slot
+        return _solve(c, d)
+
+
+def _solve(c, d):
+    lc, ld = np.log(c), np.log(d)
+    lpd, lmd = lc + ld, lc - ld
+
+    # tangency abscissas: x_crit_2 = (d/c)(1 - 2q + sqrt((1-q)(1-4q))),
+    # q = 1/d^2, and x_crit_1 = 1/(c^2 x_crit_2), since the product of the
+    # two roots is 1/c^2 (the textbook difference cancels to 0 for d >~ e^18)
+    q = (1.0 / d) ** 2
+    log_crit = np.empty((c.size, 2))
+    log_crit[:, 1] = np.where(d >= 2.0, ld - lc + np.log(
+        1.0 - 2.0 * q + np.sqrt((1.0 - q) * (1.0 - 4.0 * q))), np.nan)
+    log_crit[:, 0] = -2.0 * lc - log_crit[:, 1]
+    log_eta = _gap_slope(log_crit, lpd[:, None], lmd[:, None], ld[:, None])[0]
+    t1, t2 = log_crit[:, 0], log_crit[:, 1]
+
+    multi = d > 2.0
+    left = multi & (log_eta[:, 0] < -_TANGENCY_TOL)     # G(t_1) < 0: a zero left of t_1
+    right = multi & (log_eta[:, 1] > _TANGENCY_TOL)     # G(t_2) > 0: a zero right of t_2
+    span = 3.0 * np.abs(ld)
+    lo, hi = np.empty((c.size, 3)), np.empty((c.size, 3))
+    lo[:, 0] = np.where(multi, np.minimum(-span, t1), -span)
+    hi[:, 0] = np.where(multi, t1, span)
+    lo[:, 1], hi[:, 1] = t1, t2
+    lo[:, 2], hi[:, 2] = t2, np.maximum(span, t2)
+    found = np.empty((c.size, 3), dtype=bool)
+    found[:, 0] = ~multi | left
+    found[:, 1] = left & right
+    found[:, 2] = right
+    cells, slot = np.nonzero(found)
+    lo, hi = lo[cells, slot], hi[cells, slot]
+    sign = np.where(slot == 1, -1.0, 1.0)     # G rises between the tangency points
+    log_roots = np.full((c.size, 3), np.nan)
+    lcs, lds = lc[cells], ld[cells]
+    log_roots[cells, slot] = _newton(lcs, lds, lo, hi, sign, _model_root(lcs, lds, lo, hi, sign))
+
+    # a tangency point within _TANGENCY_TOL of G = 0 is itself a double root
+    tangent = multi[:, None] & (np.abs(log_eta) <= _TANGENCY_TOL)
+    log_roots[:, 0::2] = np.where(tangent, log_crit, log_roots[:, 0::2])
+    found[:, 0::2] |= tangent
+    slopes = _gap_slope(log_roots, lpd[:, None], lmd[:, None], ld[:, None])[1]
+    return FixedPointBatch(d=d, found=found, log_roots=log_roots, roots=np.exp(log_roots),
+                           slopes=slopes, x_crit=np.exp(log_crit), eta=np.exp(log_eta))
+
+
+def _stability_label(dg: float) -> str:
+    if abs(dg) < 1.0 - STABILITY_TOL:
+        return "stable"
+    if abs(dg) > 1.0 + STABILITY_TOL:
+        return "unstable"
+    return "marginal"
 
 
 def find_positive_fixed_points(w: TransferWeights) -> FixedPointReport:
-    """All positive solutions of g(x) = x, bracketed, polished, cross-checked.
-
-    The grid spans [1e-8, 1e8] extended to cover [d^-3, d^3] (every fixed
-    point lies between g(0) and g(inf)), and is augmented with the slope-1
-    points of g so tangency pairs are not stepped over.
-    """
-    c, d = w.c, w.d
-    lc, ld = math.log(c), math.log(d)
-
-    span = 3.0 * abs(ld)
-    t_lo = min(math.log(_GRID_LO), -span - 1.0)
-    t_hi = max(math.log(_GRID_HI), span + 1.0)
-    ts = np.linspace(t_lo, t_hi, _GRID_POINTS)
-
-    slope_one = _slope_one_points(w)
-    if slope_one:
-        extra = np.log(slope_one)
-        ts = np.unique(np.concatenate([ts, extra - 1e-4, extra, extra + 1e-4]))
-
-    gaps = 3.0 * (np.logaddexp(0.0, lc + ld + ts) - np.logaddexp(ld, lc + ts)) - ts
-
-    roots_t: list[float] = []
-    zero_hits = np.flatnonzero(gaps == 0.0)
-    roots_t.extend(ts[zero_hits].tolist())
-    sign_change = np.flatnonzero((gaps[:-1] * gaps[1:]) < 0.0)
-    for k in sign_change:
-        roots_t.append(_bisect_polish(ts[k], ts[k + 1], lc, ld))
-
-    # a tangency touches zero without a sign change; catch it at slope-1 points
-    for x0 in slope_one:
-        t0 = math.log(x0)
-        if abs(_log_gap(t0, lc, ld)) < _TANGENCY_TOL:
-            roots_t.append(t0)
-
-    roots_t.sort()
-    merged: list[float] = []
-    for t in roots_t:
-        if not merged or t - merged[-1] > 1e-8:
-            merged.append(t)
-    roots = tuple(math.exp(t) for t in merged)
-
-    coeffs = quartic_coefficients(w)
-    quartic: tuple[float, ...] = ()
-    if np.all(np.isfinite(coeffs)):
-        qr = np.roots(coeffs)
-        qr = qr[(np.abs(qr.imag) <= 1e-7 * (1.0 + np.abs(qr.real))) & (qr.real > 0)]
-        q = np.sort(qr.real)
-        kept: list[float] = []
-        for x in q:
-            if not kept or x - kept[-1] > 1e-7 * max(1.0, x):
-                kept.append(float(x))
-        quartic = tuple(kept)
-
-    report = FixedPointReport(
-        roots=roots,
-        stability=("",) * len(roots),
-        derivative=(0.0,) * len(roots),
-        count=len(roots),
-        quartic_roots=quartic,
-    )
-    return classify_stability(report, w)
+    """All positive solutions of g(x) = x, ascending, with g' and stability."""
+    return solve_fixed_points(w.c, w.d).report(0)
 
 
 def classify_stability(report: FixedPointReport, w: TransferWeights) -> FixedPointReport:
     """Label each root by |g'|: stable below 1, unstable above, marginal at 1."""
-    derivs = tuple(scalar_map_dg(r, w) for r in report.roots)
-    labels = []
-    for dg in derivs:
-        if abs(dg) < 1.0 - STABILITY_TOL:
-            labels.append("stable")
-        elif abs(dg) > 1.0 + STABILITY_TOL:
-            labels.append("unstable")
-        else:
-            labels.append("marginal")
-    return replace(report, stability=tuple(labels), derivative=derivs)
-
-
-def _eta_closed_forms(c: float, d: float) -> tuple[float, float]:
-    """Closed-form tangent slopes (the direct route is g(x*)/x*)."""
-    s = math.sqrt(4.0 - 5.0 * d * d + d**4)
-    d2 = d * d
-    eta1 = -(c * d**4 * (1.0 - d2 + s) ** 3) / ((2.0 - 2.0 * d2 + s) ** 3 * (2.0 - d2 + s))
-    eta2 = (c * d**4 * (-1.0 + d2 + s) ** 3) / ((-2.0 + d2 + s) * (-2.0 + 2.0 * d2 + s) ** 3)
-    return eta1, eta2
+    lc, ld = math.log(w.c), math.log(w.d)
+    t = np.log(np.asarray(report.roots, dtype=float))
+    derivs = tuple(_gap_slope(t, lc + ld, lc - ld, ld)[1].tolist())
+    return replace(report, stability=tuple(_stability_label(dg) for dg in derivs),
+                   derivative=derivs)
 
 
 def critical_points(w: TransferWeights) -> ThresholdReport:
@@ -232,22 +303,7 @@ def critical_points(w: TransferWeights) -> ThresholdReport:
     discriminant (d^2-1)(d^2-4) is negative on 1 < d < 2, and for d < 1 both
     quadratic roots are negative).
     """
-    c, d = w.c, w.d
-    regime = "multi-capable" if d > 2.0 else "unique"
-    disc = (d * d - 1.0) * (d * d - 4.0)
-    if disc < 0.0 or d <= math.sqrt(2.0):
-        return ThresholdReport(eta1=None, eta2=None, x_crit_1=None, x_crit_2=None,
-                               regime=regime)
-    s = math.sqrt(disc)
-    x1 = ((d * d - 2.0) - s) / (c * d)
-    x2 = ((d * d - 2.0) + s) / (c * d)
-    eta1 = scalar_map_g(x1, w) / x1
-    eta2 = scalar_map_g(x2, w) / x2
-    cf1, cf2 = _eta_closed_forms(c, d)
-    agrees = (abs(cf1 / eta1 - 1.0) < 1e-9) and (abs(cf2 / eta2 - 1.0) < 1e-9)
-    return ThresholdReport(eta1=eta1, eta2=eta2, x_crit_1=x1, x_crit_2=x2,
-                           regime=regime, eta1_closed_form=cf1,
-                           eta2_closed_form=cf2, closed_form_agrees=agrees)
+    return solve_fixed_points(w.c, w.d).thresholds(0)
 
 
 def predict_count(w: TransferWeights) -> tuple[int, str]:

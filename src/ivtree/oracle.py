@@ -10,6 +10,7 @@ consistency check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -108,11 +109,18 @@ def boundary_term(cfg: SpinConfiguration, tree: CayleyTree,
     return float(total)
 
 
+@functools.lru_cache(maxsize=None)
 def _spin_table(n: int) -> np.ndarray:
-    """All 2^n sign patterns; vertex v sits in bit n-1-v, bit 0 means spin +1."""
+    """All 2^n sign patterns; vertex v sits in bit n-1-v, bit 0 means spin +1.
+
+    Cached per n (only depth 1 and 2 volumes, n = 4 and 13, are enumerated)
+    and read-only, since every caller shares the one array.
+    """
     idx = np.arange(2**n, dtype=np.int64)
     bits = (idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    return 1.0 - 2.0 * bits
+    table = 1.0 - 2.0 * bits
+    table.flags.writeable = False
+    return table
 
 
 def _log_weights_enumerated(tree: CayleyTree, params: CouplingParameters,

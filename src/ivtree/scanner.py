@@ -2,9 +2,10 @@
 
 A cell is classified by its positive fixed points: more than one fixed point
 means more than one translation-invariant measure, i.e. a phase transition.
-Cells are evaluated independently (optionally in a process pool) and always
-merged back in deterministic J-major order, so output bytes never depend on
-the worker count.
+The grid is cut into chunks of cells, each solved by one call of the array
+solver (optionally in a process pool), and merged back in deterministic
+J-major order.  Every cell's answer is independent of the chunk it lands in,
+so output bytes never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -16,13 +17,18 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .fixpoint import critical_points, find_positive_fixed_points
+from .fixpoint import find_positive_fixed_points, solve_fixed_points
 from .model import CouplingParameters, couplings, derive_weights, field_from_scalar
 from .oracle import kolmogorov_consistency_check
 from .recurrence import scalar_map_g
+
+# cells per solver call: keeps the solver's arrays (a few dozen doubles per
+# cell) in the low megabytes however large the grid
+_CHUNK_CELLS = 4096
 
 CSV_HEADER = ["J", "Jp", "T", "c", "d", "root_count", "roots", "stabilities",
               "eta1", "eta2", "phase_transition"]
@@ -92,32 +98,44 @@ class PhasePoint:
 
 def evaluate_point(J: float, Jp: float, T: float,
                    check_consistency: bool = False) -> PhasePoint:
-    try:
-        params = couplings(J, Jp, T)
-        w = derive_weights(params)
-        report = find_positive_fixed_points(w)
-        thresholds = critical_points(w)
-        residual = None
-        if check_consistency:
-            residual = max(
-                kolmogorov_consistency_check(params, field_from_scalar(r))
-                for r in report.roots
+    """Classify one cell; the same computation as its cell in any scan."""
+    return _evaluate_cells([(J, Jp, T)], check_consistency)[0]
+
+
+def _evaluate_cells(cells, check_consistency: bool = False) -> list[PhasePoint]:
+    """Classify (J, Jp, T) cells with one solver call; failures land in error."""
+    points: list[PhasePoint | None] = [None] * len(cells)
+    solved = []
+    for i, (J, Jp, T) in enumerate(cells):
+        try:
+            params = couplings(J, Jp, T)
+            solved.append((i, params, derive_weights(params)))
+        except (ValueError, ArithmeticError) as exc:
+            points[i] = PhasePoint(J=J, Jp=Jp, T=T, error=str(exc))
+    batch = solve_fixed_points([w.c for _, _, w in solved], [w.d for _, _, w in solved])
+    for k, (i, params, w) in enumerate(solved):
+        J, Jp, T = cells[i]
+        try:
+            report = batch.report(k)
+            thresholds = batch.thresholds(k)
+            residual = None
+            if check_consistency:
+                residual = max(
+                    kolmogorov_consistency_check(params, field_from_scalar(r))
+                    for r in report.roots
+                )
+            points[i] = PhasePoint(
+                J=J, Jp=Jp, T=T, c=w.c, d=w.d,
+                root_count=report.count, roots=report.roots,
+                stabilities=report.stability,
+                eta1=thresholds.eta1, eta2=thresholds.eta2,
+                regime=thresholds.regime,
+                phase_transition=report.count >= 2,
+                consistency_residual=residual,
             )
-        return PhasePoint(
-            J=J, Jp=Jp, T=T, c=w.c, d=w.d,
-            root_count=report.count, roots=report.roots,
-            stabilities=report.stability,
-            eta1=thresholds.eta1, eta2=thresholds.eta2,
-            regime=thresholds.regime,
-            phase_transition=report.count >= 2,
-            consistency_residual=residual,
-        )
-    except (ValueError, OverflowError, FloatingPointError) as exc:
-        return PhasePoint(J=J, Jp=Jp, T=T, error=str(exc))
-
-
-def _evaluate_cell(args: tuple[float, float, float, bool]) -> PhasePoint:
-    return evaluate_point(*args[:3], check_consistency=args[3])
+        except (ValueError, ArithmeticError) as exc:
+            points[i] = PhasePoint(J=J, Jp=Jp, T=T, error=str(exc))
+    return points
 
 
 def scan_grid(spec: GridSpec, workers: int = 1,
@@ -127,15 +145,18 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     Per-cell failures land in the cell's error field and never abort the scan.
     Results are identical for any worker count.
     """
-    cells = [(float(J), float(Jp), float(T), check_consistency)
-             for J in spec.j_values()
-             for Jp in spec.jp_values()
-             for T in spec.t_values()]
+    j_values, jp_values, t_values = spec.j_values(), spec.jp_values(), spec.t_values()
+    cells = [(float(J), float(Jp), float(T))
+             for J in j_values for Jp in jp_values for T in t_values]
+    size = min(_CHUNK_CELLS, -(-len(cells) // max(1, workers)))
+    chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
+    evaluate = partial(_evaluate_cells, check_consistency=check_consistency)
     if workers <= 1:
-        return [_evaluate_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(cells) // (4 * workers))
-        return list(pool.map(_evaluate_cell, cells, chunksize=chunk))
+        results = map(evaluate, chunks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate, chunks))
+    return [p for chunk in results for p in chunk]
 
 
 def _fmt(value) -> str:

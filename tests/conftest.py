@@ -6,6 +6,8 @@ tests compare the float implementation against an external oracle rather
 than against itself.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,57 @@ def assert_close(actual, expected, rtol, label=""):
         f"{label or 'value'}: {actual} vs expected {expected} "
         f"(max rel err {err.max():.3e} > {rtol:.1e})"
     )
+
+
+# ------------------------------------------------- test-side second oracles
+#
+# Second routes to the solver's numbers that share none of its algebra, so
+# tests can compare two independent computations of the same values.
+
+
+def quartic_coefficients(w: TransferWeights) -> np.ndarray:
+    """Coefficients of x(d+cx)^3 - (1+cdx)^3 in descending powers.
+
+    Positive roots of this quartic are exactly the positive fixed points of g.
+    The leading coefficient c^3 > 0 and constant term -1 < 0 force at least
+    one positive real root.
+    """
+    c, d = w.c, w.d
+    return np.array([
+        c**3,
+        3.0 * c**2 * d - c**3 * d**3,
+        3.0 * c * d**2 - 3.0 * c**2 * d**2,
+        d**3 - 3.0 * c * d,
+        -1.0,
+    ])
+
+
+def quartic_positive_roots(w: TransferWeights) -> tuple[float, ...]:
+    """Positive real roots of the x-quartic from its companion matrix.
+
+    Ill-conditioned for extreme weights (coefficients up to c^3 d^3), so only
+    a cross-check on moderate weights; roots closer than 1e-7 are merged.
+    """
+    qr = np.roots(quartic_coefficients(w))
+    qr = qr[(np.abs(qr.imag) <= 1e-7 * (1.0 + np.abs(qr.real))) & (qr.real > 0)]
+    kept: list[float] = []
+    for x in np.sort(qr.real):
+        if not kept or x - kept[-1] > 1e-7 * max(1.0, x):
+            kept.append(float(x))
+    return tuple(kept)
+
+
+def eta_closed_forms(c: float, d: float) -> tuple[float, float]:
+    """Closed-form tangent slopes eta_1, eta_2 for d > 2 (the solver's route
+    is g(x_crit)/x_crit in log space)."""
+    s = math.sqrt(4.0 - 5.0 * d * d + d**4)
+    d2 = d * d
+    eta1 = -(c * d**4 * (1.0 - d2 + s) ** 3) / ((2.0 - 2.0 * d2 + s) ** 3 * (2.0 - d2 + s))
+    eta2 = (c * d**4 * (-1.0 + d2 + s) ** 3) / ((-2.0 + d2 + s) * (-2.0 + 2.0 * d2 + s) ** 3)
+    return eta1, eta2
+
+
+def closed_forms_agree(th, c: float, d: float) -> bool:
+    """Both closed-form slopes match the solver's eta values to 1e-9 relative."""
+    cf1, cf2 = eta_closed_forms(c, d)
+    return abs(cf1 / th.eta1 - 1.0) < 1e-9 and abs(cf2 / th.eta2 - 1.0) < 1e-9

@@ -34,7 +34,7 @@ from ivtree import (
 from ivtree.recurrence import UVector
 from ivtree.scanner import evaluate_point
 
-from conftest import THREE_ROOT_EXPECTED, THREE_ROOT_POINT
+from conftest import THREE_ROOT_EXPECTED, THREE_ROOT_POINT, quartic_positive_roots
 
 EPS = float(np.finfo(float).eps)
 
@@ -57,9 +57,10 @@ def test_acceptance_01_three_roots_and_agreeing_root_oracles():
     w = derive_weights(couplings(*THREE_ROOT_POINT))
     best = min(_timed(find_positive_fixed_points, w) for _ in range(5))
     rep = find_positive_fixed_points(w)
+    quartic = quartic_positive_roots(w)
 
-    ok = rep.count == 3 and len(rep.quartic_roots) == 3
-    worst = max(_rel(r, q) for r, q in zip(rep.roots, rep.quartic_roots)) if ok else float("inf")
+    ok = rep.count == 3 and len(quartic) == 3
+    worst = max(_rel(r, q) for r, q in zip(rep.roots, quartic)) if ok else float("inf")
     frozen = max(_rel(r, e) for r, e in zip(rep.roots, THREE_ROOT_EXPECTED["roots"])) if ok else float("inf")
     ok = ok and worst < 1e-9 and frozen < 1e-9 and best < 0.010
     _verdict(
@@ -181,7 +182,7 @@ def test_acceptance_04_decreasing_map_point_oracle_agreement():
     that the two independent root oracles agree on the count."""
     w = derive_weights(couplings(-1.045, -1.045, 6.55))
     rep = find_positive_fixed_points(w)
-    quartic_count = len(rep.quartic_roots)
+    quartic_count = len(quartic_positive_roots(w))
     ok = w.d < 1.0 and rep.count == quartic_count == 1
     _verdict(
         "decreasing-map oracle agreement",

@@ -1,11 +1,13 @@
 """End-to-end checks of the command-line entry point."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ivtree
 from ivtree.cli import main
 
 
@@ -92,9 +94,23 @@ def test_invalid_invocations_exit_2(argv, recwarn):
 
 
 def test_module_invocation():
+    # the child imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(ivtree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "ivtree", "--J", "0", "--Jp", "0", "--T", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("0,0,1,1,1,1,1,stable")
+
+
+def test_large_prolonged_coupling_scan_answers_every_cell(capsys):
+    """beta*Jp up to 12 (d up to e^24): the lower tangency abscissa once
+    cancelled to 0 and the scan died with ZeroDivisionError."""
+    code, out = run_cli(capsys, "--J", "0", "--Jp=-3:12:4", "--T", "1")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4
+    assert [row.split(",")[5] for row in rows] == ["1", "3", "3", "3"]

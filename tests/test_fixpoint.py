@@ -15,7 +15,6 @@ from ivtree import (
     find_positive_fixed_points,
     iterate_map,
     predict_count,
-    quartic_coefficients,
     scalar_map_dg,
     scalar_map_g,
 )
@@ -28,6 +27,10 @@ from conftest import (
     TANGENT_CASE,
     THREE_ROOT_EXPECTED,
     assert_close,
+    closed_forms_agree,
+    eta_closed_forms,
+    quartic_coefficients,
+    quartic_positive_roots,
 )
 
 weights_st = st.builds(
@@ -85,8 +88,9 @@ def test_three_root_reference_point(three_root_weights):
 
 def test_bracketing_and_quartic_routes_agree(three_root_weights):
     report = find_positive_fixed_points(three_root_weights)
-    assert len(report.quartic_roots) == report.count
-    assert_close(report.quartic_roots, report.roots, 1e-9, "two independent routes")
+    quartic = quartic_positive_roots(three_root_weights)
+    assert len(quartic) == report.count
+    assert_close(quartic, report.roots, 1e-9, "two independent routes")
 
 
 def test_single_root_points():
@@ -128,8 +132,9 @@ def test_decreasing_regime_has_a_unique_root(c, d):
 @given(w=weights_st)
 def test_quartic_route_agrees_for_random_weights(w):
     rep = find_positive_fixed_points(w)
-    assert len(rep.quartic_roots) == rep.count
-    assert_close(rep.quartic_roots, rep.roots, 1e-9, "route agreement")
+    quartic = quartic_positive_roots(w)
+    assert len(quartic) == rep.count
+    assert_close(quartic, rep.roots, 1e-9, "route agreement")
 
 
 # ---------------------------------------------------------------- stability
@@ -164,8 +169,9 @@ def test_threshold_slopes_at_three_root_point(three_root_weights):
     assert_close(th.eta2, THREE_ROOT_EXPECTED["eta2"], 1e-9, "eta2")
     assert_close((th.x_crit_1, th.x_crit_2), THREE_ROOT_EXPECTED["x_crit"], 1e-9)
     assert th.eta1 < 1.0 < th.eta2
-    assert th.closed_form_agrees
-    assert_close(th.eta1_closed_form, th.eta1, 1e-9, "closed form eta1")
+    c, d = three_root_weights.c, three_root_weights.d
+    assert closed_forms_agree(th, c, d)
+    assert_close(eta_closed_forms(c, d)[0], th.eta1, 1e-9, "closed form eta1")
 
 
 def test_threshold_quadratic_is_satisfied(three_root_weights):
@@ -197,7 +203,7 @@ def test_multi_capable_thresholds_are_ordered(c, d):
     assert th.regime == "multi-capable"
     assert 0.0 < th.eta1 < th.eta2
     assert 0.0 < th.x_crit_1 < th.x_crit_2
-    assert th.closed_form_agrees
+    assert closed_forms_agree(th, c, d)
 
 
 def test_eta_values_scale_linearly_with_c():

@@ -125,6 +125,14 @@ def test_hamiltonian_rejects_wrong_size():
 # ----------------------------------------------------------------- measures
 
 
+def test_spin_table_is_built_once_and_read_only():
+    table = _spin_table(13)
+    assert _spin_table(13) is table
+    assert table.shape == (8192, 13)
+    with pytest.raises(ValueError):
+        table[0, 0] = -1.0
+
+
 def test_measure_normalization_depths_one_and_two(three_root_params):
     h = field_from_scalar(2.0)
     for depth in (1, 2):

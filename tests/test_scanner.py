@@ -104,6 +104,15 @@ def test_parallel_scan_matches_serial():
     assert serial == parallel
 
 
+def test_chunked_scan_is_byte_identical_for_one_two_and_three_workers():
+    """The pool splits the grid into a different set of chunks per worker
+    count; every cell's answer must not depend on its chunk."""
+    spec = GridSpec(j=(-3, 3, 21), jp=(-3, 7, 21), t=(13, 13, 1))
+    texts = {workers: emit_csv(scan_grid(spec, workers=workers)) for workers in (1, 2, 3)}
+    assert texts[1] == texts[2] == texts[3]
+    assert len(texts[1].splitlines()) == 1 + 21 * 21
+
+
 def test_classification_coherence_over_a_mixed_grid():
     pts = scan_grid(GridSpec(j=(-3, 3, 5), jp=(-3, 7, 5), t=(13, 13, 1)))
     assert all(p.error is None for p in pts)
