@@ -189,22 +189,28 @@ def emit_csv(points, include_consistency: bool = False) -> str:
     return buf.getvalue()
 
 
+def _finite_or_none(value):
+    return value if value is not None and math.isfinite(value) else None
+
+
 def emit_jsonl(points, include_consistency: bool = False) -> str:
-    """One JSON object per point; carries the regime label and any cell error."""
+    """One strict-JSON object per point; carries the regime label and any
+    cell error.  An eta that saturated outside the double range is null."""
     lines = []
     for p in points:
         obj = {
             "J": p.J, "Jp": p.Jp, "T": p.T, "c": p.c, "d": p.d,
             "root_count": p.root_count, "roots": list(p.roots),
             "stabilities": list(p.stabilities),
-            "eta1": p.eta1, "eta2": p.eta2, "regime": p.regime,
+            "eta1": _finite_or_none(p.eta1), "eta2": _finite_or_none(p.eta2),
+            "regime": p.regime,
             "phase_transition": p.phase_transition,
         }
         if include_consistency:
             obj["consistency_residual"] = p.consistency_residual
         if p.error is not None:
             obj["error"] = p.error
-        lines.append(json.dumps(obj))
+        lines.append(json.dumps(obj, allow_nan=False))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -48,6 +48,24 @@ def test_jsonl_format(capsys):
     assert all(r["root_count"] == 1 for r in records)
 
 
+def test_jsonl_is_strict_when_eta_saturates(capsys):
+    """eta2 of this cell is above the double range while its root is not;
+    JSONL says null where the CSV keeps printing inf."""
+    argv = ["--J", "260.06291799467704", "--Jp", "93.55166319011829", "--T", "1"]
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    code, out = run_cli(capsys, *argv, "--format", "jsonl")
+    assert code == 0
+    rec = json.loads(out, parse_constant=reject)
+    assert rec["root_count"] == 1
+    assert rec["eta2"] is None
+    assert rec["eta1"] > 0.0
+    _, csv_text = run_cli(capsys, *argv)
+    assert csv_text.splitlines()[1].split(",")[9] == "inf"
+
+
 def test_consistency_flag_adds_column(capsys):
     code, out = run_cli(capsys, "--J", "-1.7", "--Jp", "6.5", "--T", "13",
                         "--check-consistency")

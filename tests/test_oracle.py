@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ivtree import (
+    BoundaryFieldVector,
     TransferWeights,
     UVector,
     build_tree,
@@ -20,11 +21,12 @@ from ivtree import (
     verify_recurrence_by_enumeration,
 )
 from ivtree.oracle import (
+    _feature_table,
+    _log_partition_factorized,
     _spin_table,
     boundary_term,
     branch_sum,
     enumerated_semi_ball_sum,
-    log_partition_factorized,
 )
 
 from conftest import NEGATIVE_T_POINT, THREE_ROOT_POINT, assert_close
@@ -133,6 +135,34 @@ def test_spin_table_is_built_once_and_read_only():
         table[0, 0] = -1.0
 
 
+def test_feature_table_is_built_once_per_depth_and_read_only():
+    for depth, rows in ((1, 16), (2, 8192)):
+        table = _feature_table(depth)
+        assert _feature_table(depth) is table
+        assert table.shape == (rows, 10)
+        assert np.array_equal(table, np.round(table))
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
+def test_feature_table_weights_match_the_per_configuration_route():
+    """Table rows against hamiltonian + boundary_term, for random couplings
+    and random eight-component fields (not only fixed-point fields)."""
+    rng = np.random.default_rng(41)
+    for depth, rows in ((1, np.arange(16)), (2, rng.choice(8192, 256, replace=False))):
+        t = build_tree(depth)
+        n = t.n_vertices
+        for _ in range(4):
+            J, Jp = rng.uniform(-5.0, 5.0, 2)
+            p = couplings(J, Jp, rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 4.0))
+            h = BoundaryFieldVector(h=tuple(rng.uniform(-3.0, 3.0, 8)))
+            m = finite_measure(t, p, h)
+            scale = np.max(np.abs(m.log_weights))
+            for row in rows:
+                cfg = np.array([-1 if (row >> (n - 1 - v)) & 1 else 1 for v in range(n)])
+                assert abs(m.log_weights[row] - m.log_weight(cfg)) <= 1e-12 * scale
+
+
 def test_measure_normalization_depths_one_and_two(three_root_params):
     h = field_from_scalar(2.0)
     for depth in (1, 2):
@@ -172,7 +202,7 @@ def test_gibbs_ratio_between_single_flip_pairs(three_root_params):
 def test_depth_two_partition_function_factorizes(three_root_params):
     h = field_from_scalar(1.8)
     m = finite_measure(build_tree(2), three_root_params, h)
-    assert abs(log_partition_factorized(2, three_root_params, h) - m.log_Z) < 1e-12
+    assert abs(_log_partition_factorized(2, three_root_params, h) - m.log_Z) < 1e-12
 
 
 def test_depth_three_partition_function_against_semi_enumeration():
@@ -197,7 +227,7 @@ def test_depth_three_partition_function_against_semi_enumeration():
             logw = logw + lookup[i_idx, j_idx]
         m = logw.max()
         semi = m + math.log(np.exp(logw - m).sum())
-        assert abs(semi - log_partition_factorized(3, p, h)) < 1e-11
+        assert abs(semi - _log_partition_factorized(3, p, h)) < 1e-11
 
 
 def test_depth_three_measure_is_implicit(three_root_params):
@@ -229,8 +259,6 @@ def test_consistency_at_every_fixed_point(three_root_params):
 
 def test_consistency_fails_for_generic_fields(three_root_params):
     rng = np.random.default_rng(17)
-    from ivtree import BoundaryFieldVector
-
     for _ in range(3):
         h = BoundaryFieldVector(h=tuple(rng.uniform(-1.0, 1.0, 8)))
         assert kolmogorov_consistency_check(three_root_params, h) > 1e-3

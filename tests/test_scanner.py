@@ -130,6 +130,18 @@ def test_consistency_residual_is_reported_when_requested():
     assert q.consistency_residual is None
 
 
+def test_consistency_holds_over_the_whole_accepted_domain():
+    """|beta J|, |beta Jp| up to 350: every answered cell's fixed points give
+    consistent measures; the unanswered ones have unrepresentable roots."""
+    pts = scan_grid(GridSpec(j=(-350, 350, 41), jp=(-350, 350, 41), t=(1, 1, 1)),
+                    check_consistency=True)
+    answered = [p for p in pts if p.error is None]
+    assert len(answered) > len(pts) // 2
+    assert any(p.root_count == 3 for p in answered)
+    assert all("outside the double range" in p.error for p in pts if p.error is not None)
+    assert max(p.consistency_residual for p in answered) <= 1e-9
+
+
 # ------------------------------------------------------------------ outputs
 
 
