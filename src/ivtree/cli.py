@@ -8,7 +8,8 @@ Examples:
 
 Range arguments take min:max:steps; values starting with a minus sign must
 use the --J=-3:3:21 form so they are not mistaken for flags.  Exit code is 0
-on success and 2 for an invalid grid specification.
+on success and 2 for an invalid grid specification or a --curve cell whose
+curve cannot be tabulated in double precision.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         params = couplings(spec.j[0], spec.jp[0], spec.t[0])
-        text = emit_curve_csv(params, samples=args.samples)
+        try:
+            text = emit_curve_csv(params, samples=args.samples)
+        except ArithmeticError as exc:   # a weight or fixed point outside the double range
+            parser.error(f"--curve cannot tabulate this cell: {exc}")
     else:
         try:
             points = scan_grid(spec, workers=args.workers,

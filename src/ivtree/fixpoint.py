@@ -169,6 +169,19 @@ def _newton(lc, ld, lo, hi, sign, t):
     return out
 
 
+def root_error(t: float, x: float) -> ArithmeticError | None:
+    """Why the root x = e^t of a found slot cannot be reported, or None.
+
+    FloatingPointError when its iteration did not converge (t is NaN),
+    OverflowError when x is not a normal double.
+    """
+    if math.isnan(t):
+        return FloatingPointError("Newton iteration for a fixed point did not converge")
+    if not sys.float_info.min <= x <= sys.float_info.max:
+        return OverflowError(f"fixed point exp({t:.6g}) is outside the double range")
+    return None
+
+
 @dataclass(frozen=True)
 class FixedPointBatch:
     """Fixed points and tangency data of a batch of cells, as arrays.
@@ -200,10 +213,9 @@ class FixedPointBatch:
                                    self.roots[k].tolist(), self.slopes[k].tolist()):
             if not found:
                 continue
-            if math.isnan(t):
-                raise FloatingPointError("Newton iteration for a fixed point did not converge")
-            if not sys.float_info.min <= x <= sys.float_info.max:
-                raise OverflowError(f"fixed point exp({t:.6g}) is outside the double range")
+            error = root_error(t, x)
+            if error is not None:
+                raise error
             roots.append(x)
             derivs.append(dg)
         return FixedPointReport(roots=tuple(roots),
@@ -274,12 +286,22 @@ def _solve(c, d):
                            slopes=slopes, x_crit=np.exp(log_crit), eta=np.exp(log_eta))
 
 
+# what stability_codes indexes
+STABILITY_LABELS = ("stable", "marginal", "unstable")
+
+# |g'| below the first edge is stable, from the second (the double after
+# 1 + STABILITY_TOL) on unstable, marginal in between
+_STABILITY_EDGES = np.array([1.0 - STABILITY_TOL, math.nextafter(1.0 + STABILITY_TOL, math.inf)])
+
+
+def stability_codes(dg) -> np.ndarray:
+    """Index into STABILITY_LABELS of each finite slope g'(x*): stable when
+    |g'| is below 1, unstable above, marginal within STABILITY_TOL of 1."""
+    return np.searchsorted(_STABILITY_EDGES, np.abs(dg), side="right")
+
+
 def _stability_label(dg: float) -> str:
-    if abs(dg) < 1.0 - STABILITY_TOL:
-        return "stable"
-    if abs(dg) > 1.0 + STABILITY_TOL:
-        return "unstable"
-    return "marginal"
+    return STABILITY_LABELS[int(stability_codes(dg))]
 
 
 def find_positive_fixed_points(w: TransferWeights) -> FixedPointReport:

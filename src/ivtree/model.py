@@ -78,21 +78,31 @@ class TransferWeights:
         return cls(a=a, b=b, c=c, d=d, log_a=math.log(a), log_b=math.log(b))
 
 
+def coupling_weight(name: str, log_weight: float) -> float:
+    """e^log_weight for log_weight = beta * coupling (a for J, b for Jp).
+
+    Raises OverflowError when its square (c or d) would not fit in a double.
+    derive_weights and the grid scanner both go through here, so a scan's
+    weights are bit-for-bit those of derive_weights.
+    """
+    if abs(log_weight) > _MAX_LOG_WEIGHT:
+        raise OverflowError(
+            f"|beta*{name}| = {abs(log_weight):.6g} exceeds the representable range"
+        )
+    return math.exp(log_weight)
+
+
 def derive_weights(params: CouplingParameters) -> TransferWeights:
     """Transfer weights for the given couplings.
 
     Raises OverflowError when c = e^{2 beta J} or d = e^{2 beta Jp} would not
-    fit in a double; scans over extreme beta must catch this per grid cell.
+    fit in a double (J is checked first); scans over extreme beta must catch
+    this per grid cell.
     """
     log_a = params.beta * params.J
     log_b = params.beta * params.Jp
-    for name, lw in (("J", log_a), ("Jp", log_b)):
-        if abs(lw) > _MAX_LOG_WEIGHT:
-            raise OverflowError(
-                f"|beta*{name}| = {abs(lw):.6g} exceeds the representable range"
-            )
-    a = math.exp(log_a)
-    b = math.exp(log_b)
+    a = coupling_weight("J", log_a)
+    b = coupling_weight("Jp", log_b)
     return TransferWeights(a=a, b=b, c=a * a, d=b * b, log_a=log_a, log_b=log_b)
 
 

@@ -199,9 +199,9 @@ def _log_partition_factorized(depth: int, params: CouplingParameters,
 class FiniteVolumeMeasure:
     """Exact Gibbs measure on V_n with the boundary-field exponent.
 
-    Depth 1 and 2 keep the full log-weight table; depth 3 keeps only log Z
-    (computed by leaf summation) and serves probabilities per configuration
-    on demand.
+    Depth 1 and 2 keep the full log-weight and probability tables; depth 3
+    keeps only log Z (computed by leaf summation) and serves probabilities
+    per configuration on demand.
     """
 
     tree: CayleyTree
@@ -209,12 +209,14 @@ class FiniteVolumeMeasure:
     h: BoundaryFieldVector
     log_Z: float
     log_weights: np.ndarray | None = None
+    probability_table: np.ndarray | None = None
 
     def probabilities(self) -> np.ndarray:
-        """Probability table over all 2^N configurations (depth <= 2 only)."""
-        if self.log_weights is None:
+        """Probability table over all 2^N configurations (depth <= 2 only);
+        read-only."""
+        if self.probability_table is None:
             raise ValueError("no explicit table at this depth; use probability()")
-        return np.exp(self.log_weights - self.log_Z)
+        return self.probability_table
 
     def log_weight(self, cfg: SpinConfiguration) -> float:
         energy = hamiltonian(cfg, self.tree, self.params)
@@ -231,9 +233,14 @@ def finite_measure(tree: CayleyTree, params: CouplingParameters,
     if tree.depth <= 2:
         lw = _log_weights_enumerated(tree, params, h)
         m = lw.max()
-        log_z = m + math.log(np.exp(lw - m).sum())
+        # one exp serves both the normalizer and the probability table
+        weights = np.exp(lw - m)
+        total = weights.sum()
+        weights /= total
+        weights.flags.writeable = False
         return FiniteVolumeMeasure(tree=tree, params=params, h=h,
-                                   log_Z=log_z, log_weights=lw)
+                                   log_Z=m + math.log(total), log_weights=lw,
+                                   probability_table=weights)
     log_z = _log_partition_factorized(3, params, h)
     return FiniteVolumeMeasure(tree=tree, params=params, h=h, log_Z=log_z)
 

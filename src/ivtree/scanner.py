@@ -2,27 +2,33 @@
 
 A cell is classified by its positive fixed points: more than one fixed point
 means more than one translation-invariant measure, i.e. a phase transition.
-The grid is cut into chunks of cells, each solved by one call of the array
-solver (optionally in a process pool), and merged back in deterministic
-J-major order.  Every cell's answer is independent of the chunk it lands in,
-so output bytes never depend on the worker count.
+A scan works on arrays from the axes to the output bytes.  The weight c
+depends only on (J, T) and d only on (Jp, T), so each is computed once per
+distinct pair.  The cells are cut into chunks, each solved by one call of
+the array solver (optionally in a process pool), and the answers land in one
+ScanTable in deterministic J-major order.  Every cell's answer is
+independent of the chunk it lands in, so output bytes never depend on the
+worker count.  The emitters build the output column by column and format
+each distinct axis value and weight once.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import json
 import math
+import operator
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .fixpoint import find_positive_fixed_points, solve_fixed_points
-from .model import CouplingParameters, couplings, derive_weights, field_from_scalar
+from .fixpoint import (STABILITY_LABELS, find_positive_fixed_points, root_error,
+                       solve_fixed_points, stability_codes)
+from .model import (CouplingParameters, couplings, coupling_weight, derive_weights,
+                    field_from_scalar)
 from .oracle import kolmogorov_consistency_check
 from .recurrence import scalar_map_g
 
@@ -32,6 +38,13 @@ _CHUNK_CELLS = 4096
 
 CSV_HEADER = ["J", "Jp", "T", "c", "d", "root_count", "roots", "stabilities",
               "eta1", "eta2", "phase_transition"]
+
+# why a (coupling, T) pair has no weight, in the order a cell reports it:
+# couplings() rejects the input before derive_weights() rejects the weight
+_BAD_INPUT, _BAD_WEIGHT = range(2)
+
+# output fields that hold a list
+_LISTS = ("roots", "stabilities")
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,8 @@ class GridSpec:
     @staticmethod
     def _axis(rng: tuple[float, float, int]) -> np.ndarray:
         lo, hi, steps = rng
+        if steps == 1:
+            return np.array([float(lo)])
         return np.linspace(lo, hi, steps)
 
     def j_values(self) -> np.ndarray:
@@ -65,7 +80,7 @@ class GridSpec:
     def t_values(self) -> np.ndarray:
         """Temperature cells with any exact zero dropped (warned about)."""
         vals = self._axis(self.t)
-        if np.any(vals == 0.0):
+        if (vals == 0.0).any():
             warnings.warn("dropping grid cell(s) at T = 0", stacklevel=2)
             vals = vals[vals != 0.0]
         if vals.size == 0:
@@ -96,122 +111,373 @@ class PhasePoint:
     error: str | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class ScanTable(Sequence):
+    """Classified cells as arrays; as a Sequence, one PhasePoint per cell.
+
+    Cell i has J = j[cell_j[i]], Jp = jp[cell_jp[i]], T = t[cell_t[i]] and
+    the weights c[cell_c[i]], d[cell_d[i]], so every distinct value is
+    stored and formatted once.  found, roots and stability hold the three
+    root slots of solve_fixed_points (stability as an index into
+    STABILITY_LABELS); found is False throughout an error cell.  eta is NaN
+    where the cell has none (d < 2), and residual is None when the
+    consistency check did not run.  errors maps a cell to its error text.
+    """
+
+    j: np.ndarray
+    jp: np.ndarray
+    t: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    cell_j: np.ndarray
+    cell_jp: np.ndarray
+    cell_t: np.ndarray
+    cell_c: np.ndarray
+    cell_d: np.ndarray
+    found: np.ndarray
+    roots: np.ndarray
+    stability: np.ndarray
+    eta: np.ndarray
+    residual: np.ndarray | None
+    errors: dict[int, str]
+
+    def __len__(self) -> int:
+        return self.cell_j.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("ScanTable index out of range")
+        J = self.j.item(self.cell_j.item(i))
+        Jp = self.jp.item(self.cell_jp.item(i))
+        T = self.t.item(self.cell_t.item(i))
+        error = self.errors.get(i)
+        if error is not None:
+            return PhasePoint(J=J, Jp=Jp, T=T, error=error)
+        slots = [k for k, f in enumerate(self.found[i].tolist()) if f]
+        roots, codes = self.roots[i].tolist(), self.stability[i].tolist()
+        roots = tuple([roots[k] for k in slots])
+        d = self.d.item(self.cell_d.item(i))
+        eta1, eta2 = [None if math.isnan(e) else e for e in self.eta[i].tolist()]
+        return PhasePoint(
+            J=J, Jp=Jp, T=T, c=self.c.item(self.cell_c.item(i)), d=d,
+            root_count=len(roots), roots=roots,
+            stabilities=tuple([STABILITY_LABELS[codes[k]] for k in slots]),
+            eta1=eta1, eta2=eta2,
+            regime="multi-capable" if d > 2.0 else "unique",
+            phase_transition=len(roots) >= 2,
+            consistency_residual=None if self.residual is None else self.residual.item(i),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @classmethod
+    def from_points(cls, points) -> ScanTable:
+        """Table of PhasePoints as a scan makes them; each point is its own
+        axis entry, and a missing value (None) is stored as NaN."""
+        points = list(points)
+        n = len(points)
+        found = np.zeros((n, 3), dtype=bool)
+        roots = np.full((n, 3), np.nan)
+        stability = np.zeros((n, 3), dtype=int)
+        eta = np.full((n, 2), np.nan)
+        checked = any(p.consistency_residual is not None for p in points)
+        errors = {}
+        for i, p in enumerate(points):
+            if p.error is not None:
+                errors[i] = p.error
+                continue
+            k = len(p.roots)
+            found[i, :k] = True
+            roots[i, :k] = p.roots
+            stability[i, :k] = [STABILITY_LABELS.index(s) for s in p.stabilities]
+            eta[i] = np.array((p.eta1, p.eta2), dtype=float)
+
+        def column(name):
+            return np.array([getattr(p, name) for p in points], dtype=float)
+
+        index = np.arange(n)
+        return cls(j=column("J"), jp=column("Jp"), t=column("T"), c=column("c"),
+                   d=column("d"), cell_j=index, cell_jp=index, cell_t=index,
+                   cell_c=index, cell_d=index, found=found, roots=roots,
+                   stability=stability, eta=eta,
+                   residual=column("consistency_residual") if checked else None,
+                   errors=errors)
+
+
+def _pair_weights(name: str, pairs):
+    """Weight of each (coupling, T) pair: c for name "J", d for "Jp".
+
+    Goes through couplings() and coupling_weight() as derive_weights does,
+    so the bits are the same.  A rejected pair gets NaN; the second result
+    maps its position to the rejection's rank (_BAD_INPUT or _BAD_WEIGHT)
+    and error text.
+    """
+    weights, rejected = [], {}
+    for k, (value, T) in enumerate(pairs):
+        try:
+            params = couplings(value, 0.0, T)
+            a = coupling_weight(name, params.beta * params.J)
+        except ValueError as exc:
+            rejected[k] = (_BAD_INPUT, str(exc))
+        except ArithmeticError as exc:
+            rejected[k] = (_BAD_WEIGHT, str(exc))
+        else:
+            weights.append(a * a)
+            continue
+        weights.append(math.nan)
+    return np.array(weights), rejected
+
+
+def _classify(c, d, coords=None):
+    """Classify the cells with weights c, d by one solver call.
+
+    coords holds (J, Jp, T) per cell when the consistency check runs (None
+    for a cell whose placeholder weights are not to be checked).  Returns
+    found, roots, stability codes, eta, residuals (None without check) and
+    the error of each cell whose fixed points cannot be reported, keyed by
+    position; found is cleared in those cells.
+    """
+    batch = solve_fixed_points(c, d)
+    found, log_roots, roots = batch.found, batch.log_roots, batch.roots
+    errors = {}
+    # root_error is None wherever the root is a normal double; the first
+    # slot it rejects names the cell's error, as in FixedPointBatch.report
+    suspect = found & ~((roots >= sys.float_info.min) & (roots <= sys.float_info.max))
+    if suspect.any():
+        for i in np.nonzero(suspect.any(axis=1))[0].tolist():
+            for f, t, x in zip(found[i].tolist(), log_roots[i].tolist(), roots[i].tolist()):
+                error = root_error(t, x) if f else None
+                if error is not None:
+                    errors[i] = str(error)
+                    break
+        found[list(errors)] = False
+    residual = None
+    if coords is not None:
+        residual = np.full(c.size, np.nan)
+        for i in np.nonzero(found.any(axis=1))[0].tolist():
+            if coords[i] is None:
+                continue
+            try:
+                params = couplings(*coords[i])
+                residual[i] = max(kolmogorov_consistency_check(params, field_from_scalar(r))
+                                  for r in roots[i][found[i]].tolist())
+            except (ValueError, ArithmeticError) as exc:
+                errors[i] = str(exc)
+                found[i] = False
+    return found, roots, stability_codes(batch.slopes), batch.eta, residual, errors
+
+
+def _table(axes, cells, pairs, workers: int = 1,
+           check_consistency: bool = False) -> ScanTable:
+    """Classify cells given as indices into axis values and weight pairs.
+
+    axes is (j, jp, t); cells is (cell_j, cell_jp, cell_t, cell_c, cell_d);
+    pairs is the (J, T) pairs of c and the (Jp, T) pairs of d, in the order
+    cell_c and cell_d index them.
+    """
+    j, jp, t = axes
+    cell_j, cell_jp, cell_t, cell_c, cell_d = cells
+    c, c_rejected = _pair_weights("J", pairs[0])
+    d, d_rejected = _pair_weights("Jp", pairs[1])
+    cc, dd = c[cell_c], d[cell_d]
+    rejections = {}
+    if c_rejected or d_rejected:
+        rejected = np.isin(cell_c, list(c_rejected)) | np.isin(cell_d, list(d_rejected))
+        for i in np.nonzero(rejected)[0].tolist():
+            # the lower rank wins, and J's pair on a tie
+            why = min(c_rejected.get(int(cell_c[i]), (math.inf,)),
+                      d_rejected.get(int(cell_d[i]), (math.inf,)), key=lambda r: r[0])
+            rejections[i] = why[1]
+        # rejected cells solve the placeholder c = d = 1, which is never reported
+        cc[rejected] = dd[rejected] = 1.0
+    coords = None
+    if check_consistency:
+        coords = list(zip(j[cell_j].tolist(), jp[cell_jp].tolist(), t[cell_t].tolist()))
+        for i in rejections:
+            coords[i] = None
+
+    n = cell_c.size
+    size = max(1, min(_CHUNK_CELLS, -(-n // max(1, workers))))
+    starts = range(0, n, size)
+    args = [(cc[s:s + size], dd[s:s + size], None if coords is None else coords[s:s + size])
+            for s in starts]
+    if workers <= 1:
+        parts = [_classify(*a) for a in args]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_classify, *zip(*args)))
+
+    def joined(k):
+        arrays = [part[k] for part in parts]
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    found, roots, stability, eta = (joined(k) for k in range(4))
+    residual = None if coords is None else joined(4)
+    errors = {s + i: message for s, part in zip(starts, parts) for i, message in part[5].items()}
+    if rejections:
+        errors.update(rejections)
+        found[list(rejections)] = False
+    return ScanTable(j=j, jp=jp, t=t, c=c, d=d, cell_j=cell_j, cell_jp=cell_jp,
+                     cell_t=cell_t, cell_c=cell_c, cell_d=cell_d, found=found,
+                     roots=roots, stability=stability, eta=eta, residual=residual,
+                     errors=errors)
+
+
+def _cells_table(cells, check_consistency: bool = False) -> ScanTable:
+    """Table of arbitrary (J, Jp, T) cells; each is its own axis entry."""
+    j, jp, t = np.array(cells, dtype=float).reshape(-1, 3).T
+    index = np.arange(j.size)
+    return _table((j, jp, t), (index,) * 5,
+                  (zip(j.tolist(), t.tolist()), zip(jp.tolist(), t.tolist())),
+                  check_consistency=check_consistency)
+
+
 def evaluate_point(J: float, Jp: float, T: float,
                    check_consistency: bool = False) -> PhasePoint:
     """Classify one cell; the same computation as its cell in any scan."""
-    return _evaluate_cells([(J, Jp, T)], check_consistency)[0]
+    return _cells_table([(J, Jp, T)], check_consistency)[0]
 
 
 def _evaluate_cells(cells, check_consistency: bool = False) -> list[PhasePoint]:
     """Classify (J, Jp, T) cells with one solver call; failures land in error."""
-    points: list[PhasePoint | None] = [None] * len(cells)
-    solved = []
-    for i, (J, Jp, T) in enumerate(cells):
-        try:
-            params = couplings(J, Jp, T)
-            solved.append((i, params, derive_weights(params)))
-        except (ValueError, ArithmeticError) as exc:
-            points[i] = PhasePoint(J=J, Jp=Jp, T=T, error=str(exc))
-    batch = solve_fixed_points([w.c for _, _, w in solved], [w.d for _, _, w in solved])
-    for k, (i, params, w) in enumerate(solved):
-        J, Jp, T = cells[i]
-        try:
-            report = batch.report(k)
-            thresholds = batch.thresholds(k)
-            residual = None
-            if check_consistency:
-                residual = max(
-                    kolmogorov_consistency_check(params, field_from_scalar(r))
-                    for r in report.roots
-                )
-            points[i] = PhasePoint(
-                J=J, Jp=Jp, T=T, c=w.c, d=w.d,
-                root_count=report.count, roots=report.roots,
-                stabilities=report.stability,
-                eta1=thresholds.eta1, eta2=thresholds.eta2,
-                regime=thresholds.regime,
-                phase_transition=report.count >= 2,
-                consistency_residual=residual,
-            )
-        except (ValueError, ArithmeticError) as exc:
-            points[i] = PhasePoint(J=J, Jp=Jp, T=T, error=str(exc))
-    return points
+    return list(_cells_table(cells, check_consistency))
 
 
 def scan_grid(spec: GridSpec, workers: int = 1,
-              check_consistency: bool = False) -> list[PhasePoint]:
+              check_consistency: bool = False) -> ScanTable:
     """One PhasePoint per grid cell in J-major, then Jp, then T order.
 
     Per-cell failures land in the cell's error field and never abort the scan.
     Results are identical for any worker count.
     """
-    j_values, jp_values, t_values = spec.j_values(), spec.jp_values(), spec.t_values()
-    cells = [(float(J), float(Jp), float(T))
-             for J in j_values for Jp in jp_values for T in t_values]
-    size = min(_CHUNK_CELLS, -(-len(cells) // max(1, workers)))
-    chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
-    evaluate = partial(_evaluate_cells, check_consistency=check_consistency)
-    if workers <= 1:
-        results = map(evaluate, chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, chunks))
-    return [p for chunk in results for p in chunk]
+    j, jp, t = spec.j_values(), spec.jp_values(), spec.t_values()
+    cell_j, cell_jp, cell_t = np.unravel_index(np.arange(j.size * jp.size * t.size),
+                                               (j.size, jp.size, t.size))
+    temps = t.tolist()
+    return _table((j, jp, t),
+                  (cell_j, cell_jp, cell_t,
+                   np.ravel_multi_index((cell_j, cell_t), (j.size, t.size)),
+                   np.ravel_multi_index((cell_jp, cell_t), (jp.size, t.size))),
+                  (itertools.product(j.tolist(), temps), itertools.product(jp.tolist(), temps)),
+                  workers, check_consistency)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+# ------------------------------------------------------------------ outputs
+
+
+def _as_table(points) -> ScanTable:
+    return points if isinstance(points, ScanTable) else ScanTable.from_points(points)
+
+
+def _spell(x: float) -> str:
+    """A float at 12 significant digits, as CSV prints it."""
+    return format(x, ".12g")
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dumps(x, allow_nan=False) writes it."""
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(x)
+
+
+def _json_eta(x: float) -> str:
+    """An eta outside the double range has no strict JSON spelling: null."""
+    return repr(x) if math.isfinite(x) else "null"
+
+
+def _texts(values, spell, blank: str | None = None) -> np.ndarray:
+    """spell(v) for each value as an object array; NaN gives blank if set."""
+    return np.array([blank if blank is not None and math.isnan(v) else spell(v)
+                     for v in values.tolist()], dtype=object)
+
+
+def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str, word,
+            include_consistency: bool) -> dict[str, np.ndarray]:
+    """Per-cell text of every output field, by name, in JSONL key order.
+
+    spell formats a float, eta_spell an eta, blank is a missing value, sep
+    joins list entries and word quotes a label.  roots and stabilities hold
+    the joined entries only, without brackets.
+    """
+    n = len(table)
+    errors = np.fromiter(table.errors, dtype=np.intp, count=len(table.errors))
+    found = table.found
+    count = found.sum(axis=1)
+
+    roots = np.full(found.shape, "", dtype=object)
+    roots[found] = [spell(x) for x in table.roots[found].tolist()]
+    # a separator after slot 0 when a later slot is set, after slot 1 before slot 2
+    cut01 = np.where(found[:, 0] & (found[:, 1] | found[:, 2]), sep, "").astype(object)
+    cut12 = np.where(found[:, 1] & found[:, 2], sep, "").astype(object)
+
+    # each slot contributes 0 (empty) or 1 + its stability code, in base 4
+    lists = [sep.join(word(STABILITY_LABELS[(key >> 2 * k & 3) - 1])
+                      for k in range(3) if key >> 2 * k & 3) for key in range(64)]
+    keys = (found * (table.stability + 1)) @ np.array([1, 4, 16])
+
+    eta = np.full((n, 2), blank, dtype=object)
+    has_eta = ~np.isnan(table.eta)
+    eta[has_eta] = [eta_spell(x) for x in table.eta[has_eta].tolist()]
+
+    regime = np.where(table.d > 2.0, word("multi-capable"), word("unique")).astype(object)
+    fields = {
+        "J": _texts(table.j, spell)[table.cell_j],
+        "Jp": _texts(table.jp, spell)[table.cell_jp],
+        "T": _texts(table.t, spell)[table.cell_t],
+        "c": _texts(table.c, spell, blank)[table.cell_c],
+        "d": _texts(table.d, spell, blank)[table.cell_d],
+        "root_count": np.array(["0", "1", "2", "3"], dtype=object)[count],
+        "roots": roots[:, 0] + cut01 + roots[:, 1] + cut12 + roots[:, 2],
+        "stabilities": np.array(lists, dtype=object)[keys],
+        "eta1": eta[:, 0],
+        "eta2": eta[:, 1],
+        "regime": regime[table.cell_d],
+        "phase_transition": np.where(count >= 2, "true", "false").astype(object),
+    }
+    if include_consistency:
+        residual = np.full(n, blank, dtype=object)
+        if table.residual is not None:
+            answered = np.ones(n, dtype=bool)
+            answered[errors] = False
+            residual[answered] = [spell(x) for x in table.residual[answered].tolist()]
+        fields["consistency_residual"] = residual
+    # an error cell keeps its coordinates only; its lists stay empty
+    for name, column in fields.items():
+        if name not in ("J", "Jp", "T"):
+            column[errors] = "" if name in _LISTS else blank
+    return fields
 
 
 def emit_csv(points, include_consistency: bool = False) -> str:
     """CSV table of phase points; lists are semicolon-joined inside one field."""
-    buf = io.StringIO()
     header = CSV_HEADER + (["consistency_residual"] if include_consistency else [])
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for p in points:
-        row = [
-            _fmt(p.J), _fmt(p.Jp), _fmt(p.T), _fmt(p.c), _fmt(p.d),
-            _fmt(p.root_count),
-            ";".join(_fmt(r) for r in p.roots),
-            ";".join(p.stabilities),
-            _fmt(p.eta1), _fmt(p.eta2), _fmt(p.phase_transition),
-        ]
-        if include_consistency:
-            row.append(_fmt(p.consistency_residual))
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _finite_or_none(value):
-    return value if value is not None and math.isfinite(value) else None
+    fields = _fields(_as_table(points), _spell, _spell, "", ";", str, include_consistency)
+    rows = map(",".join, zip(*(fields[name].tolist() for name in header)))
+    return "\n".join(itertools.chain([",".join(header)], rows)) + "\n"
 
 
 def emit_jsonl(points, include_consistency: bool = False) -> str:
     """One strict-JSON object per point; carries the regime label and any
     cell error.  An eta that saturated outside the double range is null."""
-    lines = []
-    for p in points:
-        obj = {
-            "J": p.J, "Jp": p.Jp, "T": p.T, "c": p.c, "d": p.d,
-            "root_count": p.root_count, "roots": list(p.roots),
-            "stabilities": list(p.stabilities),
-            "eta1": _finite_or_none(p.eta1), "eta2": _finite_or_none(p.eta2),
-            "regime": p.regime,
-            "phase_transition": p.phase_transition,
-        }
-        if include_consistency:
-            obj["consistency_residual"] = p.consistency_residual
-        if p.error is not None:
-            obj["error"] = p.error
-        lines.append(json.dumps(obj, allow_nan=False))
-    return "\n".join(lines) + ("\n" if lines else "")
+    table = _as_table(points)
+    fields = _fields(table, _json_float, _json_eta, "null", ", ", json.dumps,
+                     include_consistency)
+    error = np.full(len(table), "", dtype=object)
+    error[list(table.errors)] = [f', "error": {json.dumps(e)}' for e in table.errors.values()]
+    template = "{%s%%s}" % ", ".join(
+        f'"{name}": [%s]' if name in _LISTS else f'"{name}": %s' for name in fields)
+    lines = map(template.__mod__, zip(*(f.tolist() for f in fields.values()), error.tolist()))
+    text = "\n".join(lines)
+    return text + "\n" if text else ""
 
 
 def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4, 1e4),
@@ -249,9 +515,6 @@ def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4,
 
 def emit_curve_csv(params: CouplingParameters, x_range: tuple[float, float] = (1e-4, 1e4),
                    samples: int = 400) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "g", "g_minus_x", "is_fixed_point"])
-    for x, g, gap, marker in emit_curve(params, x_range, samples):
-        writer.writerow([_fmt(x), _fmt(g), _fmt(gap), _fmt(marker)])
-    return buf.getvalue()
+    rows = [",".join((_spell(x), _spell(g), _spell(gap), "true" if marker else "false"))
+            for x, g, gap, marker in emit_curve(params, x_range, samples)]
+    return "\n".join(["x,g,g_minus_x,is_fixed_point"] + rows) + "\n"

@@ -111,15 +111,17 @@ def test_invalid_invocations_exit_2(argv, recwarn):
     assert excinfo.value.code == 2
 
 
-def test_module_invocation():
+def run_module(*argv):
     # the child imports the package under test, installed or not
     src = os.path.dirname(os.path.dirname(ivtree.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ivtree", "--J", "0", "--Jp", "0", "--T", "1"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "ivtree", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_invocation():
+    proc = run_module("--J", "0", "--Jp", "0", "--T", "1")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("0,0,1,1,1,1,1,stable")
 
@@ -132,3 +134,19 @@ def test_large_prolonged_coupling_scan_answers_every_cell(capsys):
     rows = out.splitlines()[1:]
     assert len(rows) == 4
     assert [row.split(",")[5] for row in rows] == ["1", "3", "3", "3"]
+
+
+@pytest.mark.parametrize("cell, reason", [
+    (("-200", "150", "1"), "fixed point exp(-900) is outside the double range"),
+    (("-300", "-300", "1"), "Numerical result out of range"),
+])
+def test_curve_outside_the_double_range_exits_2_without_traceback(cell, reason):
+    """Fixed point e^-900 (once an OverflowError from the solver report) and
+    g overflowing while tabulated (once OverflowError(34) from scalar_map_g)."""
+    J, Jp, T = cell
+    proc = run_module(f"--J={J}", f"--Jp={Jp}", "--T", T, "--curve")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("ivtree: error: --curve")
+    assert reason in proc.stderr
+    assert proc.stdout == ""

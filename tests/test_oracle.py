@@ -172,6 +172,16 @@ def test_measure_normalization_depths_one_and_two(three_root_params):
         assert abs(p.sum() - 1.0) < 1e-12
 
 
+def test_probability_table_is_the_normalized_exponential(three_root_params):
+    """The one exponential behind log Z is also the probability table."""
+    for depth in (1, 2):
+        for x in (0.07, 2.85, 7.93):
+            m = finite_measure(build_tree(depth), three_root_params, field_from_scalar(x))
+            p = m.probabilities()
+            assert not p.flags.writeable
+            assert_close(p, np.exp(m.log_weights - m.log_Z), 1e-13, "table vs exp")
+
+
 def test_zero_couplings_uniform_measure():
     p = couplings(0.0, 0.0, 1.0)
     h = field_form_from_pqrs(0.0, 0.0, 0.0, 0.0)

@@ -1,13 +1,16 @@
 """Grid scans, output emission, and the curve table."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from ivtree import GridSpec, couplings, emit_csv, emit_curve, emit_jsonl, scan_grid
-from ivtree.scanner import CSV_HEADER, emit_curve_csv, evaluate_point
+import ivtree.scanner
+from ivtree import (GridSpec, couplings, derive_weights, emit_csv, emit_curve, emit_jsonl,
+                    scan_grid)
+from ivtree.scanner import CSV_HEADER, ScanTable, emit_curve_csv, evaluate_point
 
 from conftest import NEGATIVE_T_POINT, THREE_ROOT_EXPECTED, THREE_ROOT_POINT, assert_close
 
@@ -36,6 +39,15 @@ def test_axis_values_and_singleton_flag():
     assert spec.j_values()[0] == -3.0 and spec.j_values()[-1] == 3.0
     assert not spec.is_singleton()
     assert singleton(1, 2, 3).is_singleton()
+
+
+@pytest.mark.parametrize("value", [-1.7, 0.1, 13.0, 1e-300, -350.0])
+def test_singleton_axis_is_the_value_itself(value):
+    spec = singleton(value, value, value)
+    for axis in (spec.j_values(), spec.jp_values(), spec.t_values()):
+        assert axis.dtype == np.float64
+        assert axis.tolist() == [value]
+        assert axis.tolist() == np.linspace(value, value, 1).tolist()
 
 
 def test_temperature_zero_cells_are_dropped_with_warning():
@@ -140,6 +152,108 @@ def test_consistency_holds_over_the_whole_accepted_domain():
     assert any(p.root_count == 3 for p in answered)
     assert all("outside the double range" in p.error for p in pts if p.error is not None)
     assert max(p.consistency_residual for p in answered) <= 1e-9
+
+
+# README grid, |J|, |Jp| <= 350 at T = 1 (574 cells with a root outside the
+# double range), and a low-temperature cube (both weight-bound messages too)
+README_GRID = GridSpec(j=(-3, 3, 21), jp=(-3, 7, 21), t=(13, 13, 1))
+WIDE_GRID = GridSpec(j=(-350, 350, 41), jp=(-350, 350, 41), t=(1, 1, 1))
+LOW_T_GRID = GridSpec(j=(-3, 3, 11), jp=(-3, 7, 11), t=(0.005, 0.5, 11))
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (README_GRID, "aa5a2c51178f819dd80d9bfd247fb1bcd8cb051091054b4a0ca0393f28aedcf2"),
+    (WIDE_GRID, "362e311d14596884a76d9296ed3f717e33aba8bc39ae48911196d327ef20d066"),
+    (LOW_T_GRID, "16ab70ba8fbd3316b3389ad95573b4ac0f55ece50f9302fff81c384cfe7a5154"),
+])
+def test_csv_bytes_are_pinned(spec, digest):
+    """sha256 of the CSV written by the per-cell scanner these grids were
+    first pinned with; the array scan must reproduce it byte for byte."""
+    assert hashlib.sha256(emit_csv(scan_grid(spec)).encode()).hexdigest() == digest
+
+
+def test_consistency_jsonl_is_pinned_apart_from_residual_round_off():
+    text = emit_jsonl(scan_grid(README_GRID, check_consistency=True), include_consistency=True)
+    rows = [json.loads(line) for line in text.splitlines()]
+    residuals = [row.pop("consistency_residual") for row in rows]
+    assert max(residuals) <= 1e-9
+    canonical = "\n".join(json.dumps(row) for row in rows).encode()
+    assert hashlib.sha256(canonical).hexdigest() == (
+        "ac8bfbf6bf1b11be53527fa1c6f4ff2608ef747543ec0c01bffbd12bbd78139b")
+
+
+def test_scan_rows_equal_their_one_cell_answers():
+    """Both error kinds (weight bound, root outside the double range) and
+    answered cells: each row of a scan is the cell evaluated alone."""
+    errors = set()
+    for spec in (WIDE_GRID, LOW_T_GRID):
+        table = scan_grid(spec)
+        for p in table:
+            assert p == evaluate_point(p.J, p.Jp, p.T)
+            if p.error is not None:
+                errors.add(p.error.split(" = ")[0].split("(")[0])
+    assert errors == {"|beta*J|", "|beta*Jp|", "fixed point exp"}
+
+
+def test_scan_weights_are_those_of_derive_weights_per_axis_pair(monkeypatch):
+    """Each distinct (J, T) and (Jp, T) pair is exponentiated once, and every
+    cell's weights and weight errors equal derive_weights on that cell."""
+    calls = []
+    original = ivtree.scanner.coupling_weight
+    monkeypatch.setattr(ivtree.scanner, "coupling_weight",
+                        lambda *args: calls.append(args) or original(*args))
+    table = scan_grid(LOW_T_GRID)
+    assert len(calls) == 11 * 11 + 11 * 11
+    for p in table:
+        try:
+            w = derive_weights(couplings(p.J, p.Jp, p.T))
+        except OverflowError as exc:
+            assert p.error == str(exc)
+            continue
+        if p.error is None:
+            assert (p.c, p.d) == (w.c, w.d)
+
+
+def test_j_bound_message_wins_when_both_weights_overflow():
+    p = evaluate_point(1000.0, -2000.0, 1.0)
+    with pytest.raises(OverflowError) as excinfo:
+        derive_weights(couplings(1000.0, -2000.0, 1.0))
+    assert p.error == str(excinfo.value)
+    assert p.error.startswith("|beta*J| = 1000 ")
+
+
+def test_rejected_input_is_reported_like_couplings():
+    for cell in ((1.0, 1.0, 0.0), (math.nan, 1.0, 1.0), (1000.0, math.inf, 1.0)):
+        with pytest.raises(ValueError) as excinfo:
+            couplings(*cell)
+        assert evaluate_point(*cell).error == str(excinfo.value)
+
+
+def test_table_is_a_sequence_of_phase_points():
+    table = scan_grid(GridSpec(j=(0, 5000, 3), jp=(0, 0, 2), t=(0.001, 0.001, 1)))
+    points = list(table)
+    assert len(table) == len(points) == 6
+    assert table[-1] == points[-1] and table[1:4] == points[1:4]
+    assert [p.error is not None for p in table] == [False] * 2 + [True] * 4
+    with pytest.raises(IndexError):
+        table[6]
+
+
+@pytest.mark.parametrize("consistency", [False, True])
+def test_emitters_read_a_table_and_its_point_list_alike(consistency):
+    table = scan_grid(LOW_T_GRID, check_consistency=consistency)
+    points = list(table)
+    for emit in (emit_csv, emit_jsonl):
+        assert emit(table, consistency) == emit(points, consistency)
+        assert emit(ScanTable.from_points(points), consistency) == emit(table, consistency)
+
+
+def test_error_heavy_scan_is_byte_identical_for_one_two_and_three_workers():
+    texts = {workers: emit_jsonl(scan_grid(LOW_T_GRID, workers=workers, check_consistency=True),
+                                 include_consistency=True)
+             for workers in (1, 2, 3)}
+    assert texts[1] == texts[2] == texts[3]
+    assert texts[1].count('"error"') == 122
 
 
 # ------------------------------------------------------------------ outputs
