@@ -21,7 +21,9 @@ def main():
                         metavar=("MIN", "MAX"))
     parser.add_argument("--T", type=float, default=13.0)
     parser.add_argument("--steps", type=int, default=21, help="grid points per axis")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility and ignored: the scan runs "
+                             "in one process")
     parser.add_argument("--out", default="phase_diagram.csv")
     args = parser.parse_args()
 

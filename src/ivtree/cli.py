@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=400, metavar="N",
                         help="curve sample count (default 400)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="process count for grid evaluation (default 1)")
+                        help="accepted for compatibility and ignored: every scan "
+                             "runs in one process (must be >= 1)")
     parser.add_argument("--check-consistency", action="store_true",
                         help="run the depth-2 exact marginalization check at every "
                              "fixed point and add a residual column")

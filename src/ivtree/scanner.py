@@ -4,12 +4,12 @@ A cell is classified by its positive fixed points: more than one fixed point
 means more than one translation-invariant measure, i.e. a phase transition.
 A scan works on arrays from the axes to the output bytes.  The weight c
 depends only on (J, T) and d only on (Jp, T), so each is computed once per
-distinct pair.  The cells are cut into chunks, each solved by one call of
-the array solver (optionally in a process pool), and the answers land in one
-ScanTable in deterministic J-major order.  Every cell's answer is
-independent of the chunk it lands in, so output bytes never depend on the
-worker count.  The emitters build the output column by column and format
-each distinct axis value and weight once.
+distinct pair.  The cells are cut into chunks, each solved in this process
+by one call of the array solver, and the answers land in one ScanTable in
+deterministic J-major order.  Every cell's answer is independent of the
+chunk it lands in, so output bytes never depend on the chunk size.  The
+emitters build the output column by column and format each distinct axis
+value and weight once.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ class GridSpec:
                 raise ValueError(f"{name}: need finite min <= max")
             if steps == 1 and lo != hi:
                 raise ValueError(f"{name}: steps = 1 requires min = max")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"{name}: max - min overflows")
 
     @staticmethod
     def _axis(rng: tuple[float, float, int]) -> np.ndarray:
@@ -273,13 +275,13 @@ def _classify(c, d, coords=None):
     return found, roots, stability_codes(batch.slopes), batch.eta, residual, errors
 
 
-def _table(axes, cells, pairs, workers: int = 1,
-           check_consistency: bool = False) -> ScanTable:
+def _table(axes, cells, pairs, check_consistency: bool = False) -> ScanTable:
     """Classify cells given as indices into axis values and weight pairs.
 
     axes is (j, jp, t); cells is (cell_j, cell_jp, cell_t, cell_c, cell_d);
     pairs is the (J, T) pairs of c and the (Jp, T) pairs of d, in the order
-    cell_c and cell_d index them.
+    cell_c and cell_d index them.  The cells are solved in chunks of
+    _CHUNK_CELLS, each written straight into the table's columns.
     """
     j, jp, t = axes
     cell_j, cell_jp, cell_t, cell_c, cell_d = cells
@@ -303,25 +305,17 @@ def _table(axes, cells, pairs, workers: int = 1,
             coords[i] = None
 
     n = cell_c.size
-    size = max(1, min(_CHUNK_CELLS, -(-n // max(1, workers))))
-    starts = range(0, n, size)
-    args = [(cc[s:s + size], dd[s:s + size], None if coords is None else coords[s:s + size])
-            for s in starts]
-    if workers <= 1:
-        parts = [_classify(*a) for a in args]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_classify, *zip(*args)))
-
-    def joined(k):
-        arrays = [part[k] for part in parts]
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    found, roots, stability, eta = (joined(k) for k in range(4))
-    residual = None if coords is None else joined(4)
-    errors = {s + i: message for s, part in zip(starts, parts) for i, message in part[5].items()}
+    found, roots = np.empty((n, 3), dtype=bool), np.empty((n, 3))
+    stability, eta = np.empty((n, 3), dtype=np.intp), np.empty((n, 2))
+    residual = None if coords is None else np.empty(n)
+    errors = {}
+    for s in range(0, n, _CHUNK_CELLS):
+        e = s + _CHUNK_CELLS
+        part = _classify(cc[s:e], dd[s:e], None if coords is None else coords[s:e])
+        found[s:e], roots[s:e], stability[s:e], eta[s:e] = part[:4]
+        if residual is not None:
+            residual[s:e] = part[4]
+        errors.update({s + i: message for i, message in part[5].items()})
     if rejections:
         errors.update(rejections)
         found[list(rejections)] = False
@@ -356,7 +350,8 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     """One PhasePoint per grid cell in J-major, then Jp, then T order.
 
     Per-cell failures land in the cell's error field and never abort the scan.
-    Results are identical for any worker count.
+    workers is accepted for compatibility and ignored: every scan runs in
+    this process, because a process pool cost more than it saved.
     """
     j, jp, t = spec.j_values(), spec.jp_values(), spec.t_values()
     cell_j, cell_jp, cell_t = np.unravel_index(np.arange(j.size * jp.size * t.size),
@@ -367,7 +362,7 @@ def scan_grid(spec: GridSpec, workers: int = 1,
                    np.ravel_multi_index((cell_j, cell_t), (j.size, t.size)),
                    np.ravel_multi_index((cell_jp, cell_t), (jp.size, t.size))),
                   (itertools.product(j.tolist(), temps), itertools.product(jp.tolist(), temps)),
-                  workers, check_consistency)
+                  check_consistency)
 
 
 # ------------------------------------------------------------------ outputs
@@ -507,8 +502,10 @@ def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4,
         if slot is not None:
             xs[slot] = r
             marked[slot] = True
-    rows = [(float(x), scalar_map_g(float(x), w), scalar_map_g(float(x), w) - float(x), bool(m))
-            for x, m in zip(xs, marked)]
+    rows = []
+    for x, m in zip(xs.tolist(), marked.tolist()):
+        g = scalar_map_g(x, w)
+        rows.append((x, g, g - x, m))
     rows.sort(key=lambda row: row[0])
     return rows
 

@@ -104,6 +104,8 @@ def test_curve_mode(capsys):
     ["--J=0:1:2", "--Jp", "0", "--T", "1", "--curve"],
     ["--J", "0", "--Jp", "0", "--T", "1", "--samples", "1"],
     ["--J", "0", "--Jp", "0", "--T", "1", "--workers", "0"],
+    ["--J=-1e308:1e308:3", "--Jp", "0", "--T", "1"],
+    ["--J=-1e308:1e308:3", "--Jp", "0", "--T", "1", "--format", "jsonl"],
 ])
 def test_invalid_invocations_exit_2(argv, recwarn):
     with pytest.raises(SystemExit) as excinfo:
@@ -111,19 +113,34 @@ def test_invalid_invocations_exit_2(argv, recwarn):
     assert excinfo.value.code == 2
 
 
-def run_module(*argv):
+def run_python(*argv):
     # the child imports the package under test, installed or not
     src = os.path.dirname(os.path.dirname(ivtree.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "ivtree", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    return run_python("-m", "ivtree", *argv)
 
 
 def test_module_invocation():
     proc = run_module("--J", "0", "--Jp", "0", "--T", "1")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("0,0,1,1,1,1,1,stable")
+
+
+def test_workers_start_no_process_pool():
+    """--workers is accepted, but the scan stays in this process: the
+    process-pool module is never imported."""
+    script = ("import os, sys\n"
+              "from ivtree.cli import main\n"
+              "main(sys.argv[1:] + ['--out', os.devnull])\n"
+              "print('concurrent.futures.process' in sys.modules)\n")
+    proc = run_python("-c", script, "--J=-2:2:3", "--Jp=5:7:2", "--T", "13", "--workers", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_large_prolonged_coupling_scan_answers_every_cell(capsys):

@@ -10,6 +10,7 @@ import pytest
 import ivtree.scanner
 from ivtree import (GridSpec, couplings, derive_weights, emit_csv, emit_curve, emit_jsonl,
                     scan_grid)
+from ivtree.recurrence import scalar_map_g
 from ivtree.scanner import CSV_HEADER, ScanTable, emit_curve_csv, evaluate_point
 
 from conftest import NEGATIVE_T_POINT, THREE_ROOT_EXPECTED, THREE_ROOT_POINT, assert_close
@@ -31,6 +32,8 @@ def test_grid_spec_validation():
         GridSpec(j=(0, 1, 1), jp=(0, 0, 1), t=(1, 1, 1))  # steps=1 needs min=max
     with pytest.raises(ValueError):
         GridSpec(j=(0, math.inf, 2), jp=(0, 0, 1), t=(1, 1, 1))
+    with pytest.raises(ValueError, match="max - min overflows"):
+        GridSpec(j=(-1e308, 1e308, 3), jp=(0, 0, 1), t=(1, 1, 1))
 
 
 def test_axis_values_and_singleton_flag():
@@ -256,6 +259,21 @@ def test_error_heavy_scan_is_byte_identical_for_one_two_and_three_workers():
     assert texts[1].count('"error"') == 122
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    """Cells are solved in chunks of _CHUNK_CELLS; each chunk's errors and
+    residuals must land on its own cells whatever the chunk boundaries."""
+    def outputs():
+        return (emit_jsonl(scan_grid(LOW_T_GRID, check_consistency=True),
+                           include_consistency=True),
+                emit_csv(scan_grid(README_GRID)))
+
+    default = outputs()
+    monkeypatch.setattr(ivtree.scanner, "_CHUNK_CELLS", chunk)
+    assert outputs() == default
+    assert default[0].count('"error"') == 122
+
+
 # ------------------------------------------------------------------ outputs
 
 
@@ -355,6 +373,23 @@ def test_curve_validation():
         emit_curve(params, samples=1)
     with pytest.raises(ValueError):
         emit_curve(params, x_range=(-1.0, 10.0))
+
+
+def test_curve_evaluates_g_once_per_sample(monkeypatch):
+    """One scalar_map_g call per row, and the bytes of the curve that
+    evaluated g twice per row (sha256 of the reference cell's 400 rows)."""
+    calls = []
+
+    def counted(x, w):
+        calls.append(x)
+        return scalar_map_g(x, w)
+
+    params = couplings(*THREE_ROOT_POINT)
+    monkeypatch.setattr(ivtree.scanner, "scalar_map_g", counted)
+    text = emit_curve_csv(params)
+    assert len(calls) == 400
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "20001959959dfbfec577c5c9561189de3b0702865774b451f401d33ae968ec6a")
 
 
 def test_curve_csv_layout():
