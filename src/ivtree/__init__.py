@@ -5,7 +5,6 @@ order-3 Cayley tree."""
 from .fixpoint import (
     FixedPointReport,
     ThresholdReport,
-    classify_stability,
     critical_points,
     find_positive_fixed_points,
     iterate_map,
@@ -39,7 +38,6 @@ from .recurrence import (
     check_identities,
     full_step,
     reduced_step,
-    scalar_map_d2g,
     scalar_map_dg,
     scalar_map_g,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "build_tree",
     "check_identities",
     "classify_config",
-    "classify_stability",
     "couplings",
     "critical_points",
     "derive_weights",
@@ -81,7 +78,6 @@ __all__ = [
     "kolmogorov_consistency_check",
     "predict_count",
     "reduced_step",
-    "scalar_map_d2g",
     "scalar_map_dg",
     "scalar_map_g",
     "scan_grid",

@@ -27,7 +27,8 @@ and the closed-form eta are not evaluated here; they live on the test side
 as independent checks.  solve_fixed_points solves a whole batch of cells as
 arrays; every root stops at its own convergence test, so its value does not
 depend on which other cells share the batch.  find_positive_fixed_points
-and critical_points are batches of one.  At a fixed point
+and critical_points are batches of one, so the code counts numpy calls,
+not elements: each costs a microsecond or so on a one-cell batch.  At a fixed point
 g'(x*) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)), which never overflows.
 """
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,86 +87,103 @@ class ThresholdReport:
     regime: str
 
 
-def _gap_slope(t, lpd, lmd, ld):
-    """G(t) and d log g / d log x at x = e^t, for lpd = lc + ld, lmd = lc - ld.
+# lcd = lc + _PLUS_MINUS * ld stacks lc + ld over lc - ld
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
-    The slope is G'(t) + 1, and equals g'(x) at a fixed point.  With
-    log(e^ld + e^(lc+t)) = ld + log(1 + e^(lmd+t)) both come from
-    z = lpd + t and lmd + t, and sigma(z) = (1 + tanh(z/2))/2 cannot overflow.
-    """
-    z1, z2 = lpd + t, lmd + t
-    gap = 3.0 * (np.logaddexp(0.0, z1) - np.logaddexp(0.0, z2) - ld) - t
-    return gap, 1.5 * (np.tanh(0.5 * z1) - np.tanh(0.5 * z2))
+# +1 where G falls on a root slot's bracket, -1 where it rises
+_SLOT_SIGN = np.array([1.0, -1.0, 1.0])
 
 
-def _model_root(lc, ld, lo, hi, sign):
+def _gap(z, t, ld):
+    """G(t) from z = lcd + t.  Since log(e^ld + e^(lc+t)) =
+    ld + log(1 + e^(lc-ld+t)), one logaddexp call takes both logs."""
+    l = np.logaddexp(0.0, z)
+    return 3.0 * (l[0] - l[1] - ld) - t
+
+
+def _slope(z):
+    """d log g / d log x = G'(t) + 1 from z = lcd + t; it is g'(x) at a fixed
+    point.  sigma(z) = (1 + tanh(z/2))/2 cannot overflow."""
+    h = np.tanh(0.5 * z)
+    return 1.5 * (h[0] - h[1])
+
+
+def _model_root(lc, ld, lpd, lo, hi, sign):
     """Zero in [lo, hi] of the piecewise-linear limit of G, a Newton start.
 
     With log(e^a + e^b) replaced by max(a, b), G becomes
     3 max(0, lc+ld+t) - 3 max(ld, lc+t) - t: linear between the kinks
     -lc -+ |ld|, and within 6 log 2 of G.  Far from the kinks G is this
     line to rounding, so a start on the right piece converges at once.
-    sign is +1 where G falls on the bracket and -1 where it rises.
+    lpd is lc + ld; sign is +1 where G falls on the bracket and -1 where
+    it rises.
     """
-    pts = np.empty((lo.size, 4))
-    pts[:, 0], pts[:, 3] = lo, hi
-    pts[:, 1] = -lc - np.abs(ld)
-    pts[:, 2] = -lc + np.abs(ld)
-    pts[:, 1:3] = np.minimum(np.maximum(pts[:, 1:3], pts[:, :1]), pts[:, 3:])
-    lc, ld = lc[:, None], ld[:, None]
-    v = sign[:, None] * (3.0 * np.maximum(0.0, lc + ld + pts)
-                         - 3.0 * np.maximum(ld, lc + pts) - pts)
-    # first point where sign * model <= 0; the zero is on the segment before it
-    k = np.minimum(np.argmax(v <= 0.0, axis=1), 3)
-    k = np.where(v[:, 3] <= 0.0, k, 3)
-    rows = np.arange(v.shape[0])
-    a = np.maximum(k - 1, 0)
-    va, vb = v[rows, a], v[rows, k]
+    rows = np.arange(lo.size)
+    # model values over the points lo, lo, the kinks clipped to the bracket,
+    # hi; lo comes twice so that the point before row k + 1 is row k
+    vp = np.empty((2, 5, lo.size))
+    v, pts = vp
+    pts[:2], pts[4] = lo, hi
+    mid = pts[2:4]
+    np.subtract(-lc, _PLUS_MINUS * np.abs(ld), out=mid)
+    np.minimum(np.maximum(mid, lo, out=mid), hi, out=mid)
+    np.multiply(sign, 3.0 * np.maximum(0.0, lpd + pts) - 3.0 * np.maximum(ld, lc + pts) - pts,
+                out=v)
+    # first point past lo where sign * model <= 0; the zero is on the segment before it
+    k = (v[1:] <= 0.0).argmax(axis=0)
+    k[v[4] > 0.0] = 3
+    (va, pa), (vb, pb) = vp[:, k, rows], vp[:, 1:][:, k, rows]
     frac = np.where(va > vb, va / (va - vb), 0.0)
-    return pts[rows, a] + frac * (pts[rows, k] - pts[rows, a])
+    return pa + frac * (pb - pa)
 
 
-def _newton(lc, ld, lo, hi, sign, t):
+def _newton(lcd, ld, lo, hi, sign, t):
     """Zeros of G in the brackets [lo, hi], one per entry, as log x.
 
     sign is +1 where G falls on the bracket and -1 where it rises.  An
     iterate has converged when its Newton step is below
-    _NEWTON_RTOL * max(1, |t|); that test comes before the bracket check,
-    because a converged iterate may sit on the bracket's edge.  A Newton
+    _NEWTON_RTOL * max(1, |t|); that test comes first, because a converged
+    iterate may sit on the bracket's edge, and once every open entry has
+    passed it the call returns without updating the brackets.  A Newton
     step is taken when it stays in the bracket (up to the tolerance; it is
     then clipped) and is at most half the previous move; otherwise the
     bracket is bisected, so the iteration cannot cycle.  Converged entries
     leave the active set at once.  Entries still open after _MAX_STEPS come
     back as NaN.
     """
-    out = np.full(t.shape, np.nan)
+    out = np.empty(t.shape)
+    out.fill(np.nan)
     todo = np.arange(t.size)
-    lpd, lmd = lc + ld, lc - ld
     prev = hi - lo
     for _ in range(_MAX_STEPS):
-        if not t.size:
-            break
-        f, slope = _gap_slope(t, lpd, lmd, ld)
-        step = f / (slope - 1.0)
+        z = lcd + t
+        f = _gap(z, t, ld)
+        step = f / (_slope(z) - 1.0)
+        size = np.abs(step)
         tol = _NEWTON_RTOL * np.maximum(1.0, np.abs(t))
-        done = (np.abs(step) <= tol) | (f == 0.0)
+        flat = f == 0.0
+        done = (size <= tol) | flat
+        newton_t = t - step
+        if np.count_nonzero(done) == t.size:
+            out[todo] = np.where(flat, t, newton_t)
+            return out
         right = sign * f > 0.0          # the zero lies right of t
         lo = np.where(right, t, lo)
         hi = np.where(right, hi, t)
-        nxt = t - step
-        newton = (nxt >= lo - tol) & (nxt <= hi + tol) & (np.abs(step) <= 0.5 * prev)
-        prev = np.where(newton, np.abs(step), 0.5 * (hi - lo))
-        nxt = np.where(newton, np.minimum(np.maximum(nxt, lo), hi), 0.5 * (lo + hi))
+        newton = (newton_t >= lo - tol) & (newton_t <= hi + tol) & (size <= 0.5 * prev)
+        prev = np.where(newton, size, 0.5 * (hi - lo))
+        nxt = np.where(newton, np.minimum(np.maximum(newton_t, lo), hi), 0.5 * (lo + hi))
         closed = hi - lo <= tol
         stop = done | closed
-        if not stop.any():
+        if not np.count_nonzero(stop):
             t = nxt
             continue
         out[todo[closed]] = nxt[closed]
-        out[todo[done]] = np.where(f == 0.0, t, t - step)[done]
+        out[todo[done]] = np.where(flat, t, newton_t)[done]
         keep = ~stop
-        todo, lpd, lmd, ld, lo, hi, sign, prev, t = (
-            a[keep] for a in (todo, lpd, lmd, ld, lo, hi, sign, prev, nxt))
+        lcd = lcd[:, keep]
+        todo, ld, lo, hi, sign, prev, t = (
+            a[keep] for a in (todo, ld, lo, hi, sign, prev, nxt))
     return out
 
 
@@ -236,54 +254,65 @@ class FixedPointBatch:
 
 def solve_fixed_points(c, d) -> FixedPointBatch:
     """Positive fixed points of g for every cell of the weight arrays c, d."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    c = np.array(c, dtype=float, ndmin=1)
+    d = np.array(d, dtype=float, ndmin=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN: empty slot
         return _solve(c, d)
 
 
 def _solve(c, d):
-    lc, ld = np.log(c), np.log(d)
-    lpd, lmd = lc + ld, lc - ld
+    """solve_fixed_points on 1-d arrays, inside its errstate.
 
-    # tangency abscissas: x_crit_2 = (d/c)(1 - 2q + sqrt((1-q)(1-4q))),
-    # q = 1/d^2, and x_crit_1 = 1/(c^2 x_crit_2), since the product of the
-    # two roots is 1/c^2 (the textbook difference cancels to 0 for d >~ e^18)
-    q = (1.0 / d) ** 2
-    log_crit = np.empty((c.size, 2))
-    log_crit[:, 1] = np.where(d >= 2.0, ld - lc + np.log(
-        1.0 - 2.0 * q + np.sqrt((1.0 - q) * (1.0 - 4.0 * q))), np.nan)
-    log_crit[:, 0] = -2.0 * lc - log_crit[:, 1]
-    log_eta = _gap_slope(log_crit, lpd[:, None], lmd[:, None], ld[:, None])[0]
-    t1, t2 = log_crit[:, 0], log_crit[:, 1]
+    The tangency data (q, the square root, the log and G(t_i)) is computed
+    only for the cells with d >= 2, picked by a mask, and is NaN elsewhere.
+    """
+    n = c.size
+    lc, ld = np.log(c), np.log(d)
+    lcd = lc + _PLUS_MINUS * ld
+
+    # x_crit_2 = (d/c)(1 - 2q + sqrt((1-q)(1-4q))), q = 1/d^2, and
+    # x_crit_1 = 1/(c^2 x_crit_2), since the product of the two roots is
+    # 1/c^2 (the textbook difference cancels to 0 for d >~ e^18); tangency
+    # holds their logs over log eta_1, log eta_2
+    tangency = np.empty((2, 2, n))
+    tangency.fill(np.nan)
+    real = (d >= 2.0).nonzero()[0]
+    if real.size:
+        lct, ldt, q = lc[real], ld[real], (1.0 / d[real]) ** 2
+        t2 = ldt - lct + np.log(1.0 - 2.0 * q + np.sqrt((1.0 - q) * (1.0 - 4.0 * q)))
+        crit = np.array((-2.0 * lct - t2, t2))
+        tangency[:, :, real] = crit, _gap(lcd[:, None, real] + crit, crit, ldt)
+    log_crit, log_eta = tangency
 
     multi = d > 2.0
-    left = multi & (log_eta[:, 0] < -_TANGENCY_TOL)     # G(t_1) < 0: a zero left of t_1
-    right = multi & (log_eta[:, 1] > _TANGENCY_TOL)     # G(t_2) > 0: a zero right of t_2
-    span = 3.0 * np.abs(ld)
-    lo, hi = np.empty((c.size, 3)), np.empty((c.size, 3))
-    lo[:, 0] = np.where(multi, np.minimum(-span, t1), -span)
-    hi[:, 0] = np.where(multi, t1, span)
-    lo[:, 1], hi[:, 1] = t1, t2
-    lo[:, 2], hi[:, 2] = t2, np.maximum(span, t2)
-    found = np.empty((c.size, 3), dtype=bool)
+    left = multi & (log_eta[0] < -_TANGENCY_TOL)     # G(t_1) < 0: a zero left of t_1
+    right = multi & (log_eta[1] > _TANGENCY_TOL)     # G(t_2) > 0: a zero right of t_2
+    found = np.empty((n, 3), dtype=bool)
     found[:, 0] = ~multi | left
     found[:, 1] = left & right
     found[:, 2] = right
-    cells, slot = np.nonzero(found)
-    lo, hi = lo[cells, slot], hi[cells, slot]
-    sign = np.where(slot == 1, -1.0, 1.0)     # G rises between the tangency points
-    log_roots = np.full((c.size, 3), np.nan)
-    lcs, lds = lc[cells], ld[cells]
-    log_roots[cells, slot] = _newton(lcs, lds, lo, hi, sign, _model_root(lcs, lds, lo, hi, sign))
+    # slot s brackets [edge[s], edge[s + 1]]; a unique root's is [-span, span]
+    span = 3.0 * np.abs(ld)
+    edge = np.empty((4, n))
+    edge[1:3] = np.where(multi, log_crit, span)
+    np.negative(span, out=edge[0])
+    np.minimum(edge[0], edge[1], out=edge[0], where=multi)
+    np.maximum(span, edge[2], out=edge[3])
+    cells, slot = found.nonzero()
+    lo, hi, sign = edge[slot, cells], edge[1:][slot, cells], _SLOT_SIGN[slot]
+    lcds, lds = lcd[:, cells], ld[cells]
+    log_roots = np.empty((n, 3))
+    log_roots.fill(np.nan)
+    log_roots[cells, slot] = _newton(
+        lcds, lds, lo, hi, sign, _model_root(lc[cells], lds, lcds[0], lo, hi, sign))
 
     # a tangency point within _TANGENCY_TOL of G = 0 is itself a double root
-    tangent = multi[:, None] & (np.abs(log_eta) <= _TANGENCY_TOL)
-    log_roots[:, 0::2] = np.where(tangent, log_crit, log_roots[:, 0::2])
+    tangent = (multi & (np.abs(log_eta) <= _TANGENCY_TOL)).T
+    np.copyto(log_roots[:, 0::2], log_crit.T, where=tangent)
     found[:, 0::2] |= tangent
-    slopes = _gap_slope(log_roots, lpd[:, None], lmd[:, None], ld[:, None])[1]
+    x_crit, eta = np.exp(tangency)
     return FixedPointBatch(d=d, found=found, log_roots=log_roots, roots=np.exp(log_roots),
-                           slopes=slopes, x_crit=np.exp(log_crit), eta=np.exp(log_eta))
+                           slopes=_slope(lcd[:, :, None] + log_roots), x_crit=x_crit.T, eta=eta.T)
 
 
 # what stability_codes indexes
@@ -297,7 +326,7 @@ _STABILITY_EDGES = np.array([1.0 - STABILITY_TOL, math.nextafter(1.0 + STABILITY
 def stability_codes(dg) -> np.ndarray:
     """Index into STABILITY_LABELS of each finite slope g'(x*): stable when
     |g'| is below 1, unstable above, marginal within STABILITY_TOL of 1."""
-    return np.searchsorted(_STABILITY_EDGES, np.abs(dg), side="right")
+    return _STABILITY_EDGES.searchsorted(np.abs(dg), side="right")
 
 
 def _stability_label(dg: float) -> str:
@@ -307,15 +336,6 @@ def _stability_label(dg: float) -> str:
 def find_positive_fixed_points(w: TransferWeights) -> FixedPointReport:
     """All positive solutions of g(x) = x, ascending, with g' and stability."""
     return solve_fixed_points(w.c, w.d).report(0)
-
-
-def classify_stability(report: FixedPointReport, w: TransferWeights) -> FixedPointReport:
-    """Label each root by |g'|: stable below 1, unstable above, marginal at 1."""
-    lc, ld = math.log(w.c), math.log(w.d)
-    t = np.log(np.asarray(report.roots, dtype=float))
-    derivs = tuple(_gap_slope(t, lc + ld, lc - ld, ld)[1].tolist())
-    return replace(report, stability=tuple(_stability_label(dg) for dg in derivs),
-                   derivative=derivs)
 
 
 def critical_points(w: TransferWeights) -> ThresholdReport:
@@ -332,17 +352,19 @@ def predict_count(w: TransferWeights) -> tuple[int, str]:
     """Fixed-point count from the threshold rule, with the regime used.
 
     d < 1 gives one (decreasing map); d > 2 gives three when eta_1 < 1 < eta_2,
-    two at tangency (equality within 1e-9), one otherwise.  In the band
-    1 <= d <= 2 no closed-form rule applies and the direct root search decides
-    (on 1 < d < 2 the negative discriminant already forbids tangencies).
+    two at tangency (the solver's |log eta_i| <= _TANGENCY_TOL), one otherwise.
+    In the band 1 <= d <= 2 no closed-form rule applies and the direct root
+    search decides (on 1 < d < 2 the negative discriminant already forbids
+    tangencies).
     """
     d = w.d
     if d < 1.0:
         return 1, "unique: d < 1, g strictly decreasing"
     if d > 2.0:
         th = critical_points(w)
-        if min(abs(th.eta1 - 1.0), abs(th.eta2 - 1.0)) <= STABILITY_TOL:
-            return 2, "tangency: an eta threshold equals 1 within 1e-9"
+        # an eta saturated at 0 is no tangency (and math.log(0) raises)
+        if any(eta > 0.0 and abs(math.log(eta)) <= _TANGENCY_TOL for eta in (th.eta1, th.eta2)):
+            return 2, "tangency: |log eta| <= 1e-10 for an eta threshold"
         if th.eta1 < 1.0 < th.eta2:
             return 3, "multi-capable: eta1 < 1 < eta2"
         return 1, "multi-capable regime but 1 outside (eta1, eta2)"

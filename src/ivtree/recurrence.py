@@ -202,9 +202,3 @@ def scalar_map_dg(x: float, w: TransferWeights) -> float:
     c, d = w.c, w.d
     return 3.0 * c * (d * d - 1.0) * (1.0 + c * d * x) ** 2 / (d + c * x) ** 4
 
-
-def scalar_map_d2g(x: float, w: TransferWeights) -> float:
-    """Second derivative g''(x) = -6c^2(d^2-1)(1+cdx)(2-d^2+cdx) / (d+cx)^5."""
-    c, d = w.c, w.d
-    return (-6.0 * c * c * (d * d - 1.0) * (1.0 + c * d * x)
-            * (2.0 - d * d + c * d * x) / (d + c * x) ** 5)

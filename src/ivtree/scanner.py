@@ -82,7 +82,7 @@ class GridSpec:
     def t_values(self) -> np.ndarray:
         """Temperature cells with any exact zero dropped (warned about)."""
         vals = self._axis(self.t)
-        if (vals == 0.0).any():
+        if np.count_nonzero(vals == 0.0):
             warnings.warn("dropping grid cell(s) at T = 0", stacklevel=2)
             vals = vals[vals != 0.0]
         if vals.size == 0:
@@ -251,8 +251,8 @@ def _classify(c, d, coords=None):
     # root_error is None wherever the root is a normal double; the first
     # slot it rejects names the cell's error, as in FixedPointBatch.report
     suspect = found & ~((roots >= sys.float_info.min) & (roots <= sys.float_info.max))
-    if suspect.any():
-        for i in np.nonzero(suspect.any(axis=1))[0].tolist():
+    if np.count_nonzero(suspect):
+        for i in suspect.any(axis=1).nonzero()[0].tolist():
             for f, t, x in zip(found[i].tolist(), log_roots[i].tolist(), roots[i].tolist()):
                 error = root_error(t, x) if f else None
                 if error is not None:
@@ -262,7 +262,7 @@ def _classify(c, d, coords=None):
     residual = None
     if coords is not None:
         residual = np.full(c.size, np.nan)
-        for i in np.nonzero(found.any(axis=1))[0].tolist():
+        for i in found.any(axis=1).nonzero()[0].tolist():
             if coords[i] is None:
                 continue
             try:
@@ -354,13 +354,12 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     this process, because a process pool cost more than it saved.
     """
     j, jp, t = spec.j_values(), spec.jp_values(), spec.t_values()
-    cell_j, cell_jp, cell_t = np.unravel_index(np.arange(j.size * jp.size * t.size),
-                                               (j.size, jp.size, t.size))
+    # cell_d = cell_jp * t.size + cell_t indexes the (Jp, T) pairs, cell_c the (J, T) pairs
+    cell_j, cell_d = np.divmod(np.arange(j.size * jp.size * t.size), jp.size * t.size)
+    cell_jp, cell_t = np.divmod(cell_d, t.size)
     temps = t.tolist()
     return _table((j, jp, t),
-                  (cell_j, cell_jp, cell_t,
-                   np.ravel_multi_index((cell_j, cell_t), (j.size, t.size)),
-                   np.ravel_multi_index((cell_jp, cell_t), (jp.size, t.size))),
+                  (cell_j, cell_jp, cell_t, cell_j * t.size + cell_t, cell_d),
                   (itertools.product(j.tolist(), temps), itertools.product(jp.tolist(), temps)),
                   check_consistency)
 

@@ -7,11 +7,13 @@ than against itself.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ivtree import TransferWeights, couplings, derive_weights
+from ivtree import TransferWeights, couplings, derive_weights, scalar_map_dg
+from ivtree.fixpoint import STABILITY_LABELS, FixedPointReport, stability_codes
 
 # (J, Jp, T) with three positive fixed points: two stable measures coexist
 THREE_ROOT_POINT = (-1.7, 6.5, 13.0)
@@ -127,3 +129,18 @@ def closed_forms_agree(th, c: float, d: float) -> bool:
     """Both closed-form slopes match the solver's eta values to 1e-9 relative."""
     cf1, cf2 = eta_closed_forms(c, d)
     return abs(cf1 / th.eta1 - 1.0) < 1e-9 and abs(cf2 / th.eta2 - 1.0) < 1e-9
+
+
+def scalar_map_d2g(x: float, w: TransferWeights) -> float:
+    """Second derivative g''(x) = -6c^2(d^2-1)(1+cdx)(2-d^2+cdx) / (d+cx)^5."""
+    c, d = w.c, w.d
+    return (-6.0 * c * c * (d * d - 1.0) * (1.0 + c * d * x)
+            * (2.0 - d * d + c * d * x) / (d + c * x) ** 5)
+
+
+def classify_stability(report: FixedPointReport, w: TransferWeights) -> FixedPointReport:
+    """Relabel each root of report by its closed-form |g'|: stable below 1,
+    unstable above, marginal within STABILITY_TOL of 1."""
+    derivs = tuple(scalar_map_dg(x, w) for x in report.roots)
+    return replace(report, derivative=derivs,
+                   stability=tuple(STABILITY_LABELS[k] for k in stability_codes(derivs).tolist()))

@@ -26,7 +26,6 @@ from ivtree import (
     kolmogorov_consistency_check,
     predict_count,
     scalar_map_dg,
-    scalar_map_d2g,
     scalar_map_g,
     scan_grid,
     verify_recurrence_by_enumeration,
@@ -34,7 +33,8 @@ from ivtree import (
 from ivtree.recurrence import UVector
 from ivtree.scanner import evaluate_point
 
-from conftest import THREE_ROOT_EXPECTED, THREE_ROOT_POINT, quartic_positive_roots
+from conftest import (THREE_ROOT_EXPECTED, THREE_ROOT_POINT, quartic_positive_roots,
+                      scalar_map_d2g)
 
 EPS = float(np.finfo(float).eps)
 

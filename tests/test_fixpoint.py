@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ivtree import (
     TransferWeights,
-    classify_stability,
     couplings,
     critical_points,
     derive_weights,
@@ -27,6 +26,7 @@ from conftest import (
     TANGENT_CASE,
     THREE_ROOT_EXPECTED,
     assert_close,
+    classify_stability,
     closed_forms_agree,
     eta_closed_forms,
     quartic_coefficients,
@@ -230,6 +230,27 @@ def test_tangency_case_predicts_two_roots():
     assert rep.count == 2
     assert_close(rep.roots[0], TANGENT_CASE["x_tangent"], 1e-6, "tangent root")
     assert_close(rep.roots[1], TANGENT_CASE["x_transversal"], 1e-9, "transversal root")
+
+
+@pytest.mark.parametrize("eta, nudge, count", [("eta1", 5e-10, 1), ("eta1", -5e-10, 3),
+                                                ("eta2", 5e-10, 3), ("eta2", -5e-10, 1)])
+def test_predicted_count_uses_the_solver_tangency_band(eta, nudge, count):
+    """eta_i = 1 + nudge at d = 5 (eta is linear in c): outside the solver's
+    band |log eta_i| <= 1e-10, so the rule and the root search both give one
+    or three roots, not a tangency."""
+    at_unit_c = getattr(critical_points(TransferWeights.from_cd(1.0, 5.0)), eta)
+    w = TransferWeights.from_cd((1.0 + nudge) / at_unit_c, 5.0)
+    assert predict_count(w)[0] == find_positive_fixed_points(w).count == count
+
+
+@pytest.mark.parametrize("c, d", [(1e-300, 1e100), (1e300, 1e100)])
+def test_predicted_count_with_a_saturated_eta(c, d):
+    """eta_1 underflows to 0 or eta_2 overflows to inf; neither is a
+    tangency, and neither makes the rule raise."""
+    th = critical_points(TransferWeights.from_cd(c, d))
+    assert th.eta1 == 0.0 or th.eta2 == math.inf
+    assert predict_count(TransferWeights.from_cd(c, d)) == (
+        1, "multi-capable regime but 1 outside (eta1, eta2)")
 
 
 def test_count_changes_only_through_a_tangency():

@@ -15,12 +15,11 @@ from ivtree import (
     derive_weights,
     full_step,
     reduced_step,
-    scalar_map_d2g,
     scalar_map_dg,
     scalar_map_g,
 )
 
-from conftest import THREE_ROOT_POINT, assert_close
+from conftest import THREE_ROOT_POINT, assert_close, scalar_map_d2g
 
 EPS = np.finfo(float).eps
 
