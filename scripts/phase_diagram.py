@@ -21,16 +21,13 @@ def main():
                         metavar=("MIN", "MAX"))
     parser.add_argument("--T", type=float, default=13.0)
     parser.add_argument("--steps", type=int, default=21, help="grid points per axis")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility and ignored: the scan runs "
-                             "in one process")
     parser.add_argument("--out", default="phase_diagram.csv")
     args = parser.parse_args()
 
     spec = GridSpec(j=(*args.j_range, args.steps),
                     jp=(*args.jp_range, args.steps),
                     t=(args.T, args.T, 1))
-    points = scan_grid(spec, workers=args.workers)
+    points = scan_grid(spec)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(emit_csv(points))
 

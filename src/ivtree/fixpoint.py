@@ -187,16 +187,20 @@ def _newton(lcd, ld, lo, hi, sign, t):
     return out
 
 
-def root_error(t: float, x: float) -> ArithmeticError | None:
-    """Why the root x = e^t of a found slot cannot be reported, or None.
+def root_error(found, log_roots, roots) -> ArithmeticError | None:
+    """Why the fixed points of a cell cannot be reported, or None.
 
+    Takes the cell's three slots and names the first found slot that fails:
     FloatingPointError when its iteration did not converge (t is NaN),
-    OverflowError when x is not a normal double.
+    OverflowError when its root x = e^t is not a normal double.
     """
-    if math.isnan(t):
-        return FloatingPointError("Newton iteration for a fixed point did not converge")
-    if not sys.float_info.min <= x <= sys.float_info.max:
-        return OverflowError(f"fixed point exp({t:.6g}) is outside the double range")
+    for f, t, x in zip(found.tolist(), log_roots.tolist(), roots.tolist()):
+        if not f:
+            continue
+        if math.isnan(t):
+            return FloatingPointError("Newton iteration for a fixed point did not converge")
+        if not sys.float_info.min <= x <= sys.float_info.max:
+            return OverflowError(f"fixed point exp({t:.6g}) is outside the double range")
     return None
 
 
@@ -226,19 +230,14 @@ class FixedPointBatch:
         Raises OverflowError when a root is not a normal double, and
         FloatingPointError when its iteration did not converge.
         """
-        roots, derivs = [], []
-        for found, t, x, dg in zip(self.found[k].tolist(), self.log_roots[k].tolist(),
-                                   self.roots[k].tolist(), self.slopes[k].tolist()):
-            if not found:
-                continue
-            error = root_error(t, x)
-            if error is not None:
-                raise error
-            roots.append(x)
-            derivs.append(dg)
-        return FixedPointReport(roots=tuple(roots),
+        found = self.found[k]
+        error = root_error(found, self.log_roots[k], self.roots[k])
+        if error is not None:
+            raise error
+        derivs = self.slopes[k][found].tolist()
+        return FixedPointReport(roots=tuple(self.roots[k][found].tolist()),
                                 stability=tuple(_stability_label(dg) for dg in derivs),
-                                derivative=tuple(derivs), count=len(roots))
+                                derivative=tuple(derivs), count=len(derivs))
 
     def thresholds(self, k: int) -> ThresholdReport:
         """Tangency data of cell k."""

@@ -81,11 +81,12 @@ class TransferWeights:
 def coupling_weight(name: str, log_weight: float) -> float:
     """e^log_weight for log_weight = beta * coupling (a for J, b for Jp).
 
-    Raises OverflowError when its square (c or d) would not fit in a double.
-    derive_weights and the grid scanner both go through here, so a scan's
-    weights are bit-for-bit those of derive_weights.
+    Raises OverflowError when its square (c or d) would not fit in a double,
+    or when log_weight is NaN (beta = inf at a subnormal T times a zero
+    coupling).  derive_weights and the grid scanner both go through here, so
+    a scan's weights are bit-for-bit those of derive_weights.
     """
-    if abs(log_weight) > _MAX_LOG_WEIGHT:
+    if not abs(log_weight) <= _MAX_LOG_WEIGHT:
         raise OverflowError(
             f"|beta*{name}| = {abs(log_weight):.6g} exceeds the representable range"
         )

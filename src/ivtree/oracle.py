@@ -20,8 +20,8 @@ import numpy as np
 from .model import BoundaryFieldVector, CouplingParameters, TransferWeights
 from .recurrence import UVector, log_branch_bracket
 
-_MAX_DEPTH = 4
-_MAX_ENUM_DEPTH = 3
+# deepest volume that build_tree makes and finite_measure accepts
+_MAX_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,8 @@ class FiniteVolumeMeasure:
 
 def finite_measure(tree: CayleyTree, params: CouplingParameters,
                    h: BoundaryFieldVector) -> FiniteVolumeMeasure:
-    if tree.depth > _MAX_ENUM_DEPTH:
-        raise ValueError(f"finite_measure supports depth <= {_MAX_ENUM_DEPTH}")
+    if tree.depth > _MAX_DEPTH:
+        raise ValueError(f"finite_measure supports depth <= {_MAX_DEPTH}")
     if tree.depth <= 2:
         lw = _log_weights_enumerated(tree, params, h)
         m = lw.max()

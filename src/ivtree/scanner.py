@@ -2,14 +2,15 @@
 
 A cell is classified by its positive fixed points: more than one fixed point
 means more than one translation-invariant measure, i.e. a phase transition.
-A scan works on arrays from the axes to the output bytes.  The weight c
-depends only on (J, T) and d only on (Jp, T), so each is computed once per
-distinct pair.  The cells are cut into chunks, each solved in this process
-by one call of the array solver, and the answers land in one ScanTable in
-deterministic J-major order.  Every cell's answer is independent of the
-chunk it lands in, so output bytes never depend on the chunk size.  The
-emitters build the output column by column and format each distinct axis
-value and weight once.
+scan_grid is the one route from couplings to a ScanTable, and it works on
+arrays from the axes to the output bytes.  The weight c depends only on
+(J, T) and d only on (Jp, T), so each is computed once per distinct pair.
+The cells are cut into chunks, each solved in this process by one call of
+the array solver, and the answers land in one ScanTable in deterministic
+J-major order.  Every cell's answer is independent of the chunk it lands
+in, so output bytes never depend on the chunk size.  evaluate_point is a
+one-cell scan.  The emitters build the output column by column and format
+each distinct axis value and weight once.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ _CHUNK_CELLS = 4096
 
 CSV_HEADER = ["J", "Jp", "T", "c", "d", "root_count", "roots", "stabilities",
               "eta1", "eta2", "phase_transition"]
-
-# why a (coupling, T) pair has no weight, in the order a cell reports it:
-# couplings() rejects the input before derive_weights() rejects the weight
-_BAD_INPUT, _BAD_WEIGHT = range(2)
 
 # output fields that hold a list
 _LISTS = ("roots", "stabilities")
@@ -216,133 +213,31 @@ def _pair_weights(name: str, pairs):
     """Weight of each (coupling, T) pair: c for name "J", d for "Jp".
 
     Goes through couplings() and coupling_weight() as derive_weights does,
-    so the bits are the same.  A rejected pair gets NaN; the second result
-    maps its position to the rejection's rank (_BAD_INPUT or _BAD_WEIGHT)
-    and error text.
+    so the bits are the same.  A pair whose weight does not fit in a double
+    gets NaN; the second result maps its position to the error text.
     """
     weights, rejected = [], {}
     for k, (value, T) in enumerate(pairs):
+        params = couplings(value, 0.0, T)
         try:
-            params = couplings(value, 0.0, T)
             a = coupling_weight(name, params.beta * params.J)
-        except ValueError as exc:
-            rejected[k] = (_BAD_INPUT, str(exc))
-        except ArithmeticError as exc:
-            rejected[k] = (_BAD_WEIGHT, str(exc))
-        else:
-            weights.append(a * a)
-            continue
-        weights.append(math.nan)
+        except OverflowError as exc:
+            rejected[k] = str(exc)
+            a = math.nan
+        weights.append(a * a)
     return np.array(weights), rejected
-
-
-def _classify(c, d, coords=None):
-    """Classify the cells with weights c, d by one solver call.
-
-    coords holds (J, Jp, T) per cell when the consistency check runs (None
-    for a cell whose placeholder weights are not to be checked).  Returns
-    found, roots, stability codes, eta, residuals (None without check) and
-    the error of each cell whose fixed points cannot be reported, keyed by
-    position; found is cleared in those cells.
-    """
-    batch = solve_fixed_points(c, d)
-    found, log_roots, roots = batch.found, batch.log_roots, batch.roots
-    errors = {}
-    # root_error is None wherever the root is a normal double; the first
-    # slot it rejects names the cell's error, as in FixedPointBatch.report
-    suspect = found & ~((roots >= sys.float_info.min) & (roots <= sys.float_info.max))
-    if np.count_nonzero(suspect):
-        for i in suspect.any(axis=1).nonzero()[0].tolist():
-            for f, t, x in zip(found[i].tolist(), log_roots[i].tolist(), roots[i].tolist()):
-                error = root_error(t, x) if f else None
-                if error is not None:
-                    errors[i] = str(error)
-                    break
-        found[list(errors)] = False
-    residual = None
-    if coords is not None:
-        residual = np.full(c.size, np.nan)
-        for i in found.any(axis=1).nonzero()[0].tolist():
-            if coords[i] is None:
-                continue
-            try:
-                params = couplings(*coords[i])
-                residual[i] = max(kolmogorov_consistency_check(params, field_from_scalar(r))
-                                  for r in roots[i][found[i]].tolist())
-            except (ValueError, ArithmeticError) as exc:
-                errors[i] = str(exc)
-                found[i] = False
-    return found, roots, stability_codes(batch.slopes), batch.eta, residual, errors
-
-
-def _table(axes, cells, pairs, check_consistency: bool = False) -> ScanTable:
-    """Classify cells given as indices into axis values and weight pairs.
-
-    axes is (j, jp, t); cells is (cell_j, cell_jp, cell_t, cell_c, cell_d);
-    pairs is the (J, T) pairs of c and the (Jp, T) pairs of d, in the order
-    cell_c and cell_d index them.  The cells are solved in chunks of
-    _CHUNK_CELLS, each written straight into the table's columns.
-    """
-    j, jp, t = axes
-    cell_j, cell_jp, cell_t, cell_c, cell_d = cells
-    c, c_rejected = _pair_weights("J", pairs[0])
-    d, d_rejected = _pair_weights("Jp", pairs[1])
-    cc, dd = c[cell_c], d[cell_d]
-    rejections = {}
-    if c_rejected or d_rejected:
-        rejected = np.isin(cell_c, list(c_rejected)) | np.isin(cell_d, list(d_rejected))
-        for i in np.nonzero(rejected)[0].tolist():
-            # the lower rank wins, and J's pair on a tie
-            why = min(c_rejected.get(int(cell_c[i]), (math.inf,)),
-                      d_rejected.get(int(cell_d[i]), (math.inf,)), key=lambda r: r[0])
-            rejections[i] = why[1]
-        # rejected cells solve the placeholder c = d = 1, which is never reported
-        cc[rejected] = dd[rejected] = 1.0
-    coords = None
-    if check_consistency:
-        coords = list(zip(j[cell_j].tolist(), jp[cell_jp].tolist(), t[cell_t].tolist()))
-        for i in rejections:
-            coords[i] = None
-
-    n = cell_c.size
-    found, roots = np.empty((n, 3), dtype=bool), np.empty((n, 3))
-    stability, eta = np.empty((n, 3), dtype=np.intp), np.empty((n, 2))
-    residual = None if coords is None else np.empty(n)
-    errors = {}
-    for s in range(0, n, _CHUNK_CELLS):
-        e = s + _CHUNK_CELLS
-        part = _classify(cc[s:e], dd[s:e], None if coords is None else coords[s:e])
-        found[s:e], roots[s:e], stability[s:e], eta[s:e] = part[:4]
-        if residual is not None:
-            residual[s:e] = part[4]
-        errors.update({s + i: message for i, message in part[5].items()})
-    if rejections:
-        errors.update(rejections)
-        found[list(rejections)] = False
-    return ScanTable(j=j, jp=jp, t=t, c=c, d=d, cell_j=cell_j, cell_jp=cell_jp,
-                     cell_t=cell_t, cell_c=cell_c, cell_d=cell_d, found=found,
-                     roots=roots, stability=stability, eta=eta, residual=residual,
-                     errors=errors)
-
-
-def _cells_table(cells, check_consistency: bool = False) -> ScanTable:
-    """Table of arbitrary (J, Jp, T) cells; each is its own axis entry."""
-    j, jp, t = np.array(cells, dtype=float).reshape(-1, 3).T
-    index = np.arange(j.size)
-    return _table((j, jp, t), (index,) * 5,
-                  (zip(j.tolist(), t.tolist()), zip(jp.tolist(), t.tolist())),
-                  check_consistency=check_consistency)
 
 
 def evaluate_point(J: float, Jp: float, T: float,
                    check_consistency: bool = False) -> PhasePoint:
-    """Classify one cell; the same computation as its cell in any scan."""
-    return _cells_table([(J, Jp, T)], check_consistency)[0]
-
-
-def _evaluate_cells(cells, check_consistency: bool = False) -> list[PhasePoint]:
-    """Classify (J, Jp, T) cells with one solver call; failures land in error."""
-    return list(_cells_table(cells, check_consistency))
+    """Classify one cell: the only row of its one-cell scan_grid, or the
+    error of couplings() for input that no grid holds (T = 0, non-finite)."""
+    try:
+        couplings(J, Jp, T)
+    except ValueError as exc:
+        return PhasePoint(J=float(J), Jp=float(Jp), T=float(T), error=str(exc))
+    spec = GridSpec(j=(J, J, 1), jp=(Jp, Jp, 1), t=(T, T, 1))
+    return scan_grid(spec, check_consistency=check_consistency)[0]
 
 
 def scan_grid(spec: GridSpec, workers: int = 1,
@@ -354,14 +249,57 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     this process, because a process pool cost more than it saved.
     """
     j, jp, t = spec.j_values(), spec.jp_values(), spec.t_values()
+    temps = t.tolist()
+    c, c_rejected = _pair_weights("J", itertools.product(j.tolist(), temps))
+    d, d_rejected = _pair_weights("Jp", itertools.product(jp.tolist(), temps))
     # cell_d = cell_jp * t.size + cell_t indexes the (Jp, T) pairs, cell_c the (J, T) pairs
     cell_j, cell_d = np.divmod(np.arange(j.size * jp.size * t.size), jp.size * t.size)
     cell_jp, cell_t = np.divmod(cell_d, t.size)
-    temps = t.tolist()
-    return _table((j, jp, t),
-                  (cell_j, cell_jp, cell_t, cell_j * t.size + cell_t, cell_d),
-                  (itertools.product(j.tolist(), temps), itertools.product(jp.tolist(), temps)),
-                  check_consistency)
+    cell_c = cell_j * t.size + cell_t
+    cc, dd = c[cell_c], d[cell_d]
+    errors = {}
+    # J's rejections are written last, so its message wins where both weights fail
+    for rejected, cell_pair in ((d_rejected, cell_d), (c_rejected, cell_c)):
+        if rejected:
+            cells = np.isin(cell_pair, list(rejected)).nonzero()[0]
+            errors.update(zip(cells.tolist(), map(rejected.get, cell_pair[cells].tolist())))
+    if errors:
+        # rejected cells solve the placeholder c = d = 1, which is never reported
+        bad = list(errors)
+        cc[bad] = dd[bad] = 1.0
+
+    n = cell_c.size
+    found, log_roots, roots = np.empty((n, 3), dtype=bool), np.empty((n, 3)), np.empty((n, 3))
+    stability, eta = np.empty((n, 3), dtype=np.intp), np.empty((n, 2))
+    for s in range(0, n, _CHUNK_CELLS):
+        e = s + _CHUNK_CELLS
+        batch = solve_fixed_points(cc[s:e], dd[s:e])
+        found[s:e], log_roots[s:e], roots[s:e] = batch.found, batch.log_roots, batch.roots
+        stability[s:e], eta[s:e] = stability_codes(batch.slopes), batch.eta
+    # root_error names the error of every cell with a found root that is not
+    # a normal double (NaN included); the mask only spares the other cells
+    suspect = found & ~((roots >= sys.float_info.min) & (roots <= sys.float_info.max))
+    if np.count_nonzero(suspect):
+        for i in suspect.any(axis=1).nonzero()[0].tolist():
+            errors[i] = str(root_error(found[i], log_roots[i], roots[i]))
+    if errors:
+        found[list(errors)] = False
+
+    residual = None
+    if check_consistency:
+        residual = np.full(n, np.nan)
+        for i in found.any(axis=1).nonzero()[0].tolist():
+            params = couplings(j[cell_j[i]], jp[cell_jp[i]], t[cell_t[i]])
+            try:
+                residual[i] = max(kolmogorov_consistency_check(params, field_from_scalar(r))
+                                  for r in roots[i][found[i]].tolist())
+            except (ValueError, ArithmeticError) as exc:
+                errors[i] = str(exc)
+                found[i] = False
+    return ScanTable(j=j, jp=jp, t=t, c=c, d=d, cell_j=cell_j, cell_jp=cell_jp,
+                     cell_t=cell_t, cell_c=cell_c, cell_d=cell_d, found=found,
+                     roots=roots, stability=stability, eta=eta, residual=residual,
+                     errors=errors)
 
 
 # ------------------------------------------------------------------ outputs

@@ -48,6 +48,13 @@ def test_jsonl_format(capsys):
     assert all(r["root_count"] == 1 for r in records)
 
 
+def test_subnormal_temperature_cells_carry_the_weight_error(capsys):
+    code, out = run_cli(capsys, "--J", "0", "--Jp=0:1:2", "--T", "1e-320", "--format", "jsonl")
+    assert code == 0
+    errors = [json.loads(line)["error"] for line in out.splitlines()]
+    assert errors == ["|beta*J| = nan exceeds the representable range"] * 2
+
+
 def test_jsonl_is_strict_when_eta_saturates(capsys):
     """eta2 of this cell is above the double range while its root is not;
     JSONL says null where the CSV keeps printing inf."""

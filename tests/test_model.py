@@ -64,6 +64,12 @@ def test_overflow_raises_and_names_the_coupling():
         derive_weights(couplings(0.0, -400.0, 1.0))
 
 
+def test_nan_log_weight_at_a_subnormal_temperature_is_rejected():
+    """beta = 1/T is inf at a subnormal T, and beta * 0 is NaN: no weight."""
+    with pytest.raises(OverflowError, match=r"^\|beta\*J\| = nan exceeds"):
+        derive_weights(couplings(0.0, 0.0, 1e-320))
+
+
 @given(st.floats(-50, 50), st.floats(-50, 50),
        st.floats(0.2, 50).flatmap(lambda t: st.sampled_from([t, -t])))
 def test_weight_coherence(J, Jp, T):

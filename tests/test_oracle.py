@@ -8,6 +8,7 @@ import pytest
 
 from ivtree import (
     BoundaryFieldVector,
+    CayleyTree,
     TransferWeights,
     UVector,
     build_tree,
@@ -48,10 +49,10 @@ def test_tree_sizes():
 
 
 def test_tree_depth_validation():
-    for bad in (0, 5, -1):
+    for bad in (0, 4, 5, -1):
         with pytest.raises(ValueError):
             build_tree(bad)
-    build_tree(4)  # upper edge is allowed
+    build_tree(3)  # upper edge is allowed
 
 
 def test_levels_and_successors():
@@ -252,7 +253,7 @@ def test_depth_three_measure_is_implicit(three_root_params):
 
 def test_finite_measure_depth_guard(three_root_params):
     with pytest.raises(ValueError):
-        finite_measure(build_tree(4), three_root_params, field_from_scalar(1.0))
+        finite_measure(CayleyTree(depth=4), three_root_params, field_from_scalar(1.0))
 
 
 # -------------------------------------------------------------- consistency

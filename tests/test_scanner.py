@@ -175,6 +175,18 @@ def test_csv_bytes_are_pinned(spec, digest):
     assert hashlib.sha256(emit_csv(scan_grid(spec)).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("spec, error_rows, digest", [
+    (WIDE_GRID, 574, "3179834fef9dd7dc4a781db9cce62f7a00e0b399ace41aa3498613dae09db68c"),
+    (LOW_T_GRID, 122, "bab3f88ba0925d7bef1c17d16eb1b2ff3dfcf0a733733ec591b6a96ce3064833"),
+])
+def test_jsonl_error_texts_are_pinned(spec, error_rows, digest):
+    """sha256 of the JSONL, every cell error text included; the CSV leaves
+    an error cell's fields empty, so only JSONL pins the messages."""
+    text = emit_jsonl(scan_grid(spec))
+    assert text.count('"error"') == error_rows
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_consistency_jsonl_is_pinned_apart_from_residual_round_off():
     text = emit_jsonl(scan_grid(README_GRID, check_consistency=True), include_consistency=True)
     rows = [json.loads(line) for line in text.splitlines()]
