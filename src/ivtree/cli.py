@@ -8,8 +8,10 @@ Examples:
 
 Range arguments take min:max:steps; values starting with a minus sign must
 use the --J=-3:3:21 form so they are not mistaken for flags.  Exit code is 0
-on success and 2 for an invalid grid specification or a --curve cell whose
-curve cannot be tabulated in double precision.
+on success and 2 for an invalid grid specification, a --curve cell whose
+curve cannot be tabulated in double precision, --curve together with
+--format jsonl or --check-consistency, or an --out path that cannot be
+opened or written.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.curve:
         if not spec.is_singleton():
             parser.error("--curve requires single values for J, Jp and T")
+        if args.format != "csv" or args.check_consistency:
+            parser.error("--curve writes CSV only and takes neither "
+                         "--format jsonl nor --check-consistency")
         try:
             spec.t_values()
         except ValueError as exc:
@@ -95,20 +100,20 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--curve cannot tabulate this cell: {exc}")
     else:
         try:
-            points = scan_grid(spec, workers=args.workers,
-                               check_consistency=args.check_consistency)
+            table = scan_grid(spec, workers=args.workers,
+                              check_consistency=args.check_consistency)
         except ValueError as exc:
             parser.error(str(exc))
-        if args.format == "jsonl":
-            text = emit_jsonl(points, include_consistency=args.check_consistency)
-        else:
-            text = emit_csv(points, include_consistency=args.check_consistency)
+        text = (emit_jsonl if args.format == "jsonl" else emit_csv)(table)
 
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"--out {args.out}: {exc.strerror or exc}")
     return 0
 
 

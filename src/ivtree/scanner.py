@@ -119,8 +119,10 @@ class ScanTable(Sequence):
     stored and formatted once.  found, roots and stability hold the three
     root slots of solve_fixed_points (stability as an index into
     STABILITY_LABELS); found is False throughout an error cell.  eta is NaN
-    where the cell has none (d < 2), and residual is None when the
-    consistency check did not run.  errors maps a cell to its error text.
+    where the cell has none (d < 2).  residual is None when the consistency
+    check did not run, and NaN at every error cell when it did; the
+    emitters write its column exactly when it is not None.  errors maps a
+    cell to its error text.  scan_grid is the only maker of a table.
     """
 
     j: np.ndarray
@@ -174,39 +176,6 @@ class ScanTable(Sequence):
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
-
-    @classmethod
-    def from_points(cls, points) -> ScanTable:
-        """Table of PhasePoints as a scan makes them; each point is its own
-        axis entry, and a missing value (None) is stored as NaN."""
-        points = list(points)
-        n = len(points)
-        found = np.zeros((n, 3), dtype=bool)
-        roots = np.full((n, 3), np.nan)
-        stability = np.zeros((n, 3), dtype=int)
-        eta = np.full((n, 2), np.nan)
-        checked = any(p.consistency_residual is not None for p in points)
-        errors = {}
-        for i, p in enumerate(points):
-            if p.error is not None:
-                errors[i] = p.error
-                continue
-            k = len(p.roots)
-            found[i, :k] = True
-            roots[i, :k] = p.roots
-            stability[i, :k] = [STABILITY_LABELS.index(s) for s in p.stabilities]
-            eta[i] = np.array((p.eta1, p.eta2), dtype=float)
-
-        def column(name):
-            return np.array([getattr(p, name) for p in points], dtype=float)
-
-        index = np.arange(n)
-        return cls(j=column("J"), jp=column("Jp"), t=column("T"), c=column("c"),
-                   d=column("d"), cell_j=index, cell_jp=index, cell_t=index,
-                   cell_c=index, cell_d=index, found=found, roots=roots,
-                   stability=stability, eta=eta,
-                   residual=column("consistency_residual") if checked else None,
-                   errors=errors)
 
 
 def _pair_weights(name: str, pairs):
@@ -305,10 +274,6 @@ def scan_grid(spec: GridSpec, workers: int = 1,
 # ------------------------------------------------------------------ outputs
 
 
-def _as_table(points) -> ScanTable:
-    return points if isinstance(points, ScanTable) else ScanTable.from_points(points)
-
-
 def _spell(x: float) -> str:
     """A float at 12 significant digits, as CSV prints it."""
     return format(x, ".12g")
@@ -332,13 +297,14 @@ def _texts(values, spell, blank: str | None = None) -> np.ndarray:
                      for v in values.tolist()], dtype=object)
 
 
-def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str, word,
-            include_consistency: bool) -> dict[str, np.ndarray]:
+def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str,
+            word) -> dict[str, np.ndarray]:
     """Per-cell text of every output field, by name, in JSONL key order.
 
     spell formats a float, eta_spell an eta, blank is a missing value, sep
     joins list entries and word quotes a label.  roots and stabilities hold
-    the joined entries only, without brackets.
+    the joined entries only, without brackets.  consistency_residual is a
+    field exactly when the scan ran the check.
     """
     n = len(table)
     errors = np.fromiter(table.errors, dtype=np.intp, count=len(table.errors))
@@ -375,13 +341,8 @@ def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str, word,
         "regime": regime[table.cell_d],
         "phase_transition": np.where(count >= 2, "true", "false").astype(object),
     }
-    if include_consistency:
-        residual = np.full(n, blank, dtype=object)
-        if table.residual is not None:
-            answered = np.ones(n, dtype=bool)
-            answered[errors] = False
-            residual[answered] = [spell(x) for x in table.residual[answered].tolist()]
-        fields["consistency_residual"] = residual
+    if table.residual is not None:
+        fields["consistency_residual"] = _texts(table.residual, spell, blank)
     # an error cell keeps its coordinates only; its lists stay empty
     for name, column in fields.items():
         if name not in ("J", "Jp", "T"):
@@ -389,27 +350,27 @@ def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str, word,
     return fields
 
 
-def emit_csv(points, include_consistency: bool = False) -> str:
-    """CSV table of phase points; lists are semicolon-joined inside one field."""
-    header = CSV_HEADER + (["consistency_residual"] if include_consistency else [])
-    fields = _fields(_as_table(points), _spell, _spell, "", ";", str, include_consistency)
+def emit_csv(table: ScanTable) -> str:
+    """CSV of a scan, one row per cell; lists are semicolon-joined inside one
+    field, and a consistency_residual column follows when the scan ran the
+    check."""
+    fields = _fields(table, _spell, _spell, "", ";", str)
+    header = CSV_HEADER + (["consistency_residual"] if table.residual is not None else [])
     rows = map(",".join, zip(*(fields[name].tolist() for name in header)))
     return "\n".join(itertools.chain([",".join(header)], rows)) + "\n"
 
 
-def emit_jsonl(points, include_consistency: bool = False) -> str:
-    """One strict-JSON object per point; carries the regime label and any
-    cell error.  An eta that saturated outside the double range is null."""
-    table = _as_table(points)
-    fields = _fields(table, _json_float, _json_eta, "null", ", ", json.dumps,
-                     include_consistency)
+def emit_jsonl(table: ScanTable) -> str:
+    """One strict-JSON object per cell of a scan; carries the regime label,
+    any cell error, and consistency_residual when the scan ran the check.
+    An eta that saturated outside the double range is null."""
+    fields = _fields(table, _json_float, _json_eta, "null", ", ", json.dumps)
     error = np.full(len(table), "", dtype=object)
     error[list(table.errors)] = [f', "error": {json.dumps(e)}' for e in table.errors.values()]
     template = "{%s%%s}" % ", ".join(
         f'"{name}": [%s]' if name in _LISTS else f'"{name}": %s' for name in fields)
     lines = map(template.__mod__, zip(*(f.tolist() for f in fields.values()), error.tolist()))
-    text = "\n".join(lines)
-    return text + "\n" if text else ""
+    return "\n".join(lines) + "\n"
 
 
 def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4, 1e4),

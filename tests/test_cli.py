@@ -109,6 +109,8 @@ def test_curve_mode(capsys):
     ["--J", "2:1:5", "--Jp", "0", "--T", "1"],
     ["--J", "0", "--Jp", "0", "--T", "0"],
     ["--J=0:1:2", "--Jp", "0", "--T", "1", "--curve"],
+    ["--J", "0", "--Jp", "0", "--T", "1", "--curve", "--format", "jsonl"],
+    ["--J", "0", "--Jp", "0", "--T", "1", "--curve", "--check-consistency"],
     ["--J", "0", "--Jp", "0", "--T", "1", "--samples", "1"],
     ["--J", "0", "--Jp", "0", "--T", "1", "--workers", "0"],
     ["--J=-1e308:1e308:3", "--Jp", "0", "--T", "1"],
@@ -173,4 +175,13 @@ def test_curve_outside_the_double_range_exits_2_without_traceback(cell, reason):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("ivtree: error: --curve")
     assert reason in proc.stderr
+
+
+@pytest.mark.parametrize("out", ["", "missing/x.csv"])
+def test_unwritable_out_exits_2_without_traceback(tmp_path, out):
+    """A directory, and a file in a directory that does not exist."""
+    proc = run_module("--J", "0", "--Jp", "0", "--T", "1", "--out", str(tmp_path / out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("ivtree: error: --out ")
     assert proc.stdout == ""

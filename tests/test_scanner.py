@@ -11,7 +11,7 @@ import ivtree.scanner
 from ivtree import (GridSpec, couplings, derive_weights, emit_csv, emit_curve, emit_jsonl,
                     scan_grid)
 from ivtree.recurrence import scalar_map_g
-from ivtree.scanner import CSV_HEADER, ScanTable, emit_curve_csv, evaluate_point
+from ivtree.scanner import CSV_HEADER, emit_curve_csv, evaluate_point
 
 from conftest import NEGATIVE_T_POINT, THREE_ROOT_EXPECTED, THREE_ROOT_POINT, assert_close
 
@@ -120,8 +120,8 @@ def test_parallel_scan_matches_serial():
 
 
 def test_chunked_scan_is_byte_identical_for_one_two_and_three_workers():
-    """The pool splits the grid into a different set of chunks per worker
-    count; every cell's answer must not depend on its chunk."""
+    """workers is accepted and ignored: every worker count runs the same
+    serial loop over chunks, so the bytes must not change."""
     spec = GridSpec(j=(-3, 3, 21), jp=(-3, 7, 21), t=(13, 13, 1))
     texts = {workers: emit_csv(scan_grid(spec, workers=workers)) for workers in (1, 2, 3)}
     assert texts[1] == texts[2] == texts[3]
@@ -188,7 +188,7 @@ def test_jsonl_error_texts_are_pinned(spec, error_rows, digest):
 
 
 def test_consistency_jsonl_is_pinned_apart_from_residual_round_off():
-    text = emit_jsonl(scan_grid(README_GRID, check_consistency=True), include_consistency=True)
+    text = emit_jsonl(scan_grid(README_GRID, check_consistency=True))
     rows = [json.loads(line) for line in text.splitlines()]
     residuals = [row.pop("consistency_residual") for row in rows]
     assert max(residuals) <= 1e-9
@@ -254,18 +254,38 @@ def test_table_is_a_sequence_of_phase_points():
         table[6]
 
 
-@pytest.mark.parametrize("consistency", [False, True])
-def test_emitters_read_a_table_and_its_point_list_alike(consistency):
-    table = scan_grid(LOW_T_GRID, check_consistency=consistency)
-    points = list(table)
-    for emit in (emit_csv, emit_jsonl):
-        assert emit(table, consistency) == emit(points, consistency)
-        assert emit(ScanTable.from_points(points), consistency) == emit(table, consistency)
+def test_csv_residual_is_empty_exactly_on_error_rows():
+    table = scan_grid(LOW_T_GRID, check_consistency=True)
+    lines = emit_csv(table).splitlines()
+    assert lines[0].endswith(",consistency_residual")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == len(table)
+    assert all(len(row) == 12 for row in rows)
+    assert {i for i, row in enumerate(rows) if row[11] == ""} == set(table.errors)
+    assert len(table.errors) == 122
+    assert max(float(row[11]) for row in rows if row[11] != "") <= 1e-9
+
+
+def test_jsonl_residual_is_null_on_error_rows():
+    table = scan_grid(LOW_T_GRID, check_consistency=True)
+    recs = [json.loads(line) for line in emit_jsonl(table).splitlines()]
+    errored = [rec for rec in recs if "error" in rec]
+    assert len(errored) == 122
+    assert all(rec["consistency_residual"] is None for rec in errored)
+    assert all(rec["consistency_residual"] <= 1e-9 for rec in recs if "error" not in rec)
+
+
+def test_residual_is_absent_without_the_check():
+    table = scan_grid(LOW_T_GRID)
+    lines = emit_csv(table).splitlines()
+    assert "consistency_residual" not in lines[0]
+    assert all(len(line.split(",")) == 11 for line in lines)
+    recs = [json.loads(line) for line in emit_jsonl(table).splitlines()]
+    assert not any("consistency_residual" in rec for rec in recs)
 
 
 def test_error_heavy_scan_is_byte_identical_for_one_two_and_three_workers():
-    texts = {workers: emit_jsonl(scan_grid(LOW_T_GRID, workers=workers, check_consistency=True),
-                                 include_consistency=True)
+    texts = {workers: emit_jsonl(scan_grid(LOW_T_GRID, workers=workers, check_consistency=True))
              for workers in (1, 2, 3)}
     assert texts[1] == texts[2] == texts[3]
     assert texts[1].count('"error"') == 122
@@ -276,8 +296,7 @@ def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
     """Cells are solved in chunks of _CHUNK_CELLS; each chunk's errors and
     residuals must land on its own cells whatever the chunk boundaries."""
     def outputs():
-        return (emit_jsonl(scan_grid(LOW_T_GRID, check_consistency=True),
-                           include_consistency=True),
+        return (emit_jsonl(scan_grid(LOW_T_GRID, check_consistency=True)),
                 emit_csv(scan_grid(README_GRID)))
 
     default = outputs()
@@ -290,7 +309,8 @@ def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
 
 
 def test_csv_header_is_pinned():
-    assert emit_csv([]) == "J,Jp,T,c,d,root_count,roots,stabilities,eta1,eta2,phase_transition\n"
+    header = emit_csv(scan_grid(singleton(*THREE_ROOT_POINT))).splitlines()[0]
+    assert header == "J,Jp,T,c,d,root_count,roots,stabilities,eta1,eta2,phase_transition"
     assert CSV_HEADER == ["J", "Jp", "T", "c", "d", "root_count", "roots",
                           "stabilities", "eta1", "eta2", "phase_transition"]
 
@@ -309,15 +329,14 @@ def test_csv_single_point_layout():
 
 
 def test_csv_error_cell_leaves_fields_empty():
-    text = emit_csv([evaluate_point(5000.0, 0.0, 0.001)])
+    text = emit_csv(scan_grid(singleton(5000.0, 0.0, 0.001)))
     fields = text.splitlines()[1].split(",")
     assert fields[0] == "5000"
     assert fields[3] == "" and fields[5] == "" and fields[10] == ""
 
 
 def test_csv_consistency_column_is_appended():
-    pts = [evaluate_point(*THREE_ROOT_POINT, check_consistency=True)]
-    text = emit_csv(pts, include_consistency=True)
+    text = emit_csv(scan_grid(singleton(*THREE_ROOT_POINT), check_consistency=True))
     header = text.splitlines()[0]
     assert header.endswith(",consistency_residual")
     assert len(text.splitlines()[1].split(",")) == 12
@@ -331,11 +350,10 @@ def test_jsonl_round_trip():
     assert rec["root_count"] == 1
     assert rec["regime"] == "unique"
     assert "error" not in rec
-    assert emit_jsonl([]) == ""
 
 
 def test_jsonl_carries_cell_errors():
-    rec = json.loads(emit_jsonl([evaluate_point(5000.0, 0.0, 0.001)]))
+    rec = json.loads(emit_jsonl(scan_grid(singleton(5000.0, 0.0, 0.001))))
     assert rec["root_count"] is None
     assert "exceeds" in rec["error"]
 
