@@ -175,6 +175,7 @@ def test_curve_outside_the_double_range_exits_2_without_traceback(cell, reason):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("ivtree: error: --curve")
     assert reason in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("out", ["", "missing/x.csv"])
