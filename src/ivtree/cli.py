@@ -11,13 +11,18 @@ use the --J=-3:3:21 form so they are not mistaken for flags.  Exit code is 0
 on success and 2 for an invalid grid specification, a --curve cell whose
 curve cannot be tabulated in double precision, --curve together with
 --format jsonl or --check-consistency, or an --out path that cannot be
-opened or written.
+opened or written.  --out is opened only once the input has passed every
+check (for --curve, once the curve is tabulated), so a run that exits 2
+creates or truncates no file, and a grid scan with an unwritable --out
+exits before it scans.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import warnings
 
 from .model import couplings
 from .scanner import GridSpec, emit_csv, emit_curve_csv, emit_jsonl, scan_grid
@@ -98,23 +103,37 @@ def main(argv: list[str] | None = None) -> int:
             text = emit_curve_csv(params, samples=args.samples)
         except ArithmeticError as exc:   # a weight or fixed point outside the double range
             parser.error(f"--curve cannot tabulate this cell: {exc}")
-    else:
+        with _output(parser, args.out) as fh:
+            fh.write(text)
+        return 0
+
+    # t_values is the one check scan_grid can fail, so it runs before --out
+    # is opened; scan_grid repeats it, and its T = 0 warning is shown there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         try:
-            table = scan_grid(spec, workers=args.workers,
-                              check_consistency=args.check_consistency)
+            spec.t_values()
         except ValueError as exc:
             parser.error(str(exc))
-        text = (emit_jsonl if args.format == "jsonl" else emit_csv)(table)
-
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            parser.error(f"--out {args.out}: {exc.strerror or exc}")
+    with _output(parser, args.out) as fh:
+        table = scan_grid(spec, workers=args.workers,
+                          check_consistency=args.check_consistency)
+        fh.write((emit_jsonl if args.format == "jsonl" else emit_csv)(table))
     return 0
+
+
+@contextlib.contextmanager
+def _output(parser: argparse.ArgumentParser, path: str):
+    """The --out stream (stdout for -); failing to open or write a file
+    exits 2 with one line."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        parser.error(f"--out {path}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,15 @@ branch-factorized leaf sums where full enumeration is infeasible), giving an
 independent check on every closed-form recurrence result.  Depth 2 means
 2^13 = 8192 configurations, which is the workhorse scale for the Kolmogorov
 consistency check.
+
+The check runs on a merged depth-2 table.  Configurations with the same
+inner spins (vertices 0..3) and the same count row (E, P, M_1..M_8) have the
+same log weight, so the 8192 rows collapse to 560 distinct ones, each
+carrying its multiplicity (up to 81; 512 per inner configuration).  The
+merge is pure counting over the enumerated table.  consistency_residuals
+checks a (10, m) block of coefficients (beta J, beta Jp, h_1..h_8) at once,
+one residual per column; kolmogorov_consistency_check is its one-column
+case.
 """
 
 from __future__ import annotations
@@ -245,21 +254,69 @@ def finite_measure(tree: CayleyTree, params: CouplingParameters,
     return FiniteVolumeMeasure(tree=tree, params=params, h=h, log_Z=log_z)
 
 
+@functools.lru_cache(maxsize=None)
+def _merged_feature_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The depth-2 count table with equal rows merged per inner configuration.
+
+    Returns (features, multiplicity, starts): features is (10, 560), one
+    contiguous row per count; multiplicity is how many of the 8192
+    configurations each merged row stands for; starts is where each of the
+    16 inner configurations' merged rows begin, in index order.  Cached and
+    read-only.
+    """
+    table = _feature_table(2)
+    # every count lies in -12..12, so base 25 digits give each (inner
+    # configuration, count row) pair one integer key; vertices 0..3 are the
+    # top four index bits, so index >> 9 is the inner configuration
+    digits = table.astype(np.int64) + 12
+    inner = np.arange(table.shape[0]) >> 9
+    key = inner * 25**10 + digits @ 25 ** np.arange(10, dtype=np.int64)
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
+    features = np.ascontiguousarray(table[first].T)
+    multiplicity = count.astype(float)
+    starts = np.searchsorted(inner[first], np.arange(16))
+    for array in (features, multiplicity, starts):
+        array.flags.writeable = False
+    return features, multiplicity, starts
+
+
+def _log_weights_by_root(features: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(m, rows) log weights: the ten count-times-coefficient terms summed
+    elementwise in a fixed order, so a root's bits do not depend on m (a
+    matrix product would let BLAS pick the order by the batch width)."""
+    lw = coef[0][:, None] * features[0]
+    for k in range(1, 10):
+        lw += coef[k][:, None] * features[k]
+    return lw
+
+
+def consistency_residuals(coef) -> np.ndarray:
+    """Max |depth-2 leaf marginal - depth-1 probability| for each column of
+    a (10, m) block of coefficients (beta J, beta Jp, h_1..h_8).
+
+    A boundary field describes one self-consistent measure family exactly
+    when its residual vanishes; it does so at fixed points of the recurrence
+    and fails by an O(1) amount for generic fields.  A column's residual has
+    the same bits whatever block it sits in.
+    """
+    coef = np.asarray(coef, dtype=float)
+    features, multiplicity, starts = _merged_feature_table()
+    lw2 = _log_weights_by_root(features, coef)
+    weights = np.exp(lw2 - lw2.max(axis=1, keepdims=True)) * multiplicity
+    marginal = np.add.reduceat(weights, starts, axis=1)
+    marginal /= marginal.sum(axis=1, keepdims=True)
+    lw1 = _log_weights_by_root(_feature_table(1).T, coef)
+    p1 = np.exp(lw1 - lw1.max(axis=1, keepdims=True))
+    p1 /= p1.sum(axis=1, keepdims=True)
+    return np.abs(marginal - p1).max(axis=1)
+
+
 def kolmogorov_consistency_check(params: CouplingParameters,
                                  h: BoundaryFieldVector) -> float:
-    """Max |depth-2 leaf marginal - depth-1 probability| over inner configs.
-
-    A boundary field describes one self-consistent measure family exactly when
-    this vanishes; it does so at fixed points of the recurrence and fails by
-    an O(1) amount for generic fields.
-    """
-    m2 = finite_measure(build_tree(2), params, h)
-    m1 = finite_measure(build_tree(1), params, h)
-    p2 = m2.probabilities()
-    # vertex 0..3 occupy the top four index bits, so the reshape groups the
-    # 2^9 leaf assignments of each inner configuration together
-    marginal = p2.reshape(16, 512).sum(axis=1)
-    return float(np.max(np.abs(marginal - m1.probabilities())))
+    """The consistency residual of one field: the one-column case of
+    consistency_residuals."""
+    coef = (params.beta * params.J, params.beta * params.Jp) + tuple(h.h)
+    return float(consistency_residuals(np.array(coef)[:, None])[0])
 
 
 def enumerated_semi_ball_sum(i: int, jvec: tuple[int, int, int], u: UVector,

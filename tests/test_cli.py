@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ivtree
+from ivtree import GridSpec, emit_jsonl, scan_grid
 from ivtree.cli import main
 
 
@@ -186,3 +187,45 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, out):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("ivtree: error: --out ")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("out", ["", "missing/x.csv"])
+def test_unwritable_out_exits_2_before_scanning(tmp_path, out, monkeypatch):
+    """The whole scan once ran before the --out path was tried; scan_grid
+    must not be reached."""
+    def scan_grid(*args, **kwargs):
+        raise AssertionError("scan_grid ran before --out was opened")
+
+    monkeypatch.setattr(ivtree.cli, "scan_grid", scan_grid)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--J=-3:3:401", "--Jp=-3:7:401", "--T", "13", "--out", str(tmp_path / out)])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--J", "0", "--Jp", "0", "--T", "0"],
+    ["--J=-3:3:3", "--Jp", "0", "--T", "0", "--check-consistency"],
+    ["--J=-1e308:1e308:3", "--Jp", "0", "--T", "1"],
+    ["--J=-200", "--Jp", "150", "--T", "1", "--curve"],
+])
+def test_runs_that_exit_2_leave_out_alone(tmp_path, argv, recwarn):
+    """Grids with no temperature cell or an overflowing range, and a curve
+    that cannot be tabulated: no file is created or truncated."""
+    kept, missing = tmp_path / "kept.csv", tmp_path / "missing.csv"
+    kept.write_text("kept\n", encoding="utf-8")
+    for path in (kept, missing):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(path)])
+        assert excinfo.value.code == 2
+    assert kept.read_text(encoding="utf-8") == "kept\n"
+    assert not missing.exists()
+
+
+def test_fresh_process_consistency_jsonl_equals_in_process_bytes():
+    """The child builds the enumeration tables from empty caches; its
+    residuals must have the bits of this process's scan."""
+    proc = run_module("--J=-3:3:21", "--Jp=-3:7:21", "--T", "13",
+                      "--check-consistency", "--format", "jsonl")
+    assert proc.returncode == 0, proc.stderr
+    spec = GridSpec(j=(-3, 3, 21), jp=(-3, 7, 21), t=(13, 13, 1))
+    assert proc.stdout == emit_jsonl(scan_grid(spec, check_consistency=True))

@@ -13,6 +13,7 @@ from ivtree import (
     UVector,
     build_tree,
     couplings,
+    derive_weights,
     field_form_from_pqrs,
     field_from_scalar,
     find_positive_fixed_points,
@@ -23,10 +24,12 @@ from ivtree import (
 )
 from ivtree.oracle import (
     _feature_table,
+    _merged_feature_table,
     _log_partition_factorized,
     _spin_table,
     boundary_term,
     branch_sum,
+    consistency_residuals,
     enumerated_semi_ball_sum,
 )
 
@@ -276,6 +279,74 @@ def test_consistency_fails_for_generic_fields(three_root_params):
     # the four-parameter family alone is not sufficient either
     h = field_form_from_pqrs(0.3, -0.2, 0.15, 0.4)
     assert kolmogorov_consistency_check(three_root_params, h) > 1e-3
+
+
+def test_merged_table_counts_every_configuration_once():
+    """Each inner configuration's 512 leaf assignments, merged by count row:
+    the merged rows and multiplicities are the distinct rows of its block
+    of _feature_table(2) and their counts."""
+    features, multiplicity, starts = _merged_feature_table()
+    assert _merged_feature_table()[0] is features
+    assert features.shape == (10, 560) and multiplicity.max() == 81
+    assert multiplicity.sum() == 8192
+    table = _feature_table(2)
+    ends = list(starts[1:]) + [multiplicity.size]
+    for inner, (s, e) in enumerate(zip(starts, ends)):
+        assert multiplicity[s:e].sum() == 512
+        rows, counts = np.unique(table[512 * inner:512 * (inner + 1)], axis=0,
+                                 return_counts=True)
+        order = np.lexsort(features[::-1, s:e])
+        assert np.array_equal(features[:, s:e].T[order], rows)
+        assert np.array_equal(multiplicity[s:e][order], counts)
+    for array in (features, multiplicity, starts):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def random_consistency_cases(seed: int, draws: int):
+    """(params, field) pairs at random couplings, both signs of T: every
+    fixed-point field of the draw and one generic field."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(draws):
+        J, Jp = rng.uniform(-5.0, 5.0, 2)
+        p = couplings(J, Jp, rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 4.0))
+        roots = find_positive_fixed_points(derive_weights(p)).roots
+        cases += [(p, field_from_scalar(r)) for r in roots]
+        cases.append((p, BoundaryFieldVector(h=tuple(rng.uniform(-3.0, 3.0, 8)))))
+    return cases
+
+
+def coefficient_block(cases) -> np.ndarray:
+    return np.array([(p.beta * p.J, p.beta * p.Jp) + tuple(h.h) for p, h in cases]).T
+
+
+def test_batched_residuals_match_the_per_configuration_marginals():
+    """The merged batch against the full 8192-row depth-2 measure summed
+    over leaves and the depth-1 measure, at fixed-point and generic fields."""
+    cases = random_consistency_cases(seed=29, draws=40)
+    batch = consistency_residuals(coefficient_block(cases))
+    generic = 0
+    for (p, h), res in zip(cases, batch.tolist()):
+        p2 = finite_measure(build_tree(2), p, h).probabilities()
+        p1 = finite_measure(build_tree(1), p, h).probabilities()
+        reference = np.max(np.abs(p2.reshape(16, 512).sum(axis=1) - p1))
+        assert abs(res - reference) <= 1e-14
+        generic += reference > 1e-3
+    assert generic == 40 and len(cases) > 80
+
+
+def test_a_residual_does_not_depend_on_its_block():
+    """Bits of each root alone, in the whole batch and in chunks of 7; the
+    one-field check is the one-column case."""
+    cases = random_consistency_cases(seed=31, draws=20)
+    coef = coefficient_block(cases)
+    batch = consistency_residuals(coef)
+    alone = [consistency_residuals(coef[:, i:i + 1])[0] for i in range(len(cases))]
+    chunked = np.concatenate([consistency_residuals(coef[:, s:s + 7])
+                              for s in range(0, len(cases), 7)])
+    assert batch.tobytes() == np.array(alone).tobytes() == chunked.tobytes()
+    assert [kolmogorov_consistency_check(p, h) for p, h in cases] == batch.tolist()
 
 
 # -------------------------------------------------------------- enumeration

@@ -293,8 +293,9 @@ def test_error_heavy_scan_is_byte_identical_for_one_two_and_three_workers():
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    """Cells are solved in chunks of _CHUNK_CELLS; each chunk's errors and
-    residuals must land on its own cells whatever the chunk boundaries."""
+    """Cells are solved in chunks of _CHUNK_CELLS and roots checked in blocks
+    of _CHECK_ROOTS; each chunk's errors and residuals must land on its own
+    cells, with the same bits, whatever the boundaries."""
     def outputs():
         return (emit_jsonl(scan_grid(LOW_T_GRID, check_consistency=True)),
                 emit_csv(scan_grid(README_GRID)))
@@ -302,7 +303,35 @@ def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
     default = outputs()
     monkeypatch.setattr(ivtree.scanner, "_CHUNK_CELLS", chunk)
     assert outputs() == default
+    monkeypatch.setattr(ivtree.scanner, "_CHECK_ROOTS", chunk)
+    assert outputs() == default
     assert default[0].count('"error"') == 122
+
+
+def test_a_non_finite_residual_makes_an_error_cell(monkeypatch):
+    """A root whose residual is not finite (here every root above 1) turns
+    its cell into an error cell: found cleared, residual NaN, a fixed
+    message, null in JSONL and empty in CSV.  The other cells keep their
+    answers."""
+    plain = scan_grid(README_GRID, check_consistency=True)
+    original = ivtree.scanner.consistency_residuals
+    monkeypatch.setattr(ivtree.scanner, "consistency_residuals",
+                        lambda coef: np.where(coef[2] > 0.0, np.nan, original(coef)))
+    table = scan_grid(README_GRID, check_consistency=True)
+    hit = {i for i, p in enumerate(plain) if max(p.roots) > 1.0}
+    assert 0 < len(hit) < len(table)
+    assert set(table.errors) == hit
+    recs = [json.loads(line) for line in emit_jsonl(table).splitlines()]
+    rows = [line.split(",") for line in emit_csv(table).splitlines()[1:]]
+    for i, p in enumerate(table):
+        if i not in hit:
+            assert p == plain[i]
+            continue
+        assert p.error == "consistency residual is not finite"
+        assert p.root_count is None and not table.found[i].any()
+        assert math.isnan(table.residual[i])
+        assert recs[i]["consistency_residual"] is None and recs[i]["error"] == p.error
+        assert rows[i][3:] == [""] * 9
 
 
 # ------------------------------------------------------------------ outputs
