@@ -1,86 +1,46 @@
 """Translation-invariant Gibbs measures for the Ising model with competing
 nearest-neighbor and prolonged next-nearest-neighbor interactions on the
-order-3 Cayley tree."""
+order-3 Cayley tree.
 
-from .fixpoint import (
-    FixedPointReport,
-    ThresholdReport,
-    critical_points,
-    find_positive_fixed_points,
-    iterate_map,
-    predict_count,
-    solve_fixed_points,
-)
-from .model import (
-    BoundaryFieldVector,
-    ConfigClass,
-    CouplingParameters,
-    SemiBallConfiguration,
-    TransferWeights,
-    classify_config,
-    couplings,
-    derive_weights,
-    field_form_from_pqrs,
-    field_from_scalar,
-)
-from .oracle import (
-    CayleyTree,
-    FiniteVolumeMeasure,
-    build_tree,
-    finite_measure,
-    hamiltonian,
-    kolmogorov_consistency_check,
-    verify_recurrence_by_enumeration,
-)
-from .recurrence import (
-    UVector,
-    VVector,
-    check_identities,
-    full_step,
-    reduced_step,
-    scalar_map_dg,
-    scalar_map_g,
-)
-from .scanner import GridSpec, PhasePoint, emit_csv, emit_curve, emit_jsonl, scan_grid
+Each public name loads its module on first use (PEP 562), so a run imports
+only the layers it calls: the command line never loads the oracle unless it
+checks consistency.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryFieldVector",
-    "CayleyTree",
-    "ConfigClass",
-    "CouplingParameters",
-    "FiniteVolumeMeasure",
-    "FixedPointReport",
-    "GridSpec",
-    "PhasePoint",
-    "SemiBallConfiguration",
-    "ThresholdReport",
-    "TransferWeights",
-    "UVector",
-    "VVector",
-    "build_tree",
-    "check_identities",
-    "classify_config",
-    "couplings",
-    "critical_points",
-    "derive_weights",
-    "emit_csv",
-    "emit_curve",
-    "emit_jsonl",
-    "field_form_from_pqrs",
-    "field_from_scalar",
-    "find_positive_fixed_points",
-    "finite_measure",
-    "full_step",
-    "hamiltonian",
-    "iterate_map",
-    "kolmogorov_consistency_check",
-    "predict_count",
-    "reduced_step",
-    "scalar_map_dg",
-    "scalar_map_g",
-    "scan_grid",
-    "solve_fixed_points",
-    "verify_recurrence_by_enumeration",
-]
+# the public names of each module, as the module defines them
+_EXPORTS = {
+    "fixpoint": ("FixedPointReport", "ThresholdReport", "critical_points",
+                 "find_positive_fixed_points", "iterate_map", "predict_count",
+                 "solve_fixed_points"),
+    "model": ("BoundaryFieldVector", "ConfigClass", "CouplingParameters",
+              "SemiBallConfiguration", "TransferWeights", "classify_config", "couplings",
+              "derive_weights", "field_form_from_pqrs", "field_from_scalar"),
+    "oracle": ("CayleyTree", "FiniteVolumeMeasure", "build_tree", "finite_measure",
+               "hamiltonian", "kolmogorov_consistency_check",
+               "verify_recurrence_by_enumeration"),
+    "recurrence": ("UVector", "VVector", "check_identities", "full_step", "reduced_step",
+                   "scalar_map_dg", "scalar_map_g"),
+    "scanner": ("GridSpec", "PhasePoint", "emit_csv", "emit_curve", "emit_jsonl", "scan_grid"),
+}
+
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    """Import the module that defines a public name, and keep the name here."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ _NEWTON_RTOL = 1e-12
 _MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     """Positive fixed points in ascending order with stability data.
 
     quartic_roots is kept for callers that read it; the solver leaves it
@@ -71,8 +70,7 @@ class FixedPointReport:
     quartic_roots: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Critical tangency data of g.
 
     x_crit_1, x_crit_2 solve c^2 d x^2 - 2c(d^2-2)x + d = 0 (real, positive
@@ -204,8 +202,7 @@ def root_error(found, log_roots, roots) -> ArithmeticError | None:
     return None
 
 
-@dataclass(frozen=True)
-class FixedPointBatch:
+class FixedPointBatch(NamedTuple):
     """Fixed points and tangency data of a batch of cells, as arrays.
 
     Row k describes cell k.  There are three root slots per cell (left of
@@ -371,8 +368,7 @@ def predict_count(w: TransferWeights) -> tuple[int, str]:
     return count, "intermediate band 1 <= d <= 2: count from direct root search"
 
 
-@dataclass(frozen=True)
-class IterationResult:
+class IterationResult(NamedTuple):
     trajectory: tuple[float, ...]
     limit: float
     converged: bool

@@ -8,12 +8,16 @@ carries one boundary field value per depth-1 semi-ball (a vertex plus its
 three successors).  The sixteen semi-ball spin patterns collapse to eight
 classes under permutations of the successor triple; everything downstream
 works with the eight-component field vector.
+
+The records are named tuples.  A record with a check on its values runs it
+in the __new__ of a thin subclass of its field tuple, since a NamedTuple
+body cannot define __new__.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,24 +31,28 @@ INVERTED_CLASSES = (2, 4, 5, 7)
 _MAX_LOG_WEIGHT = 354.0
 
 
-@dataclass(frozen=True)
-class CouplingParameters:
+class _CouplingParametersFields(NamedTuple):
+    J: float
+    Jp: float
+    T: float
+    beta: float
+
+
+class CouplingParameters(_CouplingParametersFields):
     """Couplings (J, Jp), temperature T, and beta = 1/T.
 
     Negative temperatures are meaningful here (they just flip the sign of
     beta); only T = 0 is rejected.
     """
 
-    J: float
-    Jp: float
-    T: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.T == 0.0:
+    def __new__(cls, J: float, Jp: float, T: float, beta: float):
+        if T == 0.0:
             raise ValueError("temperature must be nonzero")
-        if not (math.isfinite(self.J) and math.isfinite(self.Jp) and math.isfinite(self.T)):
+        if not (math.isfinite(J) and math.isfinite(Jp) and math.isfinite(T)):
             raise ValueError("couplings and temperature must be finite")
+        return super().__new__(cls, J, Jp, T, beta)
 
 
 def couplings(J: float, Jp: float, T: float) -> CouplingParameters:
@@ -54,8 +62,7 @@ def couplings(J: float, Jp: float, T: float) -> CouplingParameters:
     return CouplingParameters(J=float(J), Jp=float(Jp), T=float(T), beta=1.0 / float(T))
 
 
-@dataclass(frozen=True)
-class TransferWeights:
+class TransferWeights(NamedTuple):
     """Exponentiated couplings a = e^{beta J}, b = e^{beta Jp}, c = a^2, d = b^2.
 
     log_a and log_b are kept alongside so that enumeration code can stay in
@@ -107,21 +114,23 @@ def derive_weights(params: CouplingParameters) -> TransferWeights:
     return TransferWeights(a=a, b=b, c=a * a, d=b * b, log_a=log_a, log_b=log_b)
 
 
-@dataclass(frozen=True)
-class SemiBallConfiguration:
-    """Spins on a depth-1 semi-ball: center plus its ordered successor triple."""
-
+class _SemiBallConfigurationFields(NamedTuple):
     center: int
     successors: tuple[int, int, int]
 
-    def __post_init__(self):
-        spins = (self.center, *self.successors)
-        if any(s not in (-1, 1) for s in spins) or len(self.successors) != 3:
+
+class SemiBallConfiguration(_SemiBallConfigurationFields):
+    """Spins on a depth-1 semi-ball: center plus its ordered successor triple."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: int, successors: tuple[int, int, int]):
+        if any(s not in (-1, 1) for s in (center, *successors)) or len(successors) != 3:
             raise ValueError("spins must be +-1 with exactly three successors")
+        return super().__new__(cls, center, successors)
 
 
-@dataclass(frozen=True)
-class ConfigClass:
+class ConfigClass(NamedTuple):
     """One of the eight permutation classes of semi-ball configurations."""
 
     class_index: int
@@ -150,15 +159,19 @@ def class_sign(index: int) -> int:
     return -1 if index in INVERTED_CLASSES else 1
 
 
-@dataclass(frozen=True)
-class BoundaryFieldVector:
-    """Eight collapsed boundary-field values h_1..h_8 (class order)."""
-
+class _BoundaryFieldVectorFields(NamedTuple):
     h: tuple[float, float, float, float, float, float, float, float]
 
-    def __post_init__(self):
-        if len(self.h) != 8 or any(not math.isfinite(v) for v in self.h):
+
+class BoundaryFieldVector(_BoundaryFieldVectorFields):
+    """Eight collapsed boundary-field values h_1..h_8 (class order)."""
+
+    __slots__ = ()
+
+    def __new__(cls, h: tuple[float, float, float, float, float, float, float, float]):
+        if len(h) != 8 or any(not math.isfinite(v) for v in h):
             raise ValueError("h must be eight finite reals")
+        return super().__new__(cls, h)
 
     @property
     def u(self) -> np.ndarray:
@@ -186,16 +199,27 @@ def field_form_from_pqrs(p: float, q: float, r: float, s: float) -> BoundaryFiel
     ))
 
 
+def scalar_field_h(t):
+    """h_1..h_8 of the field encoded by x = e^t, as field_form_from_pqrs
+    forms them from (p, q, r, s) = (2.25 t, 0.75 t, 0.75 t, 2.25 t).
+
+    t may be a float or an array; the arithmetic is elementwise, so every
+    entry has the bits of the float case.
+    """
+    # h_1 = ln v_1^3 = (9/4) ln x,  h_4 = ln v_4^3 = (3/4) ln x; symmetric tail
+    p, q = 2.25 * t, 0.75 * t
+    outer, inner = (q - 2.0 * p) / 3.0, (p - 2.0 * q) / 3.0
+    return (p, outer, inner, q, q, inner, outer, p)
+
+
 def field_from_scalar(x: float) -> BoundaryFieldVector:
     """Boundary field encoded by the single scalar x > 0.
 
     Sets v_4 = v_5 = x^{1/4}, v_1 = v_4^3, v_8 = v_5^3 and u_i = v_i^3 for
     i in {1, 4, 5, 8}; the remaining components come from field_form_from_pqrs
-    with (p, q, r, s) = (h_1, h_4, h_5, h_8).  The scalar can be read back as
-    x = exp(4 h_4 / 3).
+    with (p, q, r, s) = (h_1, h_4, h_5, h_8) (see scalar_field_h).  The
+    scalar can be read back as x = exp(4 h_4 / 3).
     """
     if not (x > 0 and math.isfinite(x)):
         raise ValueError("x must be positive finite")
-    t = math.log(x)
-    # h_1 = ln v_1^3 = (9/4) ln x,  h_4 = ln v_4^3 = (3/4) ln x; symmetric tail
-    return field_form_from_pqrs(2.25 * t, 0.75 * t, 0.75 * t, 2.25 * t)
+    return BoundaryFieldVector(h=scalar_field_h(math.log(x)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .recurrence import UVector, log_branch_bracket
 _MAX_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class CayleyTree:
+class CayleyTree(NamedTuple):
     """Finite semi-infinite-tree volume V_n: root plus n levels of successors.
 
     Vertices are indexed breadth-first, so level m occupies indices
@@ -44,10 +43,13 @@ class CayleyTree:
 
     depth: int
     k: int = 3
-    n_vertices: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_vertices", (3 ** (self.depth + 1) - 1) // 2)
+    @property
+    def n_vertices(self) -> int:
+        return (3 ** (self.depth + 1) - 1) // 2
+
+    def __repr__(self) -> str:
+        return f"CayleyTree(depth={self.depth!r}, k={self.k!r}, n_vertices={self.n_vertices!r})"
 
     def level(self, m: int) -> range:
         start = (3**m - 1) // 2
@@ -204,8 +206,7 @@ def _log_partition_factorized(depth: int, params: CouplingParameters,
     raise ValueError("factorized partition function supports depth 2 or 3")
 
 
-@dataclass(frozen=True)
-class FiniteVolumeMeasure:
+class FiniteVolumeMeasure(NamedTuple):
     """Exact Gibbs measure on V_n with the boundary-field exponent.
 
     Depth 1 and 2 keep the full log-weight and probability tables; depth 3

@@ -17,7 +17,7 @@ scalar rational map g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +34,7 @@ _EQUATION_NAMES = ("u1'", "u2'", "u3'", "u4'", "u5'", "u6'", "u7'", "u8'")
 _SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
 
 
-@dataclass(frozen=True)
-class UVector:
-    """The eight exponentiated class fields u_i = e^{h_i}, all positive."""
-
+class _UVectorFields(NamedTuple):
     u1: float
     u2: float
     u3: float
@@ -47,14 +44,21 @@ class UVector:
     u7: float
     u8: float
 
-    def __post_init__(self):
-        for v in self.as_array():
+
+class UVector(_UVectorFields):
+    """The eight exponentiated class fields u_i = e^{h_i}, all positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, u1: float, u2: float, u3: float, u4: float,
+                u5: float, u6: float, u7: float, u8: float):
+        for v in (u1, u2, u3, u4, u5, u6, u7, u8):
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError("u components must be positive finite")
+        return super().__new__(cls, u1, u2, u3, u4, u5, u6, u7, u8)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.u1, self.u2, self.u3, self.u4,
-                         self.u5, self.u6, self.u7, self.u8])
+        return np.array(self)
 
     @classmethod
     def from_array(cls, arr) -> "UVector":
@@ -62,22 +66,26 @@ class UVector:
         return cls(*arr.tolist())
 
 
-@dataclass(frozen=True)
-class VVector:
-    """Corner variables v_1, v_4, v_5, v_8 of the reduced four-equation system."""
-
+class _VVectorFields(NamedTuple):
     v1: float
     v4: float
     v5: float
     v8: float
 
-    def __post_init__(self):
-        for v in (self.v1, self.v4, self.v5, self.v8):
+
+class VVector(_VVectorFields):
+    """Corner variables v_1, v_4, v_5, v_8 of the reduced four-equation system."""
+
+    __slots__ = ()
+
+    def __new__(cls, v1: float, v4: float, v5: float, v8: float):
+        for v in (v1, v4, v5, v8):
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError("v components must be positive finite")
+        return super().__new__(cls, v1, v4, v5, v8)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.v1, self.v4, self.v5, self.v8])
+        return np.array(self)
 
 
 def _log_branch_terms(i: int, j: int, log_u: np.ndarray, w: TransferWeights) -> np.ndarray:

@@ -16,27 +16,25 @@ With the consistency check, every found root's field is checked by
 consistency_residuals in blocks of _CHECK_ROOTS roots, and a cell's residual
 is the largest over its roots.  A root's residual has the same bits in any
 block, so the check keeps the rule that output bytes never depend on how
-the work is cut.
+the work is cut.  The oracle module is imported only by a scan that checks.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import sys
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .fixpoint import (STABILITY_LABELS, find_positive_fixed_points, root_error,
                        solve_fixed_points, stability_codes)
 from .model import (CouplingParameters, couplings, coupling_weight, derive_weights,
-                    field_from_scalar)
-from .oracle import consistency_residuals
+                    scalar_field_h)
 from .recurrence import scalar_map_g
 
 # cells per solver call: keeps the solver's arrays (a few dozen doubles per
@@ -55,16 +53,20 @@ CSV_HEADER = ["J", "Jp", "T", "c", "d", "root_count", "roots", "stabilities",
 _LISTS = ("roots", "stabilities")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Inclusive (min, max, steps) ranges for J, Jp, T; steps = 1 pins a value."""
-
+class _GridSpecFields(NamedTuple):
     j: tuple[float, float, int]
     jp: tuple[float, float, int]
     t: tuple[float, float, int]
 
-    def __post_init__(self):
-        for name, (lo, hi, steps) in (("J", self.j), ("Jp", self.jp), ("T", self.t)):
+
+class GridSpec(_GridSpecFields):
+    """Inclusive (min, max, steps) ranges for J, Jp, T; steps = 1 pins a value."""
+
+    __slots__ = ()
+
+    def __new__(cls, j: tuple[float, float, int], jp: tuple[float, float, int],
+                t: tuple[float, float, int]):
+        for name, (lo, hi, steps) in (("J", j), ("Jp", jp), ("T", t)):
             if steps < 1:
                 raise ValueError(f"{name}: steps must be >= 1")
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
@@ -73,6 +75,7 @@ class GridSpec:
                 raise ValueError(f"{name}: steps = 1 requires min = max")
             if not math.isfinite(hi - lo):
                 raise ValueError(f"{name}: max - min overflows")
+        return super().__new__(cls, j, jp, t)
 
     @staticmethod
     def _axis(rng: tuple[float, float, int]) -> np.ndarray:
@@ -101,8 +104,7 @@ class GridSpec:
         return self.j[2] == self.jp[2] == self.t[2] == 1
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(NamedTuple):
     """Classification of one grid cell; error is set when evaluation failed."""
 
     J: float
@@ -121,7 +123,6 @@ class PhasePoint:
     error: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
 class ScanTable(Sequence):
     """Classified cells as arrays; as a Sequence, one PhasePoint per cell.
 
@@ -134,24 +135,22 @@ class ScanTable(Sequence):
     check did not run, and NaN at every error cell when it did; the
     emitters write its column exactly when it is not None.  errors maps a
     cell to its error text.  scan_grid is the only maker of a table.
+    Tables compare by identity.
     """
 
-    j: np.ndarray
-    jp: np.ndarray
-    t: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    cell_j: np.ndarray
-    cell_jp: np.ndarray
-    cell_t: np.ndarray
-    cell_c: np.ndarray
-    cell_d: np.ndarray
-    found: np.ndarray
-    roots: np.ndarray
-    stability: np.ndarray
-    eta: np.ndarray
-    residual: np.ndarray | None
-    errors: dict[int, str]
+    __slots__ = ("j", "jp", "t", "c", "d", "cell_j", "cell_jp", "cell_t", "cell_c",
+                 "cell_d", "found", "roots", "stability", "eta", "residual", "errors")
+
+    def __init__(self, *, j: np.ndarray, jp: np.ndarray, t: np.ndarray, c: np.ndarray,
+                 d: np.ndarray, cell_j: np.ndarray, cell_jp: np.ndarray,
+                 cell_t: np.ndarray, cell_c: np.ndarray, cell_d: np.ndarray,
+                 found: np.ndarray, roots: np.ndarray, stability: np.ndarray,
+                 eta: np.ndarray, residual: np.ndarray | None, errors: dict[int, str]):
+        self.j, self.jp, self.t, self.c, self.d = j, jp, t, c, d
+        self.cell_j, self.cell_jp, self.cell_t = cell_j, cell_jp, cell_t
+        self.cell_c, self.cell_d = cell_c, cell_d
+        self.found, self.roots, self.stability, self.eta = found, roots, stability, eta
+        self.residual, self.errors = residual, errors
 
     def __len__(self) -> int:
         return self.cell_j.size
@@ -213,10 +212,12 @@ def evaluate_point(J: float, Jp: float, T: float,
     """Classify one cell: the only row of its one-cell scan_grid, or the
     error of couplings() for input that no grid holds (T = 0, non-finite)."""
     try:
-        couplings(J, Jp, T)
+        p = couplings(J, Jp, T)
     except ValueError as exc:
         return PhasePoint(J=float(J), Jp=float(Jp), T=float(T), error=str(exc))
-    spec = GridSpec(j=(J, J, 1), jp=(Jp, Jp, 1), t=(T, T, 1))
+    # couplings() has checked all that GridSpec checks of a one-cell grid:
+    # that the three values are finite
+    spec = tuple.__new__(GridSpec, ((p.J, p.J, 1), (p.Jp, p.Jp, 1), (p.T, p.T, 1)))
     return scan_grid(spec, check_consistency=check_consistency)[0]
 
 
@@ -267,17 +268,19 @@ def scan_grid(spec: GridSpec, workers: int = 1,
 
     residual = None
     if check_consistency:
+        from . import oracle
         # found roots in cell order, each with the coefficients of its field;
         # beta and beta * J are the products that couplings() forms
         cells = found.nonzero()[0]
         beta = 1.0 / t[cell_t[cells]]
         coef = np.empty((10, cells.size))
         coef[0], coef[1] = beta * j[cell_j[cells]], beta * jp[cell_jp[cells]]
-        coef[2:] = np.array([field_from_scalar(r).h for r in roots[found].tolist()]).T
+        # math.log, not np.log: the bits of field_from_scalar
+        coef[2:] = scalar_field_h(np.array([math.log(r) for r in roots[found].tolist()]))
         per_root = np.empty(cells.size)
         for s in range(0, cells.size, _CHECK_ROOTS):
             e = s + _CHECK_ROOTS
-            per_root[s:e] = consistency_residuals(coef[:, s:e])
+            per_root[s:e] = oracle.consistency_residuals(coef[:, s:e])
         per_slot = np.full(found.shape, -np.inf)
         per_slot[found] = per_root
         answered = found.any(axis=1)
@@ -386,6 +389,8 @@ def emit_jsonl(table: ScanTable) -> str:
     """One strict-JSON object per cell of a scan; carries the regime label,
     any cell error, and consistency_residual when the scan ran the check.
     An eta that saturated outside the double range is null."""
+    import json
+
     fields = _fields(table, _json_float, _json_eta, "null", ", ", json.dumps)
     error = np.full(len(table), "", dtype=object)
     error[list(table.errors)] = [f', "error": {json.dumps(e)}' for e in table.errors.values()]

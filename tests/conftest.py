@@ -7,7 +7,6 @@ than against itself.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,5 +141,6 @@ def classify_stability(report: FixedPointReport, w: TransferWeights) -> FixedPoi
     """Relabel each root of report by its closed-form |g'|: stable below 1,
     unstable above, marginal within STABILITY_TOL of 1."""
     derivs = tuple(scalar_map_dg(x, w) for x in report.roots)
-    return replace(report, derivative=derivs,
-                   stability=tuple(STABILITY_LABELS[k] for k in stability_codes(derivs).tolist()))
+    return report._replace(
+        derivative=derivs,
+        stability=tuple(STABILITY_LABELS[k] for k in stability_codes(derivs).tolist()))

@@ -153,6 +153,45 @@ def test_workers_start_no_process_pool():
     assert proc.stdout == "False\n"
 
 
+def test_the_cli_imports_only_what_a_run_uses():
+    """Neither the consistency oracle nor json nor dataclasses is loaded by
+    importing the command line; a run loads them only when it needs them."""
+    script = ("import sys\n"
+              "import ivtree.cli\n"
+              "print([m for m in ('ivtree.oracle', 'dataclasses', 'json') if m in sys.modules])\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_names_load_their_module_on_first_use():
+    """In a fresh process: dir() lists every public name before any module
+    is loaded, and each name resolves, through getattr and through
+    ``from ivtree import *``, to the object of the module that defines it."""
+    script = ("import sys\n"
+              "import ivtree\n"
+              "assert not [m for m in sys.modules if m.startswith('ivtree.')]\n"
+              "assert set(ivtree.__all__) <= set(dir(ivtree))\n"
+              "star = {}\n"
+              "exec('from ivtree import *', star)\n"
+              "assert set(star) - {'__builtins__'} == set(ivtree.__all__)\n"
+              "for name in ivtree.__all__:\n"
+              "    value = getattr(ivtree, name)\n"
+              "    assert value is star[name]\n"
+              "    assert getattr(sys.modules[value.__module__], name) is value\n"
+              "print('ok')\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ivtree.no_such_name
+    with pytest.raises(ImportError):
+        from ivtree import no_such_name  # noqa: F401
+
+
 def test_large_prolonged_coupling_scan_answers_every_cell(capsys):
     """beta*Jp up to 12 (d up to e^24): the lower tangency abscissa once
     cancelled to 0 and the scan died with ZeroDivisionError."""

@@ -9,8 +9,12 @@ from hypothesis import given, strategies as st
 
 from ivtree import (
     BoundaryFieldVector,
+    CouplingParameters,
+    GridSpec,
+    PhasePoint,
     SemiBallConfiguration,
     TransferWeights,
+    build_tree,
     classify_config,
     couplings,
     derive_weights,
@@ -36,6 +40,8 @@ def test_couplings_rejects_zero_temperature():
 def test_couplings_rejects_non_finite():
     with pytest.raises(ValueError):
         couplings(math.inf, 0.0, 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        CouplingParameters(J=0.0, Jp=math.nan, T=1.0, beta=1.0)
 
 
 def test_negative_temperature_is_accepted():
@@ -131,6 +137,8 @@ def test_configuration_validation():
         SemiBallConfiguration(0, (1, 1, 1))
     with pytest.raises(ValueError):
         SemiBallConfiguration(1, (1, 2, 1))
+    with pytest.raises(ValueError):
+        SemiBallConfiguration(center=1, successors=(1, 1))
 
 
 def test_pqrs_zero_gives_zero_field():
@@ -179,3 +187,17 @@ def test_boundary_field_u_round_trip():
         BoundaryFieldVector.from_u(np.zeros(8))
     with pytest.raises(ValueError):
         BoundaryFieldVector(h=(0.0,) * 7)
+    with pytest.raises(ValueError):
+        BoundaryFieldVector(h=(0.0,) * 7 + (math.inf,))
+
+
+@pytest.mark.parametrize("record, name", [
+    (couplings(1.0, 2.0, 3.0), "beta"),
+    (BoundaryFieldVector(h=(0.0,) * 8), "h"),
+    (GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(1, 1, 1)), "t"),
+    (PhasePoint(J=0.0, Jp=0.0, T=1.0), "error"),
+    (build_tree(2), "n_vertices"),
+])
+def test_records_are_read_only(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)

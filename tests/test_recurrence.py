@@ -97,6 +97,17 @@ def test_step_overflow_names_the_equation():
         full_step(UVector.from_array(np.ones(8)), w)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: UVector(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
+    lambda: UVector.from_array([1.0] * 7 + [math.inf]),
+    lambda: VVector(v1=1.0, v4=-1.0, v5=1.0, v8=1.0),
+    lambda: VVector(1.0, 1.0, math.nan, 1.0),
+])
+def test_field_vectors_reject_non_positive_or_non_finite_components(make):
+    with pytest.raises(ValueError, match="positive finite"):
+        make()
+
+
 def test_gauge_must_be_positive():
     w = TransferWeights.from_cd(1.0, 1.0)
     with pytest.raises(ValueError):

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import ivtree.oracle
 import ivtree.scanner
 from ivtree import (GridSpec, couplings, derive_weights, emit_csv, emit_curve, emit_jsonl,
-                    scan_grid)
+                    field_from_scalar, kolmogorov_consistency_check, scan_grid)
 from ivtree.recurrence import scalar_map_g
 from ivtree.scanner import CSV_HEADER, emit_curve_csv, evaluate_point
 
@@ -34,6 +35,21 @@ def test_grid_spec_validation():
         GridSpec(j=(0, math.inf, 2), jp=(0, 0, 1), t=(1, 1, 1))
     with pytest.raises(ValueError, match="max - min overflows"):
         GridSpec(j=(-1e308, 1e308, 3), jp=(0, 0, 1), t=(1, 1, 1))
+    with pytest.raises(ValueError):
+        GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(math.nan, math.nan, 1))
+
+
+def test_record_reprs_are_unchanged():
+    """The text of the reference cell and of a grid, as the records printed
+    when they were dataclasses."""
+    assert repr(evaluate_point(*THREE_ROOT_POINT)) == (
+        "PhasePoint(J=-1.7, Jp=6.5, T=13.0, c=0.7698662646139592, d=2.7182818284590455, "
+        "root_count=3, roots=(0.07109898438733472, 2.8530454262905898, 7.931073245016277), "
+        "stabilities=('stable', 'unstable', 'stable'), eta1=0.5570388069885117, "
+        "eta2=1.064008571673668, regime='multi-capable', phase_transition=True, "
+        "consistency_residual=None, error=None)")
+    assert repr(GridSpec(j=(-3.0, 3.0, 21), jp=(-3.0, 7.0, 21), t=(13.0, 13.0, 1))) == (
+        "GridSpec(j=(-3.0, 3.0, 21), jp=(-3.0, 7.0, 21), t=(13.0, 13.0, 1))")
 
 
 def test_axis_values_and_singleton_flag():
@@ -187,6 +203,17 @@ def test_jsonl_error_texts_are_pinned(spec, error_rows, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_scan_residuals_are_those_of_the_one_field_check():
+    """Each cell's residual is, bit for bit, the largest
+    kolmogorov_consistency_check over the fields field_from_scalar makes of
+    its roots: the scan forms the same field values as arrays."""
+    table = scan_grid(README_GRID, check_consistency=True)
+    for p in table:
+        params = couplings(p.J, p.Jp, p.T)
+        assert p.consistency_residual == max(
+            kolmogorov_consistency_check(params, field_from_scalar(x)) for x in p.roots)
+
+
 def test_consistency_jsonl_is_pinned_apart_from_residual_round_off():
     text = emit_jsonl(scan_grid(README_GRID, check_consistency=True))
     rows = [json.loads(line) for line in text.splitlines()]
@@ -314,8 +341,8 @@ def test_a_non_finite_residual_makes_an_error_cell(monkeypatch):
     message, null in JSONL and empty in CSV.  The other cells keep their
     answers."""
     plain = scan_grid(README_GRID, check_consistency=True)
-    original = ivtree.scanner.consistency_residuals
-    monkeypatch.setattr(ivtree.scanner, "consistency_residuals",
+    original = ivtree.oracle.consistency_residuals
+    monkeypatch.setattr(ivtree.oracle, "consistency_residuals",
                         lambda coef: np.where(coef[2] > 0.0, np.nan, original(coef)))
     table = scan_grid(README_GRID, check_consistency=True)
     hit = {i for i, p in enumerate(plain) if max(p.roots) > 1.0}
