@@ -10,8 +10,8 @@ classes under permutations of the successor triple; everything downstream
 works with the eight-component field vector.
 
 The records are named tuples.  A record with a check on its values runs it
-in the __new__ of a thin subclass of its field tuple, since a NamedTuple
-body cannot define __new__.
+in the __new__ of a thin subclass of its field tuple (a NamedTuple body
+cannot define __new__), with CheckedRecord first among its bases.
 """
 
 from __future__ import annotations
@@ -31,6 +31,17 @@ INVERTED_CLASSES = (2, 4, 5, 7)
 _MAX_LOG_WEIGHT = 354.0
 
 
+class CheckedRecord:
+    """Base of a record whose __new__ checks its values: _make, and with it
+    _replace, builds the record through __new__, so a copy is checked too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _CouplingParametersFields(NamedTuple):
     J: float
     Jp: float
@@ -38,7 +49,7 @@ class _CouplingParametersFields(NamedTuple):
     beta: float
 
 
-class CouplingParameters(_CouplingParametersFields):
+class CouplingParameters(CheckedRecord, _CouplingParametersFields):
     """Couplings (J, Jp), temperature T, and beta = 1/T.
 
     Negative temperatures are meaningful here (they just flip the sign of
@@ -119,7 +130,7 @@ class _SemiBallConfigurationFields(NamedTuple):
     successors: tuple[int, int, int]
 
 
-class SemiBallConfiguration(_SemiBallConfigurationFields):
+class SemiBallConfiguration(CheckedRecord, _SemiBallConfigurationFields):
     """Spins on a depth-1 semi-ball: center plus its ordered successor triple."""
 
     __slots__ = ()
@@ -163,7 +174,7 @@ class _BoundaryFieldVectorFields(NamedTuple):
     h: tuple[float, float, float, float, float, float, float, float]
 
 
-class BoundaryFieldVector(_BoundaryFieldVectorFields):
+class BoundaryFieldVector(CheckedRecord, _BoundaryFieldVectorFields):
     """Eight collapsed boundary-field values h_1..h_8 (class order)."""
 
     __slots__ = ()

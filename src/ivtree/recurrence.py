@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import TransferWeights
+from .model import CheckedRecord, TransferWeights
 
 LN3 = math.log(3.0)
 
@@ -45,7 +45,7 @@ class _UVectorFields(NamedTuple):
     u8: float
 
 
-class UVector(_UVectorFields):
+class UVector(CheckedRecord, _UVectorFields):
     """The eight exponentiated class fields u_i = e^{h_i}, all positive."""
 
     __slots__ = ()
@@ -73,7 +73,7 @@ class _VVectorFields(NamedTuple):
     v8: float
 
 
-class VVector(_VVectorFields):
+class VVector(CheckedRecord, _VVectorFields):
     """Corner variables v_1, v_4, v_5, v_8 of the reduced four-equation system."""
 
     __slots__ = ()

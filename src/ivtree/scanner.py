@@ -33,8 +33,8 @@ import numpy as np
 
 from .fixpoint import (STABILITY_LABELS, find_positive_fixed_points, root_error,
                        solve_fixed_points, stability_codes)
-from .model import (CouplingParameters, couplings, coupling_weight, derive_weights,
-                    scalar_field_h)
+from .model import (CheckedRecord, CouplingParameters, couplings, coupling_weight,
+                    derive_weights, scalar_field_h)
 from .recurrence import scalar_map_g
 
 # cells per solver call: keeps the solver's arrays (a few dozen doubles per
@@ -59,7 +59,7 @@ class _GridSpecFields(NamedTuple):
     t: tuple[float, float, int]
 
 
-class GridSpec(_GridSpecFields):
+class GridSpec(CheckedRecord, _GridSpecFields):
     """Inclusive (min, max, steps) ranges for J, Jp, T; steps = 1 pins a value."""
 
     __slots__ = ()

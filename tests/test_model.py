@@ -14,6 +14,8 @@ from ivtree import (
     PhasePoint,
     SemiBallConfiguration,
     TransferWeights,
+    UVector,
+    VVector,
     build_tree,
     classify_config,
     couplings,
@@ -189,6 +191,20 @@ def test_boundary_field_u_round_trip():
         BoundaryFieldVector(h=(0.0,) * 7)
     with pytest.raises(ValueError):
         BoundaryFieldVector(h=(0.0,) * 7 + (math.inf,))
+
+
+@pytest.mark.parametrize("record, change", [
+    (couplings(1.0, 2.0, 3.0), {"T": 0.0}),
+    (SemiBallConfiguration(1, (1, 1, 1)), {"center": 0}),
+    (BoundaryFieldVector(h=(0.0,) * 8), {"h": (0.0,) * 7}),
+    (UVector(*[1.0] * 8), {"u3": -1.0}),
+    (VVector(1.0, 1.0, 1.0, 1.0), {"v8": math.inf}),
+    (GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(1, 1, 1)), {"t": (math.nan, math.nan, 1)}),
+])
+def test_a_changed_copy_of_a_checked_record_is_checked(record, change):
+    """_replace runs the record's checks, as dataclasses.replace did."""
+    with pytest.raises(ValueError):
+        record._replace(**change)
 
 
 @pytest.mark.parametrize("record, name", [
