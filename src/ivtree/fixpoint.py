@@ -28,8 +28,14 @@ as independent checks.  solve_fixed_points solves a whole batch of cells as
 arrays; every root stops at its own convergence test, so its value does not
 depend on which other cells share the batch.  find_positive_fixed_points
 and critical_points are batches of one, so the code counts numpy calls,
-not elements: each costs a microsecond or so on a one-cell batch.  At a fixed point
-g'(x*) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)), which never overflows.
+not elements: each costs a microsecond or so on a one-cell batch.  A batch
+in which every cell has d >= 2 computes its tangency data on views, not
+gathered copies; a batch in which no cell has d > 2 solves every cell's one
+bracket directly, with no per-slot masks, brackets or gathers; and the
+Newton loop allocates its result only once a root outlives its first step.
+These shortcuts test the batch's data, not its size, and give the same
+arrays.  At a fixed point g'(x*) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)),
+which never overflows.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import TransferWeights
-from .recurrence import scalar_map_g
 
 STABILITY_TOL = 1e-9
 
@@ -116,7 +121,6 @@ def _model_root(lc, ld, lpd, lo, hi, sign):
     lpd is lc + ld; sign is +1 where G falls on the bracket and -1 where
     it rises.
     """
-    rows = np.arange(lo.size)
     # model values over the points lo, lo, the kinks clipped to the bracket,
     # hi; lo comes twice so that the point before row k + 1 is row k
     vp = np.empty((2, 5, lo.size))
@@ -130,9 +134,10 @@ def _model_root(lc, ld, lpd, lo, hi, sign):
     # first point past lo where sign * model <= 0; the zero is on the segment before it
     k = (v[1:] <= 0.0).argmax(axis=0)
     k[v[4] > 0.0] = 3
-    (va, pa), (vb, pb) = vp[:, k, rows], vp[:, 1:][:, k, rows]
+    # the zero of the line through each of the four segments, then segment k's
+    va, vb = v[:4], v[1:]
     frac = np.where(va > vb, va / (va - vb), 0.0)
-    return pa + frac * (pb - pa)
+    return k.choose(pts[:4] + frac * (pts[1:] - pts[:4]))
 
 
 def _newton(lcd, ld, lo, hi, sign, t):
@@ -149,9 +154,9 @@ def _newton(lcd, ld, lo, hi, sign, t):
     leave the active set at once.  Entries still open after _MAX_STEPS come
     back as NaN.
     """
-    out = np.empty(t.shape)
-    out.fill(np.nan)
-    todo = np.arange(t.size)
+    # out and todo (out's entry for each open entry) are made once an entry
+    # outlives its first step; until then the open entries are all of them
+    out = todo = None
     prev = hi - lo
     for _ in range(_MAX_STEPS):
         z = lcd + t
@@ -163,25 +168,37 @@ def _newton(lcd, ld, lo, hi, sign, t):
         done = (size <= tol) | flat
         newton_t = t - step
         if np.count_nonzero(done) == t.size:
+            if out is None:
+                return np.where(flat, t, newton_t)
             out[todo] = np.where(flat, t, newton_t)
             return out
         right = sign * f > 0.0          # the zero lies right of t
         lo = np.where(right, t, lo)
         hi = np.where(right, hi, t)
+        width = hi - lo
         newton = (newton_t >= lo - tol) & (newton_t <= hi + tol) & (size <= 0.5 * prev)
-        prev = np.where(newton, size, 0.5 * (hi - lo))
+        prev = np.where(newton, size, 0.5 * width)
         nxt = np.where(newton, np.minimum(np.maximum(newton_t, lo), hi), 0.5 * (lo + hi))
-        closed = hi - lo <= tol
+        closed = width <= tol
         stop = done | closed
-        if not np.count_nonzero(stop):
+        stopped = np.count_nonzero(stop)
+        if not stopped:
             t = nxt
             continue
+        if out is None:
+            out = np.empty(t.shape)
+            out.fill(np.nan)
+            todo = np.arange(t.size)
         out[todo[closed]] = nxt[closed]
         out[todo[done]] = np.where(flat, t, newton_t)[done]
+        if stopped == t.size:
+            return out
         keep = ~stop
         lcd = lcd[:, keep]
         todo, ld, lo, hi, sign, prev, t = (
             a[keep] for a in (todo, ld, lo, hi, sign, prev, nxt))
+    if out is None:
+        return np.full(t.shape, np.nan)
     return out
 
 
@@ -260,7 +277,11 @@ def _solve(c, d):
     """solve_fixed_points on 1-d arrays, inside its errstate.
 
     The tangency data (q, the square root, the log and G(t_i)) is computed
-    only for the cells with d >= 2, picked by a mask, and is NaN elsewhere.
+    only for the cells with d >= 2, and is NaN elsewhere.  Two tests on the
+    batch's data spare the work that would leave every array as it is: when
+    every cell has d >= 2 that data is computed on views rather than on
+    gathered copies, and when no cell has d > 2 every cell has one root, in
+    [-3|ld|, 3|ld|] where G falls, so no bracket is picked per slot.
     """
     n = c.size
     lc, ld = np.log(c), np.log(d)
@@ -271,41 +292,52 @@ def _solve(c, d):
     # 1/c^2 (the textbook difference cancels to 0 for d >~ e^18); tangency
     # holds their logs over log eta_1, log eta_2
     tangency = np.empty((2, 2, n))
-    tangency.fill(np.nan)
     real = (d >= 2.0).nonzero()[0]
+    if real.size < n:
+        tangency.fill(np.nan)
     if real.size:
-        lct, ldt, q = lc[real], ld[real], (1.0 / d[real]) ** 2
+        pick = slice(None) if real.size == n else real    # a view when every cell is real
+        lct, ldt, q = lc[pick], ld[pick], (1.0 / d[pick]) ** 2
         t2 = ldt - lct + np.log(1.0 - 2.0 * q + np.sqrt((1.0 - q) * (1.0 - 4.0 * q)))
         crit = np.array((-2.0 * lct - t2, t2))
-        tangency[:, :, real] = crit, _gap(lcd[:, None, real] + crit, crit, ldt)
+        tangency[:, :, pick] = crit, _gap(lcd[:, None, pick] + crit, crit, ldt)
     log_crit, log_eta = tangency
 
     multi = d > 2.0
-    left = multi & (log_eta[0] < -_TANGENCY_TOL)     # G(t_1) < 0: a zero left of t_1
-    right = multi & (log_eta[1] > _TANGENCY_TOL)     # G(t_2) > 0: a zero right of t_2
-    found = np.empty((n, 3), dtype=bool)
-    found[:, 0] = ~multi | left
-    found[:, 1] = left & right
-    found[:, 2] = right
-    # slot s brackets [edge[s], edge[s + 1]]; a unique root's is [-span, span]
-    span = 3.0 * np.abs(ld)
-    edge = np.empty((4, n))
-    edge[1:3] = np.where(multi, log_crit, span)
-    np.negative(span, out=edge[0])
-    np.minimum(edge[0], edge[1], out=edge[0], where=multi)
-    np.maximum(span, edge[2], out=edge[3])
-    cells, slot = found.nonzero()
-    lo, hi, sign = edge[slot, cells], edge[1:][slot, cells], _SLOT_SIGN[slot]
-    lcds, lds = lcd[:, cells], ld[cells]
     log_roots = np.empty((n, 3))
     log_roots.fill(np.nan)
-    log_roots[cells, slot] = _newton(
-        lcds, lds, lo, hi, sign, _model_root(lc[cells], lds, lcds[0], lo, hi, sign))
+    span = 3.0 * np.abs(ld)
+    if not np.count_nonzero(multi):
+        found = np.zeros((n, 3), dtype=bool)
+        found[:, 0] = True
+        sign = np.empty(n)
+        sign.fill(1.0)
+        lo = -span
+        log_roots[:, 0] = _newton(lcd, ld, lo, span, sign,
+                                  _model_root(lc, ld, lcd[0], lo, span, sign))
+    else:
+        left = multi & (log_eta[0] < -_TANGENCY_TOL)     # G(t_1) < 0: a zero left of t_1
+        right = multi & (log_eta[1] > _TANGENCY_TOL)     # G(t_2) > 0: a zero right of t_2
+        found = np.empty((n, 3), dtype=bool)
+        found[:, 0] = ~multi | left
+        found[:, 1] = left & right
+        found[:, 2] = right
+        # slot s brackets [edge[s], edge[s + 1]]; a unique root's is [-span, span]
+        edge = np.empty((4, n))
+        edge[1:3] = np.where(multi, log_crit, span)
+        np.negative(span, out=edge[0])
+        np.minimum(edge[0], edge[1], out=edge[0], where=multi)
+        np.maximum(span, edge[2], out=edge[3])
+        cells, slot = found.nonzero()
+        lo, hi, sign = edge[slot, cells], edge[1:][slot, cells], _SLOT_SIGN[slot]
+        lcds, lds = lcd[:, cells], ld[cells]
+        log_roots[cells, slot] = _newton(
+            lcds, lds, lo, hi, sign, _model_root(lc[cells], lds, lcds[0], lo, hi, sign))
 
-    # a tangency point within _TANGENCY_TOL of G = 0 is itself a double root
-    tangent = (multi & (np.abs(log_eta) <= _TANGENCY_TOL)).T
-    np.copyto(log_roots[:, 0::2], log_crit.T, where=tangent)
-    found[:, 0::2] |= tangent
+        # a tangency point within _TANGENCY_TOL of G = 0 is itself a double root
+        tangent = (multi & (np.abs(log_eta) <= _TANGENCY_TOL)).T
+        np.copyto(log_roots[:, 0::2], log_crit.T, where=tangent)
+        found[:, 0::2] |= tangent
     x_crit, eta = np.exp(tangency)
     return FixedPointBatch(d=d, found=found, log_roots=log_roots, roots=np.exp(log_roots),
                            slopes=_slope(lcd[:, :, None] + log_roots), x_crit=x_crit.T, eta=eta.T)
@@ -385,6 +417,7 @@ def iterate_map(x0: float, w: TransferWeights, max_iter: int = 200,
     """
     if not (x0 > 0 and math.isfinite(x0)):
         raise ValueError("x0 must be positive finite")
+    from .recurrence import scalar_map_g
     traj = [float(x0)]
     x = float(x0)
     converged = False

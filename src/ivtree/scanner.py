@@ -16,7 +16,8 @@ With the consistency check, every found root's field is checked by
 consistency_residuals in blocks of _CHECK_ROOTS roots, and a cell's residual
 is the largest over its roots.  A root's residual has the same bits in any
 block, so the check keeps the rule that output bytes never depend on how
-the work is cut.  The oracle module is imported only by a scan that checks.
+the work is cut.  The oracle module is imported only by a scan that checks,
+and the recurrence module (the scalar map g) only by emit_curve.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .fixpoint import (STABILITY_LABELS, find_positive_fixed_points, root_error,
                        solve_fixed_points, stability_codes)
 from .model import (CheckedRecord, CouplingParameters, couplings, coupling_weight,
                     derive_weights, scalar_field_h)
-from .recurrence import scalar_map_g
 
 # cells per solver call: keeps the solver's arrays (a few dozen doubles per
 # cell) in the low megabytes however large the grid
@@ -67,6 +67,10 @@ class GridSpec(CheckedRecord, _GridSpecFields):
     def __new__(cls, j: tuple[float, float, int], jp: tuple[float, float, int],
                 t: tuple[float, float, int]):
         for name, (lo, hi, steps) in (("J", j), ("Jp", jp), ("T", t)):
+            try:
+                operator.index(steps)
+            except TypeError:
+                raise ValueError(f"{name}: steps must be an integer") from None
             if steps < 1:
                 raise ValueError(f"{name}: steps must be >= 1")
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
@@ -93,7 +97,7 @@ class GridSpec(CheckedRecord, _GridSpecFields):
     def t_values(self) -> np.ndarray:
         """Temperature cells with any exact zero dropped (warned about)."""
         vals = self._axis(self.t)
-        if np.count_nonzero(vals == 0.0):
+        if np.count_nonzero(vals) < vals.size:
             warnings.warn("dropping grid cell(s) at T = 0", stacklevel=2)
             vals = vals[vals != 0.0]
         if vals.size == 0:
@@ -188,18 +192,19 @@ class ScanTable(Sequence):
         return map(self.__getitem__, range(len(self)))
 
 
-def _pair_weights(name: str, pairs):
-    """Weight of each (coupling, T) pair: c for name "J", d for "Jp".
+def _pair_weights(name: str, values: list[float], betas: list[float]):
+    """Weight of each (coupling, beta) pair, coupling-major: c for name "J",
+    d for "Jp".
 
-    Goes through couplings() and coupling_weight() as derive_weights does,
-    so the bits are the same.  A pair whose weight does not fit in a double
-    gets NaN; the second result maps its position to the error text.
+    Forms beta * coupling as couplings() does and goes through
+    coupling_weight() as derive_weights does, so the bits are the same.  A
+    pair whose weight does not fit in a double gets NaN; the second result
+    maps its position to the error text.
     """
     weights, rejected = [], {}
-    for k, (value, T) in enumerate(pairs):
-        params = couplings(value, 0.0, T)
+    for k, (value, beta) in enumerate(itertools.product(values, betas)):
         try:
-            a = coupling_weight(name, params.beta * params.J)
+            a = coupling_weight(name, beta * value)
         except OverflowError as exc:
             rejected[k] = str(exc)
             a = math.nan
@@ -230,13 +235,15 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     this process, because a process pool cost more than it saved.
     """
     j, jp, t = spec.j_values(), spec.jp_values(), spec.t_values()
-    temps = t.tolist()
-    c, c_rejected = _pair_weights("J", itertools.product(j.tolist(), temps))
-    d, d_rejected = _pair_weights("Jp", itertools.product(jp.tolist(), temps))
-    # cell_d = cell_jp * t.size + cell_t indexes the (Jp, T) pairs, cell_c the (J, T) pairs
-    cell_j, cell_d = np.divmod(np.arange(j.size * jp.size * t.size), jp.size * t.size)
-    cell_jp, cell_t = np.divmod(cell_d, t.size)
+    # beta = 1/T once per temperature, as couplings() forms it
+    betas = [1.0 / T for T in t.tolist()]
+    c, c_rejected = _pair_weights("J", j.tolist(), betas)
+    d, d_rejected = _pair_weights("Jp", jp.tolist(), betas)
+    cell_j, cell_jp, cell_t = np.unravel_index(np.arange(j.size * jp.size * t.size),
+                                               (j.size, jp.size, t.size))
+    # cell_c indexes the (J, T) pairs, cell_d the (Jp, T) pairs
     cell_c = cell_j * t.size + cell_t
+    cell_d = cell_jp * t.size + cell_t
     cc, dd = c[cell_c], d[cell_d]
     errors = {}
     # J's rejections are written last, so its message wins where both weights fail
@@ -412,8 +419,10 @@ def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4,
     if samples < 2:
         raise ValueError("samples must be >= 2")
     lo, hi = x_range
-    if not (0 < lo < hi):
-        raise ValueError("x_range must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("x_range must satisfy 0 < lo < hi < inf")
+    from .recurrence import scalar_map_g
+
     w = derive_weights(params)
     log_xs = np.linspace(math.log(lo), math.log(hi), samples)
     xs = np.exp(log_xs)

@@ -96,6 +96,23 @@ def test_cells_solved_alone_have_the_bits_of_the_batch():
         assert _batch_bytes(solve_fixed_points(c[k], d[k])) == _batch_bytes(batch, [k])
 
 
+@pytest.mark.parametrize("part", [
+    pytest.param(lambda d: d < 2.0, id="d<2"),
+    pytest.param(lambda d: d <= 2.0, id="d<=2"),
+    pytest.param(lambda d: d >= 2.0, id="d>=2"),
+    pytest.param(lambda d: d > 2.0, id="d>2"),
+])
+def test_batches_of_one_regime_have_the_bits_of_the_mixed_batch(part):
+    """A batch in which every cell has d >= 2, or no cell has d > 2, takes
+    the solver's shortcuts for such batches; its arrays are the rows of the
+    sample solved as one mixed batch."""
+    c, d = _pinned_sample()
+    cells = part(d).nonzero()[0]
+    assert 100 < cells.size < c.size
+    assert _batch_bytes(solve_fixed_points(c[cells], d[cells])) == _batch_bytes(
+        solve_fixed_points(c, d), cells)
+
+
 def test_unconverged_slots_come_back_nan(monkeypatch):
     """With the step budget cut to two, the reference cell (seven Newton
     iterations) leaves every slot open, while c = d = 1, whose Newton start

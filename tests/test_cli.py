@@ -155,13 +155,27 @@ def test_workers_start_no_process_pool():
 
 def test_the_cli_imports_only_what_a_run_uses():
     """Neither the consistency oracle nor json nor dataclasses is loaded by
-    importing the command line; a run loads them only when it needs them."""
+    importing the command line; a run loads them only when it needs them.
+    A grid run leaves the scalar map's module unloaded; a --curve run,
+    which evaluates g, loads it."""
     script = ("import sys\n"
               "import ivtree.cli\n"
               "print([m for m in ('ivtree.oracle', 'dataclasses', 'json') if m in sys.modules])\n")
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    script = ("import io, sys\n"
+              "from contextlib import redirect_stdout\n"
+              "from ivtree.cli import main\n"
+              "with redirect_stdout(io.StringIO()):\n"
+              "    main(sys.argv[1:])\n"
+              "print('ivtree.recurrence' in sys.modules, file=sys.stderr)\n")
+    proc = run_python("-c", script, "--J=-3:3:5", "--Jp=-3:7:5", "--T", "13")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+    proc = run_python("-c", script, "--J", "-1.7", "--Jp", "6.5", "--T", "13", "--curve")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "True\n"
 
 
 def test_package_names_load_their_module_on_first_use():

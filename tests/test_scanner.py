@@ -3,18 +3,22 @@
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 import ivtree.oracle
+import ivtree.recurrence
 import ivtree.scanner
-from ivtree import (GridSpec, couplings, derive_weights, emit_csv, emit_curve, emit_jsonl,
-                    field_from_scalar, kolmogorov_consistency_check, scan_grid)
+from ivtree import (GridSpec, TransferWeights, couplings, critical_points, derive_weights,
+                    emit_csv, emit_curve, emit_jsonl, field_from_scalar,
+                    find_positive_fixed_points, kolmogorov_consistency_check, scan_grid)
 from ivtree.recurrence import scalar_map_g
 from ivtree.scanner import CSV_HEADER, emit_curve_csv, evaluate_point
 
-from conftest import NEGATIVE_T_POINT, THREE_ROOT_EXPECTED, THREE_ROOT_POINT, assert_close
+from conftest import (NEGATIVE_T_POINT, TANGENT_CASE, THREE_ROOT_EXPECTED, THREE_ROOT_POINT,
+                      assert_close)
 
 
 def singleton(J, Jp, T) -> GridSpec:
@@ -37,6 +41,15 @@ def test_grid_spec_validation():
         GridSpec(j=(-1e308, 1e308, 3), jp=(0, 0, 1), t=(1, 1, 1))
     with pytest.raises(ValueError):
         GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(math.nan, math.nan, 1))
+    for steps in (2.5, 2.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="Jp: steps must be an integer"):
+            GridSpec(j=(0.0, 1.0, 3), jp=(0.0, 1.0, steps), t=(1.0, 1.0, 1))
+    with pytest.raises(ValueError, match="T: steps must be an integer"):
+        GridSpec(j=(0.0, 1.0, 2), jp=(0.0, 0.0, 1), t=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="J: steps must be >= 1"):
+        GridSpec(j=(0.0, 1.0, np.int64(0)), jp=(0.0, 0.0, 1), t=(1.0, 1.0, 1))
+    spec = GridSpec(j=(0.0, 1.0, np.int64(3)), jp=(0.0, 0.0, np.int32(1)), t=(1.0, 1.0, 1))
+    assert scan_grid(spec)[2].J == 1.0
 
 
 def test_record_reprs_are_unchanged():
@@ -50,6 +63,40 @@ def test_record_reprs_are_unchanged():
         "consistency_residual=None, error=None)")
     assert repr(GridSpec(j=(-3.0, 3.0, 21), jp=(-3.0, 7.0, 21), t=(13.0, 13.0, 1))) == (
         "GridSpec(j=(-3.0, 3.0, 21), jp=(-3.0, 7.0, 21), t=(13.0, 13.0, 1))")
+
+
+def _one_cell_sample():
+    """Seeded cells at T = 1 as the point-query client draws them (even
+    draws with |beta J|, |beta Jp| <= 12, odd ones over the accepted box
+    <= 354), then d = 1, both doubles next to d = 2 (no double b has
+    b * b == 2), the tangent cell of scripts/tangency_sweep.py at d = 2.5,
+    and both weight-bound errors."""
+    rng = random.Random(13)
+    cells = []
+    for i in range(500):
+        r = 12.0 if i % 2 == 0 else 354.0
+        cells.append((rng.uniform(-r, r), rng.uniform(-r, r), 1.0))
+    half_log2 = math.log(2.0) / 2.0
+    cells += [(J, 0.0, 1.0) for J in (-5.0, -0.3, 0.0, 0.3, 5.0)]
+    cells += [(J, Jp, 1.0) for J in (-1.0, 0.0, 1.0)
+              for Jp in (half_log2, math.nextafter(half_log2, 1.0))]
+    cells.append((math.log(TANGENT_CASE["c"]) / 2.0, math.log(TANGENT_CASE["d"]) / 2.0, 1.0))
+    cells += [(400.0, 0.0, 1.0), (0.0, -400.0, 1.0)]
+    return cells
+
+
+def test_one_cell_answers_are_pinned():
+    """sha256 over the repr of every one-cell answer of the sample, and of
+    the one-cell solver at d = 1 and d = 2 exactly, taken before the
+    one-cell path was cut down: a change of any bit of any reported value
+    or error text shows here."""
+    texts = [repr(evaluate_point(*cell)) for cell in _one_cell_sample()]
+    for c in (0.5, 1.0, TANGENT_CASE["c"], 3.0):
+        for d in (1.0, 2.0):
+            w = TransferWeights.from_cd(c, d)
+            texts += [repr(find_positive_fixed_points(w)), repr(critical_points(w))]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "5fec6454decd50df440ddd2278dfcd5809f164643a758806afca68c28f43a508")
 
 
 def test_axis_values_and_singleton_flag():
@@ -459,6 +506,8 @@ def test_curve_validation():
         emit_curve(params, samples=1)
     with pytest.raises(ValueError):
         emit_curve(params, x_range=(-1.0, 10.0))
+    with pytest.raises(ValueError, match="x_range"):
+        emit_curve(couplings(-1.7, 6.5, 13), x_range=(1e-4, math.inf), samples=5)
 
 
 def test_curve_evaluates_g_once_per_sample(monkeypatch):
@@ -471,7 +520,7 @@ def test_curve_evaluates_g_once_per_sample(monkeypatch):
         return scalar_map_g(x, w)
 
     params = couplings(*THREE_ROOT_POINT)
-    monkeypatch.setattr(ivtree.scanner, "scalar_map_g", counted)
+    monkeypatch.setattr(ivtree.recurrence, "scalar_map_g", counted)
     text = emit_curve_csv(params)
     assert len(calls) == 400
     assert hashlib.sha256(text.encode()).hexdigest() == (
