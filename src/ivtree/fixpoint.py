@@ -277,11 +277,10 @@ def _solve(c, d):
     """solve_fixed_points on 1-d arrays, inside its errstate.
 
     The tangency data (q, the square root, the log and G(t_i)) is computed
-    only for the cells with d >= 2, and is NaN elsewhere.  Two tests on the
-    batch's data spare the work that would leave every array as it is: when
-    every cell has d >= 2 that data is computed on views rather than on
-    gathered copies, and when no cell has d > 2 every cell has one root, in
-    [-3|ld|, 3|ld|] where G falls, so no bracket is picked per slot.
+    only for the cells with d >= 2, on views when that is every cell, and is
+    NaN elsewhere.  When no cell has d > 2, each cell's one bracket
+    [-3|ld|, 3|ld|], where G falls, is solved without per-slot masks or
+    gathers.
     """
     n = c.size
     lc, ld = np.log(c), np.log(d)
@@ -308,6 +307,7 @@ def _solve(c, d):
     log_roots.fill(np.nan)
     span = 3.0 * np.abs(ld)
     if not np.count_nonzero(multi):
+        # one root per cell, in the first slot's bracket [-span, span]
         found = np.zeros((n, 3), dtype=bool)
         found[:, 0] = True
         sign = np.empty(n)
