@@ -11,10 +11,11 @@ use the --J=-3:3:21 form so they are not mistaken for flags.  Exit code is 0
 on success and 2 for an invalid grid specification, a --curve cell whose
 curve cannot be tabulated in double precision, --curve together with
 --format jsonl or --check-consistency, or an --out path that cannot be
-opened or written.  --out is opened only once the input has passed every
-check (for --curve, once the curve is tabulated), so a run that exits 2
-creates or truncates no file, and a grid scan with an unwritable --out
-exits before it scans.
+opened or written.  Every check of the grid runs when its GridSpec is
+built, ahead of the option checks here.  --out is opened only once the
+input has passed every check (for --curve, once the curve is tabulated), so
+a run that exits 2 creates or truncates no file, and a grid scan with an
+unwritable --out exits before it scans.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-import warnings
 
 from .model import couplings
 from .scanner import GridSpec, emit_csv, emit_curve_csv, emit_jsonl, scan_grid
@@ -94,10 +94,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.format != "csv" or args.check_consistency:
             parser.error("--curve writes CSV only and takes neither "
                          "--format jsonl nor --check-consistency")
-        try:
-            spec.t_values()
-        except ValueError as exc:
-            parser.error(str(exc))
         params = couplings(spec.j[0], spec.jp[0], spec.t[0])
         try:
             text = emit_curve_csv(params, samples=args.samples)
@@ -107,14 +103,6 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text)
         return 0
 
-    # t_values is the one check scan_grid can fail, so it runs before --out
-    # is opened; scan_grid repeats it, and its T = 0 warning is shown there
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            spec.t_values()
-        except ValueError as exc:
-            parser.error(str(exc))
     with _output(parser, args.out) as fh:
         table = scan_grid(spec, workers=args.workers,
                           check_consistency=args.check_consistency)

@@ -36,6 +36,10 @@ Newton loop allocates its result only once a root outlives its first step.
 These shortcuts test the batch's data, not its size, and give the same
 arrays.  At a fixed point g'(x*) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)),
 which never overflows.
+
+root_errors, stability_codes and regime are the one home of three rules of
+a cell's classification: which found roots make it an error, the stability
+label of each slope, and its regime (three roots need d > 2).
 """
 
 from __future__ import annotations
@@ -202,21 +206,25 @@ def _newton(lcd, ld, lo, hi, sign, t):
     return out
 
 
-def root_error(found, log_roots, roots) -> ArithmeticError | None:
-    """Why the fixed points of a cell cannot be reported, or None.
+def root_errors(found, log_roots, roots) -> dict[int, ArithmeticError]:
+    """Why the fixed points of a cell cannot be reported, as {row: error}.
 
-    Takes the cell's three slots and names the first found slot that fails:
-    FloatingPointError when its iteration did not converge (t is NaN),
-    OverflowError when its root x = e^t is not a normal double.
+    Takes rows of three slots.  A row is listed when a found slot holds a
+    root that is not a normal double, and its error names the first such
+    slot: FloatingPointError when its iteration did not converge (t is NaN,
+    and so is x), OverflowError when x = e^t is outside the double range.
     """
-    for f, t, x in zip(found.tolist(), log_roots.tolist(), roots.tolist()):
-        if not f:
-            continue
+    bad = found & ~((roots >= sys.float_info.min) & (roots <= sys.float_info.max))
+    if not np.count_nonzero(bad):
+        return {}
+    rows = bad.any(axis=1).nonzero()[0]
+    errors = {}
+    for i, t in zip(rows.tolist(), log_roots[rows, bad[rows].argmax(axis=1)].tolist()):
         if math.isnan(t):
-            return FloatingPointError("Newton iteration for a fixed point did not converge")
-        if not sys.float_info.min <= x <= sys.float_info.max:
-            return OverflowError(f"fixed point exp({t:.6g}) is outside the double range")
-    return None
+            errors[i] = FloatingPointError("Newton iteration for a fixed point did not converge")
+        else:
+            errors[i] = OverflowError(f"fixed point exp({t:.6g}) is outside the double range")
+    return errors
 
 
 class FixedPointBatch(NamedTuple):
@@ -244,25 +252,26 @@ class FixedPointBatch(NamedTuple):
         Raises OverflowError when a root is not a normal double, and
         FloatingPointError when its iteration did not converge.
         """
-        found = self.found[k]
-        error = root_error(found, self.log_roots[k], self.roots[k])
+        row = np.s_[k, None]    # row k as a block of one row
+        error = root_errors(self.found[row], self.log_roots[row], self.roots[row]).get(0)
         if error is not None:
             raise error
-        derivs = self.slopes[k][found].tolist()
-        return FixedPointReport(roots=tuple(self.roots[k][found].tolist()),
-                                stability=tuple(_stability_label(dg) for dg in derivs),
-                                derivative=tuple(derivs), count=len(derivs))
+        found = self.found[k]
+        slopes = self.slopes[k][found]
+        labels = [STABILITY_LABELS[s] for s in stability_codes(slopes).tolist()]
+        return FixedPointReport(roots=tuple(self.roots[k][found].tolist()), stability=tuple(labels),
+                                derivative=tuple(slopes.tolist()), count=len(labels))
 
     def thresholds(self, k: int) -> ThresholdReport:
         """Tangency data of cell k."""
         d = float(self.d[k])
-        regime = "multi-capable" if d > 2.0 else "unique"
+        label = regime(d)
         if d < 2.0:
             return ThresholdReport(eta1=None, eta2=None, x_crit_1=None, x_crit_2=None,
-                                   regime=regime)
+                                   regime=label)
         eta1, eta2 = self.eta[k].tolist()
         x1, x2 = self.x_crit[k].tolist()
-        return ThresholdReport(eta1=eta1, eta2=eta2, x_crit_1=x1, x_crit_2=x2, regime=regime)
+        return ThresholdReport(eta1=eta1, eta2=eta2, x_crit_1=x1, x_crit_2=x2, regime=label)
 
 
 def solve_fixed_points(c, d) -> FixedPointBatch:
@@ -357,8 +366,10 @@ def stability_codes(dg) -> np.ndarray:
     return _STABILITY_EDGES.searchsorted(np.abs(dg), side="right")
 
 
-def _stability_label(dg: float) -> str:
-    return STABILITY_LABELS[int(stability_codes(dg))]
+def regime(d: float) -> str:
+    """The count rule's regime of a cell with weight d: three fixed points
+    are possible only for d > 2."""
+    return "multi-capable" if d > 2.0 else "unique"
 
 
 def find_positive_fixed_points(w: TransferWeights) -> FixedPointReport:

@@ -25,9 +25,6 @@ from .model import CheckedRecord, TransferWeights
 
 LN3 = math.log(3.0)
 
-# switch a bracket to log-space accumulation once any term passes 1e280
-_LOG_TERM_LIMIT = 280.0 * math.log(10.0)
-
 _EQUATION_NAMES = ("u1'", "u2'", "u3'", "u4'", "u5'", "u6'", "u7'", "u8'")
 
 # class signs in index order 1..8; inverted classes solve for the reciprocal
@@ -115,11 +112,9 @@ def _log_branch_terms(i: int, j: int, log_u: np.ndarray, w: TransferWeights) -> 
 
 
 def log_branch_bracket(i: int, j: int, log_u: np.ndarray, w: TransferWeights) -> float:
-    """log B(i, j) for the branch bracket of _log_branch_terms."""
+    """log B(i, j) for the branch bracket of _log_branch_terms, summed as
+    log-sum-exp so that extreme weights stay finite."""
     terms = _log_branch_terms(i, j, log_u, w)
-    if terms.max() < _LOG_TERM_LIMIT:
-        return math.log(np.exp(terms).sum())
-    # log-sum-exp keeps extreme weights finite
     m = terms.max()
     return m + math.log(np.exp(terms - m).sum())
 

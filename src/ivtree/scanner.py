@@ -2,15 +2,18 @@
 
 A cell is classified by its positive fixed points: more than one fixed point
 means more than one translation-invariant measure, i.e. a phase transition.
-scan_grid is the one route from couplings to a ScanTable, and it works on
-arrays from the axes to the output bytes.  The weight c depends only on
-(J, T) and d only on (Jp, T), so each is computed once per distinct pair.
-The cells are cut into chunks, each solved in this process by one call of
-the array solver, and the answers land in one ScanTable in deterministic
-J-major order.  Every cell's answer is independent of the chunk it lands
-in, so output bytes never depend on the chunk size.  evaluate_point is a
-one-cell scan.  The emitters build the output column by column and format
-each distinct axis value and weight once.
+The rules of that classification live in fixpoint (root_errors,
+stability_codes, regime).  GridSpec makes every check of a grid when it is
+built, so scan_grid has no input error to raise.  scan_grid is the one
+route from couplings to a ScanTable, and it works on arrays from the axes to
+the output bytes.  The weight c depends only on (J, T) and d only on
+(Jp, T), so each is computed once per distinct pair.  The cells are cut
+into chunks, each solved in this process by one call of the array solver,
+and the answers land in one ScanTable in deterministic J-major order.  Every
+cell's answer is independent of the chunk it lands in, so output bytes never
+depend on the chunk size.  evaluate_point is a one-cell scan.  The emitters
+build the output column by column and format each distinct axis value and
+weight once.
 
 With the consistency check, every found root's field is checked by
 consistency_residuals in blocks of _CHECK_ROOTS roots, and a cell's residual
@@ -25,14 +28,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 import warnings
 from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .fixpoint import (STABILITY_LABELS, find_positive_fixed_points, root_error,
+from .fixpoint import (STABILITY_LABELS, find_positive_fixed_points, regime, root_errors,
                        solve_fixed_points, stability_codes)
 from .model import (CheckedRecord, CouplingParameters, couplings, coupling_weight,
                     derive_weights, scalar_field_h)
@@ -79,6 +81,9 @@ class GridSpec(CheckedRecord, _GridSpecFields):
                 raise ValueError(f"{name}: steps = 1 requires min = max")
             if not math.isfinite(hi - lo):
                 raise ValueError(f"{name}: max - min overflows")
+        # linspace keeps both ends, so T has no nonzero cell exactly when both are 0
+        if t[0] == t[1] == 0:
+            raise ValueError("T: no nonzero temperature cells remain")
         return super().__new__(cls, j, jp, t)
 
     @staticmethod
@@ -95,13 +100,12 @@ class GridSpec(CheckedRecord, _GridSpecFields):
         return self._axis(self.jp)
 
     def t_values(self) -> np.ndarray:
-        """Temperature cells with any exact zero dropped (warned about)."""
+        """Temperature cells with any exact zero dropped (warned about); at
+        least one remains."""
         vals = self._axis(self.t)
         if np.count_nonzero(vals) < vals.size:
             warnings.warn("dropping grid cell(s) at T = 0", stacklevel=2)
             vals = vals[vals != 0.0]
-        if vals.size == 0:
-            raise ValueError("T: no nonzero temperature cells remain")
         return vals
 
     def is_singleton(self) -> bool:
@@ -183,7 +187,7 @@ class ScanTable(Sequence):
             root_count=len(roots), roots=roots,
             stabilities=tuple([STABILITY_LABELS[codes[k]] for k in slots]),
             eta1=eta1, eta2=eta2,
-            regime="multi-capable" if d > 2.0 else "unique",
+            regime=regime(d),
             phase_transition=len(roots) >= 2,
             consistency_residual=None if self.residual is None else self.residual.item(i),
         )
@@ -264,12 +268,7 @@ def scan_grid(spec: GridSpec, workers: int = 1,
         batch = solve_fixed_points(cc[s:e], dd[s:e])
         found[s:e], log_roots[s:e], roots[s:e] = batch.found, batch.log_roots, batch.roots
         stability[s:e], eta[s:e] = stability_codes(batch.slopes), batch.eta
-    # root_error names the error of every cell with a found root that is not
-    # a normal double (NaN included); the mask only spares the other cells
-    suspect = found & ~((roots >= sys.float_info.min) & (roots <= sys.float_info.max))
-    if np.count_nonzero(suspect):
-        for i in suspect.any(axis=1).nonzero()[0].tolist():
-            errors[i] = str(root_error(found[i], log_roots[i], roots[i]))
+    errors.update((i, str(e)) for i, e in root_errors(found, log_roots, roots).items())
     if errors:
         found[list(errors)] = False
 
@@ -358,7 +357,6 @@ def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str,
     has_eta = ~np.isnan(table.eta)
     eta[has_eta] = [eta_spell(x) for x in table.eta[has_eta].tolist()]
 
-    regime = np.where(table.d > 2.0, word("multi-capable"), word("unique")).astype(object)
     fields = {
         "J": _texts(table.j, spell)[table.cell_j],
         "Jp": _texts(table.jp, spell)[table.cell_jp],
@@ -370,7 +368,7 @@ def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str,
         "stabilities": np.array(lists, dtype=object)[keys],
         "eta1": eta[:, 0],
         "eta2": eta[:, 1],
-        "regime": regime[table.cell_d],
+        "regime": _texts(table.d, lambda d: word(regime(d)))[table.cell_d],
         "phase_transition": np.where(count >= 2, "true", "false").astype(object),
     }
     if table.residual is not None:

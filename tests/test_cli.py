@@ -116,6 +116,7 @@ def test_curve_mode(capsys):
     ["--J", "0", "--Jp", "0", "--T", "1", "--workers", "0"],
     ["--J=-1e308:1e308:3", "--Jp", "0", "--T", "1"],
     ["--J=-1e308:1e308:3", "--Jp", "0", "--T", "1", "--format", "jsonl"],
+    ["--J", "0", "--Jp", "0", "--T", "0", "--curve"],
 ])
 def test_invalid_invocations_exit_2(argv, recwarn):
     with pytest.raises(SystemExit) as excinfo:
@@ -260,6 +261,7 @@ def test_unwritable_out_exits_2_before_scanning(tmp_path, out, monkeypatch):
     ["--J=-3:3:3", "--Jp", "0", "--T", "0", "--check-consistency"],
     ["--J=-1e308:1e308:3", "--Jp", "0", "--T", "1"],
     ["--J=-200", "--Jp", "150", "--T", "1", "--curve"],
+    ["--J", "0", "--Jp", "0", "--T", "0", "--curve"],
 ])
 def test_runs_that_exit_2_leave_out_alone(tmp_path, argv, recwarn):
     """Grids with no temperature cell or an overflowing range, and a curve

@@ -222,6 +222,17 @@ def test_predicted_counts_at_reference_points(three_root_weights):
     assert n == 1
 
 
+@pytest.mark.parametrize("d", [1.0, 1.5, 2.0])
+def test_predicted_count_in_the_intermediate_band(d):
+    """1 <= d <= 2, both edges included: no closed-form rule applies, and
+    the root search finds the one fixed point."""
+    w = TransferWeights.from_cd(0.5, d)
+    count = find_positive_fixed_points(w).count
+    assert count == 1
+    assert predict_count(w) == (
+        count, "intermediate band 1 <= d <= 2: count from direct root search")
+
+
 def test_tangency_case_predicts_two_roots():
     w = TransferWeights.from_cd(TANGENT_CASE["c"], TANGENT_CASE["d"])
     n, reason = predict_count(w)

@@ -124,10 +124,11 @@ def test_temperature_zero_cells_are_dropped_with_warning():
 
 
 def test_all_zero_temperature_grid_is_an_error():
-    spec = singleton(1.0, 1.0, 0.0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError):
-            spec.t_values()
+    """Rejected when the spec is built, whether T = 0 is pinned or spans
+    several cells."""
+    for t in ((0.0, 0.0, 1), (0.0, 0.0, 3), (-0.0, 0.0, 2)):
+        with pytest.raises(ValueError, match="T: no nonzero temperature cells remain"):
+            GridSpec(j=(1.0, 1.0, 1), jp=(1.0, 1.0, 1), t=t)
 
 
 # ------------------------------------------------------------------- scans
@@ -459,6 +460,25 @@ def test_jsonl_carries_cell_errors():
     rec = json.loads(emit_jsonl(scan_grid(singleton(5000.0, 0.0, 0.001))))
     assert rec["root_count"] is None
     assert "exceeds" in rec["error"]
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("spec", [
+    WIDE_GRID, LOW_T_GRID,
+    GridSpec(j=(-800, 800, 33), jp=(-800, 800, 33), t=(0.5, 4, 5)),
+])
+def test_jsonl_is_strict_on_every_error_kind(spec, check):
+    """Every line is strict JSON (no NaN or Infinity token) on grids whose
+    error rows carry both weight-bound messages and roots outside the
+    double range, and whose other rows include saturated etas."""
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    table = scan_grid(spec, check_consistency=check)
+    lines = emit_jsonl(table).splitlines()
+    assert len(lines) == len(table)
+    for line in lines:
+        json.loads(line, parse_constant=reject)
 
 
 # -------------------------------------------------------------------- curve
