@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .model import couplings
@@ -112,15 +113,20 @@ def main(argv: list[str] | None = None) -> int:
 
 @contextlib.contextmanager
 def _output(parser: argparse.ArgumentParser, path: str):
-    """The --out stream (stdout for -); failing to open or write a file
-    exits 2 with one line."""
-    if path == "-":
-        yield sys.stdout
-        return
+    """The --out stream (stdout for -); failing to open or write it exits 2
+    with one line."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        if path == "-":
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
     except OSError as exc:
+        if path == "-":
+            # what is left in stdout's buffer would fail again, with a
+            # second message, when the interpreter flushes it at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         parser.error(f"--out {path}: {exc.strerror or exc}")
 
 

@@ -27,12 +27,13 @@ and the closed-form eta are not evaluated here; they live on the test side
 as independent checks.  solve_fixed_points solves a whole batch of cells as
 arrays; every root stops at its own convergence test, so its value does not
 depend on which other cells share the batch.  find_positive_fixed_points
-and critical_points are batches of one, so the code counts numpy calls,
-not elements: each costs a microsecond or so on a one-cell batch.  A batch
-in which every cell has d >= 2 computes its tangency data on views, not
-gathered copies; a batch in which no cell has d > 2 solves every cell's one
-bracket directly, with no per-slot masks, brackets or gathers; and the
-Newton loop allocates its result only once a root outlives its first step.
+and critical_points (which solves only at d >= 2) are batches of one, so
+the code counts numpy calls, not elements: each costs a microsecond or so
+on a one-cell batch.  A batch in which every cell has d >= 2 computes its
+tangency data on views, not gathered copies; a batch in which no cell has
+d > 2 solves every cell's one bracket directly, with no per-slot masks,
+brackets or gathers; and the Newton loop allocates its result only once a
+root outlives its first step.
 These shortcuts test the batch's data, not its size, and give the same
 arrays.  At a fixed point g'(x*) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)),
 which never overflows.
@@ -238,7 +239,6 @@ class FixedPointBatch(NamedTuple):
     d < 2; all exponentials saturate at 0 and inf.
     """
 
-    d: np.ndarray
     found: np.ndarray
     log_roots: np.ndarray
     roots: np.ndarray
@@ -261,17 +261,6 @@ class FixedPointBatch(NamedTuple):
         labels = [STABILITY_LABELS[s] for s in stability_codes(slopes).tolist()]
         return FixedPointReport(roots=tuple(self.roots[k][found].tolist()), stability=tuple(labels),
                                 derivative=tuple(slopes.tolist()), count=len(labels))
-
-    def thresholds(self, k: int) -> ThresholdReport:
-        """Tangency data of cell k."""
-        d = float(self.d[k])
-        label = regime(d)
-        if d < 2.0:
-            return ThresholdReport(eta1=None, eta2=None, x_crit_1=None, x_crit_2=None,
-                                   regime=label)
-        eta1, eta2 = self.eta[k].tolist()
-        x1, x2 = self.x_crit[k].tolist()
-        return ThresholdReport(eta1=eta1, eta2=eta2, x_crit_1=x1, x_crit_2=x2, regime=label)
 
 
 def solve_fixed_points(c, d) -> FixedPointBatch:
@@ -348,7 +337,7 @@ def _solve(c, d):
         np.copyto(log_roots[:, 0::2], log_crit.T, where=tangent)
         found[:, 0::2] |= tangent
     x_crit, eta = np.exp(tangency)
-    return FixedPointBatch(d=d, found=found, log_roots=log_roots, roots=np.exp(log_roots),
+    return FixedPointBatch(found=found, log_roots=log_roots, roots=np.exp(log_roots),
                            slopes=_slope(lcd[:, :, None] + log_roots), x_crit=x_crit.T, eta=eta.T)
 
 
@@ -382,9 +371,14 @@ def critical_points(w: TransferWeights) -> ThresholdReport:
 
     The tangency abscissas are real and positive only for d >= 2 (the
     discriminant (d^2-1)(d^2-4) is negative on 1 < d < 2, and for d < 1 both
-    quadratic roots are negative).
+    quadratic roots are negative), so below d = 2 nothing is solved.
     """
-    return solve_fixed_points(w.c, w.d).thresholds(0)
+    eta1 = eta2 = x1 = x2 = None
+    if not w.d < 2.0:   # a NaN d is solved too, and gives NaN thresholds
+        batch = solve_fixed_points(w.c, w.d)
+        eta1, eta2 = batch.eta[0].tolist()
+        x1, x2 = batch.x_crit[0].tolist()
+    return ThresholdReport(eta1=eta1, eta2=eta2, x_crit_1=x1, x_crit_2=x2, regime=regime(w.d))
 
 
 def predict_count(w: TransferWeights) -> tuple[int, str]:

@@ -46,31 +46,33 @@ class _CouplingParametersFields(NamedTuple):
     J: float
     Jp: float
     T: float
-    beta: float
 
 
 class CouplingParameters(CheckedRecord, _CouplingParametersFields):
-    """Couplings (J, Jp), temperature T, and beta = 1/T.
+    """Couplings (J, Jp), temperature T, and beta = 1/T (Boltzmann constant k = 1).
 
+    beta is derived from T, not stored, so a copy with a new T has its beta.
     Negative temperatures are meaningful here (they just flip the sign of
     beta); only T = 0 is rejected.
     """
 
     __slots__ = ()
 
-    def __new__(cls, J: float, Jp: float, T: float, beta: float):
+    def __new__(cls, J: float, Jp: float, T: float):
         if T == 0.0:
             raise ValueError("temperature must be nonzero")
         if not (math.isfinite(J) and math.isfinite(Jp) and math.isfinite(T)):
             raise ValueError("couplings and temperature must be finite")
-        return super().__new__(cls, J, Jp, T, beta)
+        return super().__new__(cls, J, Jp, T)
+
+    @property
+    def beta(self) -> float:
+        return 1.0 / self.T
 
 
 def couplings(J: float, Jp: float, T: float) -> CouplingParameters:
-    """Build CouplingParameters with beta = 1/T (Boltzmann constant k = 1)."""
-    if T == 0.0:
-        raise ValueError("temperature must be nonzero")
-    return CouplingParameters(J=float(J), Jp=float(Jp), T=float(T), beta=1.0 / float(T))
+    """CouplingParameters of the three values as floats."""
+    return CouplingParameters(float(J), float(Jp), float(T))
 
 
 class TransferWeights(NamedTuple):
@@ -148,6 +150,11 @@ class ConfigClass(NamedTuple):
     sign: int
 
 
+def class_index(center: int, minus_count: int) -> int:
+    """Class index from the center spin and the number of -1 successors."""
+    return (1 if center == 1 else 5) + minus_count
+
+
 def classify_config(cfg: SemiBallConfiguration) -> ConfigClass:
     """Class index in 1..8 and the spin product of the four spins.
 
@@ -156,14 +163,8 @@ def classify_config(cfg: SemiBallConfiguration) -> ConfigClass:
     multiset of successor spins.
     """
     minus = sum(1 for s in cfg.successors if s == -1)
-    index = (1 if cfg.center == 1 else 5) + minus
     sign = cfg.center * cfg.successors[0] * cfg.successors[1] * cfg.successors[2]
-    return ConfigClass(class_index=index, sign=sign)
-
-
-def class_index(center: int, minus_count: int) -> int:
-    """Class index from the center spin and the number of -1 successors."""
-    return (1 if center == 1 else 5) + minus_count
+    return ConfigClass(class_index=class_index(cfg.center, minus), sign=sign)
 
 
 def class_sign(index: int) -> int:

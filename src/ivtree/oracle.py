@@ -42,14 +42,10 @@ class CayleyTree(NamedTuple):
     """
 
     depth: int
-    k: int = 3
 
     @property
     def n_vertices(self) -> int:
         return (3 ** (self.depth + 1) - 1) // 2
-
-    def __repr__(self) -> str:
-        return f"CayleyTree(depth={self.depth!r}, k={self.k!r}, n_vertices={self.n_vertices!r})"
 
     def level(self, m: int) -> range:
         start = (3**m - 1) // 2
@@ -158,12 +154,6 @@ def _feature_table(depth: int) -> np.ndarray:
     return table
 
 
-def _log_weights_enumerated(tree: CayleyTree, params: CouplingParameters,
-                            h: BoundaryFieldVector) -> np.ndarray:
-    coef = np.array((params.beta * params.J, params.beta * params.Jp) + tuple(h.h))
-    return _feature_table(tree.depth) @ coef
-
-
 def branch_sum(i: int, j: int, params: CouplingParameters,
                h: BoundaryFieldVector) -> float:
     """Leaf sum over one outermost semi-ball: center spin j, grandparent spin i.
@@ -241,7 +231,8 @@ def finite_measure(tree: CayleyTree, params: CouplingParameters,
     if tree.depth > _MAX_DEPTH:
         raise ValueError(f"finite_measure supports depth <= {_MAX_DEPTH}")
     if tree.depth <= 2:
-        lw = _log_weights_enumerated(tree, params, h)
+        coef = np.array((params.beta * params.J, params.beta * params.Jp) + tuple(h.h))
+        lw = _feature_table(tree.depth) @ coef
         m = lw.max()
         # one exp serves both the normalizer and the probability table
         weights = np.exp(lw - m)

@@ -21,14 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CheckedRecord, TransferWeights
+from .model import CheckedRecord, TransferWeights, class_sign
 
 LN3 = math.log(3.0)
 
 _EQUATION_NAMES = ("u1'", "u2'", "u3'", "u4'", "u5'", "u6'", "u7'", "u8'")
-
-# class signs in index order 1..8; inverted classes solve for the reciprocal
-_SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
 
 
 class _UVectorFields(NamedTuple):
@@ -139,7 +136,7 @@ def full_step(u: UVector, w: TransferWeights, gauge: float = 1.0) -> tuple[UVect
         center = 1 if k < 4 else -1
         minus = k % 4
         log_rhs = log_gauge + (3 - minus) * lb[(center, 1)] + minus * lb[(center, -1)]
-        val = _SIGNS[k] * log_rhs
+        val = class_sign(k + 1) * log_rhs
         if abs(val) > 709.0:
             raise OverflowError(f"{_EQUATION_NAMES[k]} is out of range (log value {val:.4g})")
         out[k] = math.exp(val)

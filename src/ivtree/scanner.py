@@ -200,10 +200,10 @@ def _pair_weights(name: str, values: list[float], betas: list[float]):
     """Weight of each (coupling, beta) pair, coupling-major: c for name "J",
     d for "Jp".
 
-    Forms beta * coupling as couplings() does and goes through
-    coupling_weight() as derive_weights does, so the bits are the same.  A
-    pair whose weight does not fit in a double gets NaN; the second result
-    maps its position to the error text.
+    Forms beta * coupling and goes through coupling_weight() as
+    derive_weights does, so the bits are the same.  A pair whose weight does
+    not fit in a double gets NaN; the second result maps its position to the
+    error text.
     """
     weights, rejected = [], {}
     for k, (value, beta) in enumerate(itertools.product(values, betas)):
@@ -224,9 +224,7 @@ def evaluate_point(J: float, Jp: float, T: float,
         p = couplings(J, Jp, T)
     except ValueError as exc:
         return PhasePoint(J=float(J), Jp=float(Jp), T=float(T), error=str(exc))
-    # couplings() has checked all that GridSpec checks of a one-cell grid:
-    # that the three values are finite
-    spec = tuple.__new__(GridSpec, ((p.J, p.J, 1), (p.Jp, p.Jp, 1), (p.T, p.T, 1)))
+    spec = GridSpec((p.J, p.J, 1), (p.Jp, p.Jp, 1), (p.T, p.T, 1))
     return scan_grid(spec, check_consistency=check_consistency)[0]
 
 
@@ -239,7 +237,7 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     this process, because a process pool cost more than it saved.
     """
     j, jp, t = spec.j_values(), spec.jp_values(), spec.t_values()
-    # beta = 1/T once per temperature, as couplings() forms it
+    # beta = 1/T once per temperature, as CouplingParameters forms it
     betas = [1.0 / T for T in t.tolist()]
     c, c_rejected = _pair_weights("J", j.tolist(), betas)
     d, d_rejected = _pair_weights("Jp", jp.tolist(), betas)
@@ -250,14 +248,12 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     cell_d = cell_jp * t.size + cell_t
     cc, dd = c[cell_c], d[cell_d]
     errors = {}
-    # J's rejections are written last, so its message wins where both weights fail
-    for rejected, cell_pair in ((d_rejected, cell_d), (c_rejected, cell_c)):
-        if rejected:
-            cells = np.isin(cell_pair, list(rejected)).nonzero()[0]
-            errors.update(zip(cells.tolist(), map(rejected.get, cell_pair[cells].tolist())))
-    if errors:
-        # rejected cells solve the placeholder c = d = 1, which is never reported
-        bad = list(errors)
+    if c_rejected or d_rejected:
+        # a cell with a NaN weight carries J's message where both weights
+        # fail, and solves the placeholder c = d = 1, which is never reported
+        bad = (np.isnan(cc) | np.isnan(dd)).nonzero()[0]
+        errors = {i: c_rejected.get(a) or d_rejected[b] for i, a, b in
+                  zip(bad.tolist(), cell_c[bad].tolist(), cell_d[bad].tolist())}
         cc[bad] = dd[bad] = 1.0
 
     n = cell_c.size
@@ -276,7 +272,8 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     if check_consistency:
         from . import oracle
         # found roots in cell order, each with the coefficients of its field;
-        # beta and beta * J are the products that couplings() forms
+        # beta and beta * J as CouplingParameters and
+        # kolmogorov_consistency_check form them
         cells = found.nonzero()[0]
         beta = 1.0 / t[cell_t[cells]]
         coef = np.empty((10, cells.size))

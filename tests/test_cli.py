@@ -124,16 +124,17 @@ def test_invalid_invocations_exit_2(argv, recwarn):
     assert excinfo.value.code == 2
 
 
-def run_python(*argv):
+def run_python(*argv, stdout=subprocess.PIPE):
     # the child imports the package under test, installed or not
     src = os.path.dirname(os.path.dirname(ivtree.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env)
 
 
-def run_module(*argv):
-    return run_python("-m", "ivtree", *argv)
+def run_module(*argv, stdout=subprocess.PIPE):
+    return run_python("-m", "ivtree", *argv, stdout=stdout)
 
 
 def test_module_invocation():
@@ -241,6 +242,26 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, out):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("ivtree: error: --out ")
     assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [
+    ["--J", "1", "--Jp", "1", "--T", "1"],
+    ["--J=-3:3:21", "--Jp=-3:7:21", "--T", "13"],
+    ["--J", "1", "--Jp", "1", "--T", "1", "--curve"],
+])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_failed_write_to_stdout_exits_2_without_traceback(argv, unbuffered, monkeypatch):
+    """stdout on a full device: the final flush of a short text fails, and so
+    does the write of a text longer than the stream's buffer.  A buffered
+    stdout still holds the short text at exit, and must not fail again."""
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with open("/dev/full", "w") as full:
+        proc = run_module(*argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == "ivtree: error: --out -: No space left on device"
+    assert proc.stderr.startswith("usage: ivtree ")
+    assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
 
 
 @pytest.mark.parametrize("out", ["", "missing/x.csv"])

@@ -43,7 +43,14 @@ def test_couplings_rejects_non_finite():
     with pytest.raises(ValueError):
         couplings(math.inf, 0.0, 1.0)
     with pytest.raises(ValueError, match="must be finite"):
-        CouplingParameters(J=0.0, Jp=math.nan, T=1.0, beta=1.0)
+        CouplingParameters(J=0.0, Jp=math.nan, T=1.0)
+
+
+def test_beta_is_derived_from_t():
+    assert CouplingParameters(1.0, 2.0, 4.0).beta == 0.25
+    assert couplings(1.0, 2.0, 3.0)._replace(T=5.0).beta == 0.2
+    with pytest.raises(TypeError):
+        CouplingParameters(1.0, 2.0, 3.0, 99.0)
 
 
 def test_negative_temperature_is_accepted():
@@ -200,6 +207,7 @@ def test_boundary_field_u_round_trip():
     (UVector(*[1.0] * 8), {"u3": -1.0}),
     (VVector(1.0, 1.0, 1.0, 1.0), {"v8": math.inf}),
     (GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(1, 1, 1)), {"t": (math.nan, math.nan, 1)}),
+    (couplings(1.0, 2.0, 3.0), {"beta": 0.5}),
 ])
 def test_a_changed_copy_of_a_checked_record_is_checked(record, change):
     """_replace runs the record's checks, as dataclasses.replace did."""

@@ -58,3 +58,24 @@ def test_reference_values_prints_the_frozen_three_root_constants():
     lines = proc.stdout.splitlines()
     assert lines[0] == "--- three-root point: J=-1.7 Jp=6.5 T=13"
     assert lines[1:10] == expected
+
+    blocks = {}
+    for line in lines:
+        if line.startswith("--- "):
+            blocks[line] = body = []
+        else:
+            body.append(line)
+    # the lines after a and b
+    dec = frozen_literals("DECREASING_EXPECTED")
+    assert blocks["--- decreasing-map point: J=-1.045 Jp=-1.045 T=6.55"][2:] == [
+        f"  c = {dec['cd'][0]}", f"  d = {dec['cd'][0]}",
+        f"  root {dec['root'][0]}  g' = {dec['derivative'][0]}"]
+    neg = frozen_literals("NEGATIVE_T_EXPECTED")
+    assert blocks["--- negative-temperature point: J=6.75 Jp=1.95 T=-5.75"][2:] == [
+        f"  c = {neg['c'][0]}", f"  d = {neg['d'][0]}",
+        f"  root {neg['root'][0]}  g' = {neg['derivative'][0]}"]
+    tan = frozen_literals("TANGENT_CASE")
+    c_star, _, tangent, *roots = blocks[f"--- tangent case at d = {tan['d'][0]}"]
+    assert c_star == f"  c* = {tan['c'][0]}"
+    assert tangent.startswith(f"  x_tangent = {tan['x_tangent'][0]}  ")
+    assert roots == [f"  root {tan['x_tangent'][0]}"] * 2 + [f"  root {tan['x_transversal'][0]}"]
