@@ -374,7 +374,7 @@ def critical_points(w: TransferWeights) -> ThresholdReport:
     quadratic roots are negative), so below d = 2 nothing is solved.
     """
     eta1 = eta2 = x1 = x2 = None
-    if not w.d < 2.0:   # a NaN d is solved too, and gives NaN thresholds
+    if w.d >= 2.0:
         batch = solve_fixed_points(w.c, w.d)
         eta1, eta2 = batch.eta[0].tolist()
         x1, x2 = batch.x_crit[0].tolist()

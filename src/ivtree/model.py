@@ -7,7 +7,9 @@ vertex has three direct successors, and the prolonged pairs are
 carries one boundary field value per depth-1 semi-ball (a vertex plus its
 three successors).  The sixteen semi-ball spin patterns collapse to eight
 classes under permutations of the successor triple; everything downstream
-works with the eight-component field vector.
+works with the eight-component field vector.  The couplings enter only
+through the squared weights c = e^{2 beta J} and d = e^{2 beta Jp}, the two
+values a TransferWeights record holds.
 
 The records are named tuples.  A record with a check on its values runs it
 in the __new__ of a thin subclass of its field tuple (a NamedTuple body
@@ -75,42 +77,59 @@ def couplings(J: float, Jp: float, T: float) -> CouplingParameters:
     return CouplingParameters(float(J), float(Jp), float(T))
 
 
-class TransferWeights(NamedTuple):
-    """Exponentiated couplings a = e^{beta J}, b = e^{beta Jp}, c = a^2, d = b^2.
-
-    log_a and log_b are kept alongside so that enumeration code can stay in
-    log space for extreme couplings.
-    """
-
-    a: float
-    b: float
+class _TransferWeightsFields(NamedTuple):
     c: float
     d: float
-    log_a: float
-    log_b: float
 
-    @classmethod
-    def from_cd(cls, c: float, d: float) -> "TransferWeights":
-        """Weights from the squared pair (c, d) directly; c, d > 0."""
+
+class TransferWeights(CheckedRecord, _TransferWeightsFields):
+    """Squared weights c = a^2 = e^{2 beta J} and d = b^2 = e^{2 beta Jp}.
+
+    The map g and the count rule depend on the couplings only through c and
+    d, so the record holds those two, positive and finite.  a = sqrt(c),
+    b = sqrt(d) and their logs are derived, not stored, so a copy with a new
+    c or d has the a, b, log_a and log_b that belong to it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, c: float, d: float):
         if not (c > 0 and d > 0 and math.isfinite(c) and math.isfinite(d)):
             raise ValueError("c and d must be positive finite")
-        a, b = math.sqrt(c), math.sqrt(d)
-        return cls(a=a, b=b, c=c, d=d, log_a=math.log(a), log_b=math.log(b))
+        return super().__new__(cls, c, d)
+
+    @property
+    def a(self) -> float:
+        return math.sqrt(self.c)
+
+    @property
+    def b(self) -> float:
+        return math.sqrt(self.d)
+
+    @property
+    def log_a(self) -> float:
+        return math.log(self.a)
+
+    @property
+    def log_b(self) -> float:
+        return math.log(self.b)
 
 
 def coupling_weight(name: str, log_weight: float) -> float:
-    """e^log_weight for log_weight = beta * coupling (a for J, b for Jp).
+    """Squared weight (e^log_weight)^2 for log_weight = beta * coupling: c
+    for name "J", d for "Jp".
 
-    Raises OverflowError when its square (c or d) would not fit in a double,
-    or when log_weight is NaN (beta = inf at a subnormal T times a zero
-    coupling).  derive_weights and the grid scanner both go through here, so
-    a scan's weights are bit-for-bit those of derive_weights.
+    Raises OverflowError when the square would not fit in a double, or when
+    log_weight is NaN (beta = inf at a subnormal T times a zero coupling).
+    derive_weights and the grid scanner both go through here, so a scan's
+    weights are bit-for-bit those of derive_weights.
     """
     if not abs(log_weight) <= _MAX_LOG_WEIGHT:
         raise OverflowError(
             f"|beta*{name}| = {abs(log_weight):.6g} exceeds the representable range"
         )
-    return math.exp(log_weight)
+    a = math.exp(log_weight)
+    return a * a
 
 
 def derive_weights(params: CouplingParameters) -> TransferWeights:
@@ -118,13 +137,12 @@ def derive_weights(params: CouplingParameters) -> TransferWeights:
 
     Raises OverflowError when c = e^{2 beta J} or d = e^{2 beta Jp} would not
     fit in a double (J is checked first); scans over extreme beta must catch
-    this per grid cell.
+    this per grid cell.  The record's a is e^{beta J} to the bit, since the
+    square root of the rounded square of a double returns it; its log_a =
+    log(a) may differ from beta J by the rounding of a, at most 2^-53.
     """
-    log_a = params.beta * params.J
-    log_b = params.beta * params.Jp
-    a = coupling_weight("J", log_a)
-    b = coupling_weight("Jp", log_b)
-    return TransferWeights(a=a, b=b, c=a * a, d=b * b, log_a=log_a, log_b=log_b)
+    return TransferWeights(coupling_weight("J", params.beta * params.J),
+                           coupling_weight("Jp", params.beta * params.Jp))
 
 
 class _SemiBallConfigurationFields(NamedTuple):

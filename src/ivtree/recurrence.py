@@ -163,8 +163,8 @@ def reduced_step(v: VVector, w: TransferWeights, gauge: float = 1.0) -> tuple[VV
     """One application of the four-variable corner system.
 
     v1' = gauge * R1^3        with R1 = (1 + (ab)^2 v1 v4) / (a b v4)
-    1/v4' = gauge * R2^3      with R2 = (b^2 + a^2 v5 v8) / (a b v5)
-    1/v5' = gauge * R3^3      with R3 = (b^2 + a^2 v1 v4) / (a b v4)
+    1/v4' = gauge * R2^3      with R2 = (d + c v5 v8) / (a b v5)
+    1/v5' = gauge * R3^3      with R3 = (d + c v1 v4) / (a b v4)
     v8' = gauge * R4^3        with R4 = (1 + (ab)^2 v5 v8) / (a b v5)
 
     The gauge here is the cube root of the full-step gauge.  Note the cross
@@ -172,21 +172,25 @@ def reduced_step(v: VVector, w: TransferWeights, gauge: float = 1.0) -> tuple[VV
     """
     if not (gauge > 0 and math.isfinite(gauge)):
         raise ValueError("gauge must be positive finite")
-    a, b = w.a, w.b
-    ab = a * b
+    c, d = w.c, w.d
+    ab = w.a * w.b
     r1 = (1.0 + ab * ab * v.v1 * v.v4) / (ab * v.v4)
-    r2 = (b * b + a * a * v.v5 * v.v8) / (ab * v.v5)
-    r3 = (b * b + a * a * v.v1 * v.v4) / (ab * v.v4)
+    r2 = (d + c * v.v5 * v.v8) / (ab * v.v5)
+    r3 = (d + c * v.v1 * v.v4) / (ab * v.v4)
     r4 = (1.0 + ab * ab * v.v5 * v.v8) / (ab * v.v5)
-    out = (gauge * r1**3, 1.0 / (gauge * r2**3), 1.0 / (gauge * r3**3), gauge * r4**3)
-    if any(not (0 < x < math.inf) for x in out):
-        raise OverflowError("reduced step out of representable range")
+    try:
+        # a float ** that overflows raises; a product that does gives inf
+        out = (gauge * r1**3, 1.0 / (gauge * r2**3), 1.0 / (gauge * r3**3), gauge * r4**3)
+        if any(not (0 < x < math.inf) for x in out):
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError("reduced step out of representable range") from None
     return VVector(*out), gauge
 
 
 def scalar_map_g(x: float, w: TransferWeights) -> float:
     """The scalar map g(x) = ((1 + c d x) / (d + c x))^3 on x >= 0."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be nonnegative")
     c, d = w.c, w.d
     if x <= 1.0:

@@ -200,19 +200,18 @@ def _pair_weights(name: str, values: list[float], betas: list[float]):
     """Weight of each (coupling, beta) pair, coupling-major: c for name "J",
     d for "Jp".
 
-    Forms beta * coupling and goes through coupling_weight() as
-    derive_weights does, so the bits are the same.  A pair whose weight does
-    not fit in a double gets NaN; the second result maps its position to the
+    Forms beta * coupling and goes through the same coupling_weight() as
+    derive_weights, so the bits are the same.  A pair whose weight does not
+    fit in a double gets NaN; the second result maps its position to the
     error text.
     """
     weights, rejected = [], {}
     for k, (value, beta) in enumerate(itertools.product(values, betas)):
         try:
-            a = coupling_weight(name, beta * value)
+            weights.append(coupling_weight(name, beta * value))
         except OverflowError as exc:
             rejected[k] = str(exc)
-            a = math.nan
-        weights.append(a * a)
+            weights.append(math.nan)
     return np.array(weights), rejected
 
 

@@ -199,11 +199,11 @@ def test_acceptance_05_randomized_count_rule_sweep():
     t0 = time.perf_counter()
     mismatches = 0
     for _ in range(200):
-        w = TransferWeights.from_cd(10.0 * (1.0 - rng.random()), float(rng.uniform(0.01, 0.999)))
+        w = TransferWeights(10.0 * (1.0 - rng.random()), float(rng.uniform(0.01, 0.999)))
         if find_positive_fixed_points(w).count != 1:
             mismatches += 1
     for _ in range(200):
-        w = TransferWeights.from_cd(10.0 * (1.0 - rng.random()), float(rng.uniform(2.001, 10.0)))
+        w = TransferWeights(10.0 * (1.0 - rng.random()), float(rng.uniform(2.001, 10.0)))
         predicted, _ = predict_count(w)
         if predicted != find_positive_fixed_points(w).count:
             mismatches += 1
@@ -235,7 +235,7 @@ def test_acceptance_07_cube_identities_hold_after_every_step():
     rng = np.random.default_rng(4242)
     worst = 0.0
     for _ in range(100):
-        w = TransferWeights.from_cd(10.0 * (1.0 - rng.random()), 10.0 * (1.0 - rng.random()))
+        w = TransferWeights(10.0 * (1.0 - rng.random()), 10.0 * (1.0 - rng.random()))
         u = UVector(*np.exp(rng.uniform(-2, 2, 8)))
         u_next, _ = full_step(u, w)
         worst = max(worst, float(check_identities(u_next).max()))
@@ -286,7 +286,7 @@ def test_acceptance_09_derivatives_match_finite_differences():
         c = 10.0 * (1.0 - rng.random())
         d = 10.0 * (1.0 - rng.random())
         x = 100.0 * rng.random()
-        w = TransferWeights.from_cd(c, d)
+        w = TransferWeights(c, d)
         gap = x + d / c
         for h, exact_fn, order in (
             (EPS ** 0.2 * gap, scalar_map_dg, 1),

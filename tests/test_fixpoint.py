@@ -34,7 +34,7 @@ from conftest import (
 )
 
 weights_st = st.builds(
-    TransferWeights.from_cd,
+    TransferWeights,
     st.floats(0.05, 10.0),
     st.floats(0.05, 10.0),
 )
@@ -48,7 +48,7 @@ def decreasing_weights():
 
 
 def test_quartic_coefficients_at_unit_weights():
-    w = TransferWeights.from_cd(1.0, 1.0)
+    w = TransferWeights(1.0, 1.0)
     coeffs = quartic_coefficients(w)
     assert coeffs.tolist() == [1.0, 2.0, 0.0, -2.0, -1.0]
     # that polynomial factors as (x - 1)(x + 1)^3
@@ -105,7 +105,7 @@ def test_single_root_points():
 
 
 def test_unit_weights_root_is_one():
-    rep = find_positive_fixed_points(TransferWeights.from_cd(1.0, 1.0))
+    rep = find_positive_fixed_points(TransferWeights(1.0, 1.0))
     assert rep.count == 1
     assert abs(rep.roots[0] - 1.0) < 1e-12
     assert rep.stability == ("stable",)
@@ -125,7 +125,7 @@ def test_root_count_bound_and_residuals(w):
 @settings(max_examples=150)
 @given(c=st.floats(0.05, 10.0), d=st.floats(0.05, 0.999))
 def test_decreasing_regime_has_a_unique_root(c, d):
-    assert find_positive_fixed_points(TransferWeights.from_cd(c, d)).count == 1
+    assert find_positive_fixed_points(TransferWeights(c, d)).count == 1
 
 
 @settings(max_examples=100)
@@ -149,7 +149,7 @@ def test_stability_pattern_at_three_root_point(three_root_weights):
 def test_marginal_label_at_unit_derivative():
     from ivtree.fixpoint import FixedPointReport
 
-    w = TransferWeights.from_cd(TANGENT_CASE["c"], TANGENT_CASE["d"])
+    w = TransferWeights(TANGENT_CASE["c"], TANGENT_CASE["d"])
     rep = classify_stability(
         FixedPointReport(roots=(TANGENT_CASE["x_tangent"],), stability=("",),
                          derivative=(0.0,), count=1),
@@ -182,7 +182,7 @@ def test_threshold_quadratic_is_satisfied(three_root_weights):
 
 
 def test_discriminant_zero_collapses_the_critical_pair():
-    w = TransferWeights.from_cd(0.8, 2.0)
+    w = TransferWeights(0.8, 2.0)
     th = critical_points(w)
     # d = 2: both tangency abscissas coincide at (d^2-2)/(cd) = 1/c
     assert_close(th.x_crit_1, 1.0 / 0.8, 1e-9, "double point")
@@ -199,7 +199,7 @@ def test_no_thresholds_in_the_decreasing_regime():
 @settings(max_examples=100)
 @given(c=st.floats(0.05, 10.0), d=st.floats(2.001, 10.0))
 def test_multi_capable_thresholds_are_ordered(c, d):
-    th = critical_points(TransferWeights.from_cd(c, d))
+    th = critical_points(TransferWeights(c, d))
     assert th.regime == "multi-capable"
     assert 0.0 < th.eta1 < th.eta2
     assert 0.0 < th.x_crit_1 < th.x_crit_2
@@ -207,8 +207,8 @@ def test_multi_capable_thresholds_are_ordered(c, d):
 
 
 def test_eta_values_scale_linearly_with_c():
-    th1 = critical_points(TransferWeights.from_cd(0.9, 3.1))
-    th2 = critical_points(TransferWeights.from_cd(1.8, 3.1))
+    th1 = critical_points(TransferWeights(0.9, 3.1))
+    th2 = critical_points(TransferWeights(1.8, 3.1))
     assert_close(th2.eta1, 2.0 * th1.eta1, 1e-12, "eta1 homogeneity")
     assert_close(th2.eta2, 2.0 * th1.eta2, 1e-12, "eta2 homogeneity")
 
@@ -226,7 +226,7 @@ def test_predicted_counts_at_reference_points(three_root_weights):
 def test_predicted_count_in_the_intermediate_band(d):
     """1 <= d <= 2, both edges included: no closed-form rule applies, and
     the root search finds the one fixed point."""
-    w = TransferWeights.from_cd(0.5, d)
+    w = TransferWeights(0.5, d)
     count = find_positive_fixed_points(w).count
     assert count == 1
     assert predict_count(w) == (
@@ -234,7 +234,7 @@ def test_predicted_count_in_the_intermediate_band(d):
 
 
 def test_tangency_case_predicts_two_roots():
-    w = TransferWeights.from_cd(TANGENT_CASE["c"], TANGENT_CASE["d"])
+    w = TransferWeights(TANGENT_CASE["c"], TANGENT_CASE["d"])
     n, reason = predict_count(w)
     assert n == 2 and "tangency" in reason
     rep = find_positive_fixed_points(w)
@@ -249,8 +249,8 @@ def test_predicted_count_uses_the_solver_tangency_band(eta, nudge, count):
     """eta_i = 1 + nudge at d = 5 (eta is linear in c): outside the solver's
     band |log eta_i| <= 1e-10, so the rule and the root search both give one
     or three roots, not a tangency."""
-    at_unit_c = getattr(critical_points(TransferWeights.from_cd(1.0, 5.0)), eta)
-    w = TransferWeights.from_cd((1.0 + nudge) / at_unit_c, 5.0)
+    at_unit_c = getattr(critical_points(TransferWeights(1.0, 5.0)), eta)
+    w = TransferWeights((1.0 + nudge) / at_unit_c, 5.0)
     assert predict_count(w)[0] == find_positive_fixed_points(w).count == count
 
 
@@ -258,9 +258,9 @@ def test_predicted_count_uses_the_solver_tangency_band(eta, nudge, count):
 def test_predicted_count_with_a_saturated_eta(c, d):
     """eta_1 underflows to 0 or eta_2 overflows to inf; neither is a
     tangency, and neither makes the rule raise."""
-    th = critical_points(TransferWeights.from_cd(c, d))
+    th = critical_points(TransferWeights(c, d))
     assert th.eta1 == 0.0 or th.eta2 == math.inf
-    assert predict_count(TransferWeights.from_cd(c, d)) == (
+    assert predict_count(TransferWeights(c, d)) == (
         1, "multi-capable regime but 1 outside (eta1, eta2)")
 
 
@@ -268,10 +268,10 @@ def test_count_changes_only_through_a_tangency():
     """Nudging c across the tuned tangency flips the count 3 <-> 1, and at
     the change point one root has derivative 1."""
     c0, d = TANGENT_CASE["c"], TANGENT_CASE["d"]
-    below = find_positive_fixed_points(TransferWeights.from_cd(c0 * (1 - 1e-3), d))
-    above = find_positive_fixed_points(TransferWeights.from_cd(c0 * (1 + 1e-3), d))
+    below = find_positive_fixed_points(TransferWeights(c0 * (1 - 1e-3), d))
+    above = find_positive_fixed_points(TransferWeights(c0 * (1 + 1e-3), d))
     assert {below.count, above.count} == {1, 3}
-    at = find_positive_fixed_points(TransferWeights.from_cd(c0, d))
+    at = find_positive_fixed_points(TransferWeights(c0, d))
     assert any(abs(dg - 1.0) < 1e-6 for dg in at.derivative)
 
 
@@ -304,7 +304,7 @@ def test_iteration_near_stable_root_stays(three_root_weights):
 
 
 def test_constant_map_converges_in_one_step():
-    res = iterate_map(42.0, TransferWeights.from_cd(1.0, 1.0))
+    res = iterate_map(42.0, TransferWeights(1.0, 1.0))
     assert res.trajectory[1] == 1.0
     assert res.converged and res.limit == 1.0 and res.matched_root is not None
 
@@ -317,4 +317,4 @@ def test_iteration_reports_non_convergence():
 
 def test_iteration_rejects_bad_start():
     with pytest.raises(ValueError):
-        iterate_map(0.0, TransferWeights.from_cd(1.0, 1.0))
+        iterate_map(0.0, TransferWeights(1.0, 1.0))

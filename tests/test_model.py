@@ -1,7 +1,9 @@
 """Parameter handling, transfer weights, and the eight-class field vector."""
 
+import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from ivtree import (
     UVector,
     VVector,
     build_tree,
+    find_positive_fixed_points,
+    full_step,
     classify_config,
     couplings,
     derive_weights,
@@ -96,11 +100,69 @@ def test_weight_coherence(J, Jp, T):
     assert abs(w.log_a - math.log(w.a)) <= 1e-12 * max(1.0, abs(w.log_a))
 
 
-def test_from_cd_square_roots():
-    w = TransferWeights.from_cd(4.0, 9.0)
+def test_weights_built_from_c_and_d_square_roots():
+    w = TransferWeights(4.0, 9.0)
     assert (w.a, w.b) == (2.0, 3.0)
+    assert TransferWeights._fields == ("c", "d")
     with pytest.raises(ValueError):
-        TransferWeights.from_cd(-1.0, 2.0)
+        TransferWeights(-1.0, 2.0)
+    with pytest.raises(TypeError):
+        TransferWeights(1.0, 1.0, 5.0, 5.0, 0.0, 0.0)
+
+
+_CD_EDGES = (0.5, 1.0, 2.0, 2.5, 3.0, 1e280, math.exp(700.0), math.exp(-700.0))
+
+
+def _weight_bit_sample():
+    """Cells (J, Jp, T) with |beta J|, |beta Jp| <= 354 and both signs of T,
+    uniform or log-uniform in beta J and beta Jp; built by exact float
+    operations (ldexp, products) so the sample has the same bits anywhere."""
+    rng = random.Random(16)
+    bound = 354.0 * (1.0 - 2.0**-20)
+
+    def beta_coupling():
+        if rng.random() < 0.5:
+            return rng.uniform(-bound, bound)
+        return rng.choice((-1.0, 1.0)) * math.ldexp(bound * rng.random(), -rng.randrange(40))
+
+    cells = [(354.0, -354.0, 1.0), (-354.0, 354.0, -1.0), (0.0, 0.0, 1.0)]
+    for _ in range(4000):
+        T = rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.random(), rng.randrange(-12, 12))
+        bj = beta_coupling()
+        bjp = beta_coupling()
+        cells.append((bj * T, bjp * T, T))
+    return cells
+
+
+def test_weight_bits_are_pinned():
+    """sha256 over the repr of (a, b, c, d) of derive_weights on the sample,
+    and of (a, b, c, d, log_a, log_b) of the records built from each sampled
+    (c, d) and from every pair of _CD_EDGES.  Taken when the record still
+    stored all six values, so a derive_weights record keeps the a and b it
+    stored then (sqrt of the rounded square of a double returns it)."""
+    derived, built = [], []
+    for J, Jp, T in _weight_bit_sample():
+        w = derive_weights(couplings(J, Jp, T))
+        derived.append((w.a, w.b, w.c, w.d))
+        v = TransferWeights(w.c, w.d)
+        built.append((v.a, v.b, v.c, v.d, v.log_a, v.log_b))
+    for c, d in itertools.product(_CD_EDGES, repeat=2):
+        v = TransferWeights(c, d)
+        built.append((v.a, v.b, v.c, v.d, v.log_a, v.log_b))
+    assert hashlib.sha256(repr(derived).encode()).hexdigest() == (
+        "3c76bdca5947be640dc1e481a96e4069d40d05557291edc2f86a371af906073e")
+    assert hashlib.sha256(repr(built).encode()).hexdigest() == (
+        "5ae4d133bd8a191039a27c9b4865fa0fce8aa04bfb7e6337fea3ab48c7b8c5d5")
+
+
+def test_a_copy_with_a_new_c_is_the_record_built_from_it():
+    """Every reader of a changed copy sees the same weights: the roots (read
+    from c and d) and the eight-equation step (read from log_a and log_b)."""
+    w = derive_weights(couplings(1.0, 2.0, 3.0))
+    copy, fresh = w._replace(c=10.0), TransferWeights(10.0, w.d)
+    assert find_positive_fixed_points(copy) == find_positive_fixed_points(fresh)
+    u = UVector(*np.exp(np.linspace(-1.0, 1.0, 8)))
+    assert full_step(u, copy) == full_step(u, fresh)
 
 
 def test_sixteen_configurations_partition_into_eight_classes():
@@ -208,6 +270,9 @@ def test_boundary_field_u_round_trip():
     (VVector(1.0, 1.0, 1.0, 1.0), {"v8": math.inf}),
     (GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(1, 1, 1)), {"t": (math.nan, math.nan, 1)}),
     (couplings(1.0, 2.0, 3.0), {"beta": 0.5}),
+    (TransferWeights(1.0, 3.0), {"c": -1.0}),
+    (TransferWeights(1.0, 3.0), {"d": math.nan}),
+    (TransferWeights(1.0, 3.0), {"a": 2.0}),
 ])
 def test_a_changed_copy_of_a_checked_record_is_checked(record, change):
     """_replace runs the record's checks, as dataclasses.replace did."""
@@ -221,6 +286,7 @@ def test_a_changed_copy_of_a_checked_record_is_checked(record, change):
     (GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(1, 1, 1)), "t"),
     (PhasePoint(J=0.0, Jp=0.0, T=1.0), "error"),
     (build_tree(2), "n_vertices"),
+    (TransferWeights(1.0, 3.0), "a"),
 ])
 def test_records_are_read_only(record, name):
     with pytest.raises(AttributeError):

@@ -353,14 +353,14 @@ def test_a_residual_does_not_depend_on_its_block():
 
 
 def test_enumerated_sum_trivial_weights():
-    w = TransferWeights.from_cd(1.0, 1.0)
+    w = TransferWeights(1.0, 1.0)
     u = UVector.from_array(np.ones(8))
     assert enumerated_semi_ball_sum(1, (1, 1, 1), u, w) == 512.0
 
 
 def test_enumerated_sum_is_permutation_invariant():
     rng = np.random.default_rng(23)
-    w = TransferWeights.from_cd(0.7, 2.3)
+    w = TransferWeights(0.7, 2.3)
     u = UVector.from_array(np.exp(rng.uniform(-1, 1, 8)))
     for jvec in itertools.permutations((1, 1, -1)):
         assert_close(
@@ -373,7 +373,7 @@ def test_enumerated_sum_is_permutation_invariant():
 def test_recurrence_matches_enumeration_for_random_draws():
     rng = np.random.default_rng(29)
     for _ in range(25):
-        w = TransferWeights.from_cd(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0))
+        w = TransferWeights(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0))
         u = UVector.from_array(np.exp(rng.uniform(-2, 2, 8)))
         assert np.all(verify_recurrence_by_enumeration(u, w) < 1e-12)
 

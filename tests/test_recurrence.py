@@ -24,7 +24,7 @@ from conftest import THREE_ROOT_POINT, assert_close, scalar_map_d2g
 EPS = np.finfo(float).eps
 
 weights_st = st.builds(
-    TransferWeights.from_cd,
+    TransferWeights,
     st.floats(0.05, 10.0),
     st.floats(0.05, 10.0),
 )
@@ -51,7 +51,7 @@ def fd_second(f, x, h):
 
 
 def test_trivial_weights_collapse_every_bracket_to_eight():
-    w = TransferWeights.from_cd(1.0, 1.0)
+    w = TransferWeights(1.0, 1.0)
     out, gauge = full_step(UVector.from_array(np.ones(8)), w)
     assert gauge == 1.0
     expected = np.where(np.array([1, -1, 1, -1, -1, 1, -1, 1]) == 1, 512.0, 1.0 / 512.0)
@@ -92,7 +92,7 @@ def test_fixed_point_makes_step_output_proportional(three_root_weights):
 
 
 def test_step_overflow_names_the_equation():
-    w = TransferWeights.from_cd(1e280, 1.0)
+    w = TransferWeights(1e280, 1.0)
     with pytest.raises(OverflowError, match="u1'"):
         full_step(UVector.from_array(np.ones(8)), w)
 
@@ -109,7 +109,7 @@ def test_field_vectors_reject_non_positive_or_non_finite_components(make):
 
 
 def test_gauge_must_be_positive():
-    w = TransferWeights.from_cd(1.0, 1.0)
+    w = TransferWeights(1.0, 1.0)
     with pytest.raises(ValueError):
         full_step(UVector.from_array(np.ones(8)), w, gauge=0.0)
 
@@ -119,7 +119,7 @@ def test_extreme_weights_fall_back_to_log_sum():
     # the dominant term a^3 b^3 u_1 then pins the bracket's log
     from ivtree.recurrence import log_branch_bracket
 
-    w = TransferWeights.from_cd(1e260, 1.0)
+    w = TransferWeights(1e260, 1.0)
     log_b = log_branch_bracket(1, 1, np.zeros(8), w)
     assert math.isfinite(log_b)
     assert_close(log_b, 3.0 * w.log_a, 1e-12, "saturated bracket")
@@ -144,9 +144,16 @@ def test_all_ones_passes_identities_exactly():
 
 
 def test_reduced_trivial_weights():
-    w = TransferWeights.from_cd(1.0, 1.0)
+    w = TransferWeights(1.0, 1.0)
     out, _ = reduced_step(VVector(1, 1, 1, 1), w)
     assert_close(out.as_array(), [8.0, 0.125, 0.125, 8.0], 1e-14, "reduced trivial")
+
+
+@pytest.mark.parametrize("c", [1e280, 1e-300])
+def test_reduced_step_out_of_range_names_the_step(c):
+    """A cube that overflows inside the step raises the step's own error."""
+    with pytest.raises(OverflowError, match="^reduced step out of representable range$"):
+        reduced_step(VVector(1.0, 1.0, 1.0, 1.0), TransferWeights(c, 1.0))
 
 
 @given(v=v_st, w=weights_st)
@@ -190,22 +197,23 @@ def test_reduction_commutes_with_the_scalar_map(log_x, w):
 
 
 def test_scalar_map_trivial_cases():
-    w = TransferWeights.from_cd(1.0, 1.0)
+    w = TransferWeights(1.0, 1.0)
     for x in (0.0, 0.3, 1.0, 7.0, 1e6):
         assert scalar_map_g(x, w) == 1.0
-    w2 = TransferWeights.from_cd(2.0, 5.0)
+    w2 = TransferWeights(2.0, 5.0)
     assert_close(scalar_map_g(0.0, w2), (1.0 / 5.0) ** 3, 1e-15, "g(0)")
-    with pytest.raises(ValueError):
-        scalar_map_g(-1.0, w2)
+    for x in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            scalar_map_g(x, w2)
 
 
 def test_scalar_map_saturates_at_d_cubed():
-    w = TransferWeights.from_cd(0.5, 3.0)
+    w = TransferWeights(0.5, 3.0)
     assert_close(scalar_map_g(1e300, w), 27.0, 1e-10, "g at huge x")
 
 
 def test_first_derivative_vanishes_at_d_equal_one():
-    w = TransferWeights.from_cd(4.2, 1.0)
+    w = TransferWeights(4.2, 1.0)
     assert scalar_map_dg(17.0, w) == 0.0
 
 
@@ -231,7 +239,7 @@ def test_derivatives_match_finite_differences(c, d, x):
     zero of g' or g'' a bare relative comparison would only measure stencil
     rounding noise.
     """
-    w = TransferWeights.from_cd(c, d)
+    w = TransferWeights(c, d)
     g = lambda z: scalar_map_g(z, w)
     # distance to the pole at -d/c sets the local feature size of g
     pole_gap = x + d / c

@@ -93,7 +93,7 @@ def test_one_cell_answers_are_pinned():
     texts = [repr(evaluate_point(*cell)) for cell in _one_cell_sample()]
     for c in (0.5, 1.0, TANGENT_CASE["c"], 3.0):
         for d in (1.0, 2.0):
-            w = TransferWeights.from_cd(c, d)
+            w = TransferWeights(c, d)
             texts += [repr(find_positive_fixed_points(w)), repr(critical_points(w))]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
         "5fec6454decd50df440ddd2278dfcd5809f164643a758806afca68c28f43a508")

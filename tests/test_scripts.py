@@ -33,6 +33,22 @@ def test_tangency_sweep_prints_the_collision_root():
     assert "at c*: collision root x = " in proc.stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "nan"], "--d must be finite and exceed 2"),
+    (["--d", "inf"], "--d must be finite and exceed 2"),
+    (["--points", "-1"], "--points must be nonnegative"),
+    (["--span", "1.5"], "--span must be in [0, 1)"),
+    (["--d", "1e300"], "c* at d = 1e+300 lies outside the double range"),
+    (["--d", "1e150"], "fixed point exp(-1035.18) is outside the double range"),
+])
+def test_tangency_sweep_rejects_what_it_cannot_sweep(argv, message):
+    """Exit 2 with one usage error line, not a traceback."""
+    proc = run_script("tangency_sweep.py", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"tangency_sweep.py: error: {message}")
+
+
 def frozen_literals(name):
     """The source text of each value in the conftest dict `name`, by key;
     a tuple gives a list of texts."""
