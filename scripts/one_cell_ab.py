@@ -1,0 +1,117 @@
+"""Compare the one-cell query time of two source trees of ivtree in one process.
+
+Loads the ivtree package of each tree under its own name, checks that both
+give the same PhasePoint (compared by repr, so every bit) on seeded draws,
+then times one-cell scans of the draws that both answer, the trees taking
+turns: each round queries every draw on one tree and at once on the other,
+and the next round starts with the other tree.  Separate processes of the
+same code can differ by more than a 5-10 % change, so only the interleaved
+figures of one process are compared.
+
+    python3 scripts/one_cell_ab.py OLD_SRC NEW_SRC
+    python3 scripts/one_cell_ab.py ../parent/src src --draws 4000 --rounds 6
+
+OLD_SRC and NEW_SRC are directories that hold an ivtree package.  The draws
+are (J, Jp) at T = 1: even draws uniform on |.| <= 12, odd draws uniform
+on |.| <= 354, the accepted box.
+"""
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import random
+import statistics
+import sys
+import time
+import warnings
+from pathlib import Path
+
+
+def load_scanner(src: str, name: str):
+    """The scanner module of the ivtree package in src, loaded as package name."""
+    home = Path(src) / "ivtree"
+    spec = importlib.util.spec_from_file_location(
+        name, home / "__init__.py", submodule_search_locations=[str(home)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.scanner")
+
+
+def draws(seed: int, n: int) -> list[tuple[float, float]]:
+    rng = random.Random(seed)
+    return [(rng.uniform(-r, r), rng.uniform(-r, r))
+            for r in (12.0 if i % 2 == 0 else 354.0 for i in range(n))]
+
+
+def one_cell(scanner, J: float, Jp: float):
+    return scanner.scan_grid(scanner.GridSpec((J, J, 1), (Jp, Jp, 1), (1.0, 1.0, 1)))[0]
+
+
+def sweep(scanners, cells) -> list[list[float]]:
+    """Seconds of each one-cell query over cells, one list per scanner; the
+    scanners take turns on each cell, so a drift of the host's speed hits
+    them alike."""
+    clock = time.perf_counter
+    times = [[] for _ in scanners]
+    for J, Jp in cells:
+        for scanner, out in zip(scanners, times):
+            t0 = clock()
+            one_cell(scanner, J, Jp)
+            out.append(clock() - t0)
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", metavar="OLD_SRC")
+    parser.add_argument("new_src", metavar="NEW_SRC")
+    parser.add_argument("--draws", type=int, default=2000, metavar="N")
+    parser.add_argument("--rounds", type=int, default=6, metavar="R")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.draws < 1 or args.rounds < 1:
+        parser.error("--draws and --rounds must be >= 1")
+    for src in (args.old_src, args.new_src):
+        if not (Path(src) / "ivtree" / "__init__.py").is_file():
+            parser.error(f"no ivtree package in {src}")
+
+    trees = {"old": load_scanner(args.old_src, "ivtree_ab_old"),
+             "new": load_scanner(args.new_src, "ivtree_ab_new")}
+    # numpy warns of overflow inside failing cells; those cells carry their error
+    warnings.simplefilter("ignore", RuntimeWarning)
+    answered = []
+    for J, Jp in draws(args.seed, args.draws):
+        old, new = (repr(one_cell(scanner, J, Jp)) for scanner in trees.values())
+        if old != new:
+            print(f"different answers at J={J!r}, Jp={Jp!r}:\n  old {old}\n  new {new}",
+                  file=sys.stderr)
+            return 1
+        if "error=None" in old:
+            answered.append((J, Jp))
+    print(f"{args.draws} draws, equal PhasePoints; {len(answered)} answered, timed")
+    if not answered:
+        return 0
+
+    p50s = {name: [] for name in trees}
+    means = {name: [] for name in trees}
+    for r in range(args.rounds):
+        order = list(trees) if r % 2 == 0 else list(reversed(trees))
+        gc.collect()
+        for name, times in zip(order, sweep([trees[name] for name in order], answered)):
+            p50s[name].append(statistics.median(times) * 1e6)
+            means[name].append(statistics.fmean(times) * 1e6)
+        print(f"round {r + 1}: " + "   ".join(
+            f"{name} p50 {p50s[name][-1]:7.1f} us mean {means[name][-1]:7.1f} us"
+            for name in trees))
+    old_p50, new_p50 = (statistics.median(p50s[name]) for name in trees)
+    old_mean, new_mean = (statistics.median(means[name]) for name in trees)
+    print(f"median of rounds: old p50 {old_p50:.1f} us, new p50 {new_p50:.1f} us "
+          f"({new_p50 / old_p50 - 1:+.1%}); old mean {old_mean:.1f} us, "
+          f"new mean {new_mean:.1f} us ({new_mean / old_mean - 1:+.1%})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

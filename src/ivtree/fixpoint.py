@@ -29,11 +29,15 @@ arrays; every root stops at its own convergence test, so its value does not
 depend on which other cells share the batch.  find_positive_fixed_points
 and critical_points (which solves only at d >= 2) are batches of one, so
 the code counts numpy calls, not elements: each costs a microsecond or so
-on a one-cell batch.  A batch in which every cell has d >= 2 computes its
-tangency data on views, not gathered copies; a batch in which no cell has
-d > 2 solves every cell's one bracket directly, with no per-slot masks,
-brackets or gathers; and the Newton loop allocates its result only once a
-root outlives its first step.
+on a one-cell batch.  Scalar operands are module-level 0-d float64 arrays,
+because numpy converts a Python float operand on every call to the same
+double, and errstate wraps _solve as a decorator.  A batch in which every
+cell has d >= 2 computes its tangency data on views, not gathered copies;
+a batch in which no cell has d > 2 solves every cell's one bracket
+directly, with no per-slot masks, brackets or gathers, and takes its
+tangency data as the NaN fill itself; the Newton loop narrows its own
+copies of the brackets in place and allocates its result only once a root
+outlives its first step.
 These shortcuts test the batch's data, not its size, and give the same
 arrays.  At a fixed point g'(x*) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)),
 which never overflows.
@@ -101,19 +105,29 @@ _PLUS_MINUS = np.array([[1.0], [-1.0]])
 # +1 where G falls on a root slot's bracket, -1 where it rises
 _SLOT_SIGN = np.array([1.0, -1.0, 1.0])
 
+# 0-d float64 operands: numpy converts a Python float operand on every call,
+# which costs more than the operation on a one-cell batch, and the IEEE
+# operation is the same
+_ZERO, _HALF, _ONE, _THREE_HALVES, _TWO, _THREE, _FOUR, _MINUS_TWO = (
+    np.array(v) for v in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, -2.0))
+_RTOL = np.array(_NEWTON_RTOL)
+_TOL, _MINUS_TOL = np.array(_TANGENCY_TOL), np.array(-_TANGENCY_TOL)
+# the range of the normal doubles
+_TINY, _HUGE = np.array(sys.float_info.min), np.array(sys.float_info.max)
+
 
 def _gap(z, t, ld):
     """G(t) from z = lcd + t.  Since log(e^ld + e^(lc+t)) =
     ld + log(1 + e^(lc-ld+t)), one logaddexp call takes both logs."""
-    l = np.logaddexp(0.0, z)
-    return 3.0 * (l[0] - l[1] - ld) - t
+    l = np.logaddexp(_ZERO, z)
+    return _THREE * (l[0] - l[1] - ld) - t
 
 
 def _slope(z):
     """d log g / d log x = G'(t) + 1 from z = lcd + t; it is g'(x) at a fixed
     point.  sigma(z) = (1 + tanh(z/2))/2 cannot overflow."""
-    h = np.tanh(0.5 * z)
-    return 1.5 * (h[0] - h[1])
+    h = np.tanh(_HALF * z)
+    return _THREE_HALVES * (h[0] - h[1])
 
 
 def _model_root(lc, ld, lpd, lo, hi, sign):
@@ -129,19 +143,19 @@ def _model_root(lc, ld, lpd, lo, hi, sign):
     # model values over the points lo, lo, the kinks clipped to the bracket,
     # hi; lo comes twice so that the point before row k + 1 is row k
     vp = np.empty((2, 5, lo.size))
-    v, pts = vp
+    v, pts = vp[0], vp[1]
     pts[:2], pts[4] = lo, hi
     mid = pts[2:4]
     np.subtract(-lc, _PLUS_MINUS * np.abs(ld), out=mid)
     np.minimum(np.maximum(mid, lo, out=mid), hi, out=mid)
-    np.multiply(sign, 3.0 * np.maximum(0.0, lpd + pts) - 3.0 * np.maximum(ld, lc + pts) - pts,
-                out=v)
+    np.multiply(sign, _THREE * np.maximum(_ZERO, lpd + pts) - _THREE * np.maximum(ld, lc + pts)
+                - pts, out=v)
     # first point past lo where sign * model <= 0; the zero is on the segment before it
-    k = (v[1:] <= 0.0).argmax(axis=0)
-    k[v[4] > 0.0] = 3
+    k = (v[1:] <= _ZERO).argmax(axis=0)
+    k[v[4] > _ZERO] = 3
     # the zero of the line through each of the four segments, then segment k's
     va, vb = v[:4], v[1:]
-    frac = np.where(va > vb, va / (va - vb), 0.0)
+    frac = np.where(va > vb, va / (va - vb), _ZERO)
     return k.choose(pts[:4] + frac * (pts[1:] - pts[:4]))
 
 
@@ -157,33 +171,39 @@ def _newton(lcd, ld, lo, hi, sign, t):
     then clipped) and is at most half the previous move; otherwise the
     bracket is bisected, so the iteration cannot cycle.  Converged entries
     leave the active set at once.  Entries still open after _MAX_STEPS come
-    back as NaN.
+    back as NaN.  A done entry's value is its Newton iterate, or t itself
+    where G(t) is exactly 0.  The loop narrows its own copies of lo and hi
+    in place, so no argument changes.
     """
     # out and todo (out's entry for each open entry) are made once an entry
     # outlives its first step; until then the open entries are all of them
     out = todo = None
+    lo, hi = lo.copy(), hi.copy()
     prev = hi - lo
     for _ in range(_MAX_STEPS):
         z = lcd + t
         f = _gap(z, t, ld)
-        step = f / (_slope(z) - 1.0)
+        step = f / (_slope(z) - _ONE)
         size = np.abs(step)
-        tol = _NEWTON_RTOL * np.maximum(1.0, np.abs(t))
-        flat = f == 0.0
+        tol = _RTOL * np.maximum(_ONE, np.abs(t))
+        flat = f == _ZERO
         done = (size <= tol) | flat
         newton_t = t - step
         if np.count_nonzero(done) == t.size:
+            np.copyto(newton_t, t, where=flat)      # a done entry's value
             if out is None:
-                return np.where(flat, t, newton_t)
-            out[todo] = np.where(flat, t, newton_t)
+                return newton_t
+            out[todo] = newton_t
             return out
-        right = sign * f > 0.0          # the zero lies right of t
-        lo = np.where(right, t, lo)
-        hi = np.where(right, hi, t)
+        right = sign * f > _ZERO        # the zero lies right of t
+        np.copyto(lo, t, where=right)
+        np.copyto(hi, t, where=~right)
         width = hi - lo
-        newton = (newton_t >= lo - tol) & (newton_t <= hi + tol) & (size <= 0.5 * prev)
-        prev = np.where(newton, size, 0.5 * width)
-        nxt = np.where(newton, np.minimum(np.maximum(newton_t, lo), hi), 0.5 * (lo + hi))
+        newton = (newton_t >= lo - tol) & (newton_t <= hi + tol) & (size <= _HALF * prev)
+        prev = _HALF * width
+        np.copyto(prev, size, where=newton)
+        nxt = _HALF * (lo + hi)
+        np.copyto(nxt, np.minimum(np.maximum(newton_t, lo), hi), where=newton)
         closed = width <= tol
         stop = done | closed
         stopped = np.count_nonzero(stop)
@@ -195,7 +215,8 @@ def _newton(lcd, ld, lo, hi, sign, t):
             out.fill(np.nan)
             todo = np.arange(t.size)
         out[todo[closed]] = nxt[closed]
-        out[todo[done]] = np.where(flat, t, newton_t)[done]
+        np.copyto(newton_t, t, where=flat)
+        out[todo[done]] = newton_t[done]
         if stopped == t.size:
             return out
         keep = ~stop
@@ -215,7 +236,7 @@ def root_errors(found, log_roots, roots) -> dict[int, ArithmeticError]:
     slot: FloatingPointError when its iteration did not converge (t is NaN,
     and so is x), OverflowError when x = e^t is outside the double range.
     """
-    bad = found & ~((roots >= sys.float_info.min) & (roots <= sys.float_info.max))
+    bad = found & ~((roots >= _TINY) & (roots <= _HUGE))
     if not np.count_nonzero(bad):
         return {}
     rows = bad.any(axis=1).nonzero()[0]
@@ -265,14 +286,14 @@ class FixedPointBatch(NamedTuple):
 
 def solve_fixed_points(c, d) -> FixedPointBatch:
     """Positive fixed points of g for every cell of the weight arrays c, d."""
-    c = np.array(c, dtype=float, ndmin=1)
-    d = np.array(d, dtype=float, ndmin=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN: empty slot
-        return _solve(c, d)
+    return _solve(np.array(c, dtype=float, ndmin=1), np.array(d, dtype=float, ndmin=1))
 
 
+# NaN marks an empty slot; as a decorator, errstate costs less per call
+# than as a with block
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve(c, d):
-    """solve_fixed_points on 1-d arrays, inside its errstate.
+    """solve_fixed_points on 1-d arrays.
 
     The tangency data (q, the square root, the log and G(t_i)) is computed
     only for the cells with d >= 2, on views when that is every cell, and is
@@ -289,21 +310,20 @@ def _solve(c, d):
     # 1/c^2 (the textbook difference cancels to 0 for d >~ e^18); tangency
     # holds their logs over log eta_1, log eta_2
     tangency = np.empty((2, 2, n))
-    real = (d >= 2.0).nonzero()[0]
+    real = (d >= _TWO).nonzero()[0]
     if real.size < n:
         tangency.fill(np.nan)
     if real.size:
         pick = slice(None) if real.size == n else real    # a view when every cell is real
-        lct, ldt, q = lc[pick], ld[pick], (1.0 / d[pick]) ** 2
-        t2 = ldt - lct + np.log(1.0 - 2.0 * q + np.sqrt((1.0 - q) * (1.0 - 4.0 * q)))
-        crit = np.array((-2.0 * lct - t2, t2))
+        lct, ldt, q = lc[pick], ld[pick], np.square(_ONE / d[pick])
+        t2 = ldt - lct + np.log(_ONE - _TWO * q + np.sqrt((_ONE - q) * (_ONE - _FOUR * q)))
+        crit = np.array((_MINUS_TWO * lct - t2, t2))
         tangency[:, :, pick] = crit, _gap(lcd[:, None, pick] + crit, crit, ldt)
-    log_crit, log_eta = tangency
 
-    multi = d > 2.0
+    multi = d > _TWO
     log_roots = np.empty((n, 3))
     log_roots.fill(np.nan)
-    span = 3.0 * np.abs(ld)
+    span = _THREE * np.abs(ld)
     if not np.count_nonzero(multi):
         # one root per cell, in the first slot's bracket [-span, span]
         found = np.zeros((n, 3), dtype=bool)
@@ -314,8 +334,9 @@ def _solve(c, d):
         log_roots[:, 0] = _newton(lcd, ld, lo, span, sign,
                                   _model_root(lc, ld, lcd[0], lo, span, sign))
     else:
-        left = multi & (log_eta[0] < -_TANGENCY_TOL)     # G(t_1) < 0: a zero left of t_1
-        right = multi & (log_eta[1] > _TANGENCY_TOL)     # G(t_2) > 0: a zero right of t_2
+        log_crit, log_eta = tangency[0], tangency[1]
+        left = multi & (log_eta[0] < _MINUS_TOL)     # G(t_1) < 0: a zero left of t_1
+        right = multi & (log_eta[1] > _TOL)          # G(t_2) > 0: a zero right of t_2
         found = np.empty((n, 3), dtype=bool)
         found[:, 0] = ~multi | left
         found[:, 1] = left & right
@@ -333,12 +354,14 @@ def _solve(c, d):
             lcds, lds, lo, hi, sign, _model_root(lc[cells], lds, lcds[0], lo, hi, sign))
 
         # a tangency point within _TANGENCY_TOL of G = 0 is itself a double root
-        tangent = (multi & (np.abs(log_eta) <= _TANGENCY_TOL)).T
+        tangent = (multi & (np.abs(log_eta) <= _TOL)).T
         np.copyto(log_roots[:, 0::2], log_crit.T, where=tangent)
         found[:, 0::2] |= tangent
-    x_crit, eta = np.exp(tangency)
+    # exp of the NaN fill is the same NaN
+    exp_tangency = np.exp(tangency) if real.size else tangency
     return FixedPointBatch(found=found, log_roots=log_roots, roots=np.exp(log_roots),
-                           slopes=_slope(lcd[:, :, None] + log_roots), x_crit=x_crit.T, eta=eta.T)
+                           slopes=_slope(lcd[:, :, None] + log_roots),
+                           x_crit=exp_tangency[0].T, eta=exp_tangency[1].T)
 
 
 # what stability_codes indexes

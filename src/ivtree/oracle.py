@@ -22,12 +22,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .model import BoundaryFieldVector, CouplingParameters, TransferWeights
-from .recurrence import UVector, log_branch_bracket
+
+if TYPE_CHECKING:   # an annotation only: a consistency check never loads recurrence
+    from .recurrence import UVector
 
 # deepest volume that build_tree makes and finite_measure accepts
 _MAX_DEPTH = 3
@@ -346,6 +348,8 @@ def verify_recurrence_by_enumeration(u: UVector, w: TransferWeights) -> np.ndarr
     from the first class and divided out, so a zero residual vector means the
     closed forms reproduce the defining sums up to one shared constant.
     """
+    from .recurrence import log_branch_bracket
+
     log_u = np.log(u.as_array())
     lb = {(i, j): log_branch_bracket(i, j, log_u, w) for i in (1, -1) for j in (1, -1)}
     residuals = np.empty(8)

@@ -7,20 +7,25 @@ stability_codes, regime).  GridSpec makes every check of a grid when it is
 built, so scan_grid has no input error to raise.  scan_grid is the one
 route from couplings to a ScanTable, and it works on arrays from the axes to
 the output bytes.  The weight c depends only on (J, T) and d only on
-(Jp, T), so each is computed once per distinct pair.  The cells are cut
-into chunks, each solved in this process by one call of the array solver,
-and the answers land in one ScanTable in deterministic J-major order.  Every
-cell's answer is independent of the chunk it lands in, so output bytes never
-depend on the chunk size.  evaluate_point is a one-cell scan.  The emitters
-build the output column by column and format each distinct axis value and
-weight once.
+(Jp, T), so each is computed once per distinct pair, and a cell's weights
+are those tables repeated over the third axis.  The cells are cut into
+chunks, each solved in this process by one call of the array solver, and
+the answers land in one ScanTable in deterministic J-major order; a grid
+of one chunk keeps the solver's arrays as the table's.  Every cell's answer
+is independent of the chunk it lands in, so output bytes never depend on
+the chunk size.  The table stores no per-cell index: a cell's axis and
+weight indices follow from its own index and the axis sizes
+(_cell_indices).  evaluate_point is a one-cell scan.  The emitters build
+the output column by column and format each distinct axis value and weight
+once.
 
 With the consistency check, every found root's field is checked by
 consistency_residuals in blocks of _CHECK_ROOTS roots, and a cell's residual
 is the largest over its roots.  A root's residual has the same bits in any
 block, so the check keeps the rule that output bytes never depend on how
-the work is cut.  The oracle module is imported only by a scan that checks,
-and the recurrence module (the scalar map g) only by emit_curve.
+the work is cut.  The oracle module is imported only by a scan that checks.
+The recurrence module (the scalar map g) is imported by emit_curve, and by
+the oracle only inside verify_recurrence_by_enumeration, so no scan loads it.
 """
 
 from __future__ import annotations
@@ -134,9 +139,11 @@ class PhasePoint(NamedTuple):
 class ScanTable(Sequence):
     """Classified cells as arrays; as a Sequence, one PhasePoint per cell.
 
-    Cell i has J = j[cell_j[i]], Jp = jp[cell_jp[i]], T = t[cell_t[i]] and
-    the weights c[cell_c[i]], d[cell_d[i]], so every distinct value is
-    stored and formatted once.  found, roots and stability hold the three
+    The cells run over the axes j, jp, t in J-major, then Jp, then T order,
+    so cell i = (a * jp.size + b) * t.size + k has J = j[a], Jp = jp[b],
+    T = t[k] and the weights c[a * t.size + k], d[b * t.size + k]
+    (_cell_indices): every distinct value is stored and formatted once, and
+    no per-cell index is stored.  found, roots and stability hold the three
     root slots of solve_fixed_points (stability as an index into
     STABILITY_LABELS); found is False throughout an error cell.  eta is NaN
     where the cell has none (d < 2).  residual is None when the consistency
@@ -146,46 +153,44 @@ class ScanTable(Sequence):
     Tables compare by identity.
     """
 
-    __slots__ = ("j", "jp", "t", "c", "d", "cell_j", "cell_jp", "cell_t", "cell_c",
-                 "cell_d", "found", "roots", "stability", "eta", "residual", "errors")
+    __slots__ = ("j", "jp", "t", "c", "d", "found", "roots", "stability", "eta", "residual",
+                 "errors")
 
     def __init__(self, *, j: np.ndarray, jp: np.ndarray, t: np.ndarray, c: np.ndarray,
-                 d: np.ndarray, cell_j: np.ndarray, cell_jp: np.ndarray,
-                 cell_t: np.ndarray, cell_c: np.ndarray, cell_d: np.ndarray,
-                 found: np.ndarray, roots: np.ndarray, stability: np.ndarray,
+                 d: np.ndarray, found: np.ndarray, roots: np.ndarray, stability: np.ndarray,
                  eta: np.ndarray, residual: np.ndarray | None, errors: dict[int, str]):
         self.j, self.jp, self.t, self.c, self.d = j, jp, t, c, d
-        self.cell_j, self.cell_jp, self.cell_t = cell_j, cell_jp, cell_t
-        self.cell_c, self.cell_d = cell_c, cell_d
         self.found, self.roots, self.stability, self.eta = found, roots, stability, eta
         self.residual, self.errors = residual, errors
 
     def __len__(self) -> int:
-        return self.cell_j.size
+        return len(self.found)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = operator.index(i)
+        n = len(self)
         if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
+            i += n
+        if not 0 <= i < n:
             raise IndexError("ScanTable index out of range")
-        J = self.j.item(self.cell_j.item(i))
-        Jp = self.jp.item(self.cell_jp.item(i))
-        T = self.t.item(self.cell_t.item(i))
+        nt = self.t.size
+        ab, k = divmod(i, nt)
+        a, b = divmod(ab, self.jp.size)
+        J, Jp, T = self.j.item(a), self.jp.item(b), self.t.item(k)
         error = self.errors.get(i)
         if error is not None:
             return PhasePoint(J=J, Jp=Jp, T=T, error=error)
-        slots = [k for k, f in enumerate(self.found[i].tolist()) if f]
+        slots = [s for s, f in enumerate(self.found[i].tolist()) if f]
         roots, codes = self.roots[i].tolist(), self.stability[i].tolist()
-        roots = tuple([roots[k] for k in slots])
-        d = self.d.item(self.cell_d.item(i))
+        roots = tuple([roots[s] for s in slots])
+        d = self.d.item(b * nt + k)
         eta1, eta2 = [None if math.isnan(e) else e for e in self.eta[i].tolist()]
         return PhasePoint(
-            J=J, Jp=Jp, T=T, c=self.c.item(self.cell_c.item(i)), d=d,
+            J=J, Jp=Jp, T=T, c=self.c.item(a * nt + k), d=d,
             root_count=len(roots), roots=roots,
-            stabilities=tuple([STABILITY_LABELS[codes[k]] for k in slots]),
+            stabilities=tuple([STABILITY_LABELS[codes[s]] for s in slots]),
             eta1=eta1, eta2=eta2,
             regime=regime(d),
             phase_transition=len(roots) >= 2,
@@ -194,6 +199,14 @@ class ScanTable(Sequence):
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+
+def _cell_indices(cells: np.ndarray, shape: tuple[int, int, int]):
+    """For the cells of a grid of shape (J, Jp, T) axis sizes, in J-major
+    order: the index of each cell's J, Jp and T on its axis and of its c
+    and d in the weight tables, which hold the (J, T) and (Jp, T) pairs."""
+    cell_j, cell_jp, cell_t = np.unravel_index(cells, shape)
+    return cell_j, cell_jp, cell_t, cell_j * shape[2] + cell_t, cell_jp * shape[2] + cell_t
 
 
 def _pair_weights(name: str, values: list[float], betas: list[float]):
@@ -236,33 +249,40 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     this process, because a process pool cost more than it saved.
     """
     j, jp, t = spec.j_values(), spec.jp_values(), spec.t_values()
+    shape = j.size, jp.size, t.size
     # beta = 1/T once per temperature, as CouplingParameters forms it
     betas = [1.0 / T for T in t.tolist()]
     c, c_rejected = _pair_weights("J", j.tolist(), betas)
     d, d_rejected = _pair_weights("Jp", jp.tolist(), betas)
-    cell_j, cell_jp, cell_t = np.unravel_index(np.arange(j.size * jp.size * t.size),
-                                               (j.size, jp.size, t.size))
-    # cell_c indexes the (J, T) pairs, cell_d the (Jp, T) pairs
-    cell_c = cell_j * t.size + cell_t
-    cell_d = cell_jp * t.size + cell_t
-    cc, dd = c[cell_c], d[cell_d]
+    # the weights of each cell: c holds the (J, T) pairs J-major and d the
+    # (Jp, T) pairs, so each row of T values of c repeats once per Jp, and
+    # d once per J
+    cc = c.reshape(shape[0], shape[2]).repeat(shape[1], axis=0).ravel()
+    dd = d.reshape(1, -1).repeat(shape[0], axis=0).ravel()
+    n = cc.size
     errors = {}
     if c_rejected or d_rejected:
         # a cell with a NaN weight carries J's message where both weights
         # fail, and solves the placeholder c = d = 1, which is never reported
         bad = (np.isnan(cc) | np.isnan(dd)).nonzero()[0]
+        cell_c, cell_d = _cell_indices(bad, shape)[3:]
         errors = {i: c_rejected.get(a) or d_rejected[b] for i, a, b in
-                  zip(bad.tolist(), cell_c[bad].tolist(), cell_d[bad].tolist())}
+                  zip(bad.tolist(), cell_c.tolist(), cell_d.tolist())}
         cc[bad] = dd[bad] = 1.0
 
-    n = cell_c.size
-    found, log_roots, roots = np.empty((n, 3), dtype=bool), np.empty((n, 3)), np.empty((n, 3))
-    stability, eta = np.empty((n, 3), dtype=np.intp), np.empty((n, 2))
-    for s in range(0, n, _CHUNK_CELLS):
-        e = s + _CHUNK_CELLS
-        batch = solve_fixed_points(cc[s:e], dd[s:e])
-        found[s:e], log_roots[s:e], roots[s:e] = batch.found, batch.log_roots, batch.roots
-        stability[s:e], eta[s:e] = stability_codes(batch.slopes), batch.eta
+    if n <= _CHUNK_CELLS:
+        # one chunk: the solver's arrays are the table's
+        batch = solve_fixed_points(cc, dd)
+        found, log_roots, roots, eta = batch.found, batch.log_roots, batch.roots, batch.eta
+        stability = stability_codes(batch.slopes)
+    else:
+        found, log_roots, roots = np.empty((n, 3), dtype=bool), np.empty((n, 3)), np.empty((n, 3))
+        stability, eta = np.empty((n, 3), dtype=np.intp), np.empty((n, 2))
+        for s in range(0, n, _CHUNK_CELLS):
+            e = s + _CHUNK_CELLS
+            batch = solve_fixed_points(cc[s:e], dd[s:e])
+            found[s:e], log_roots[s:e], roots[s:e] = batch.found, batch.log_roots, batch.roots
+            stability[s:e], eta[s:e] = stability_codes(batch.slopes), batch.eta
     errors.update((i, str(e)) for i, e in root_errors(found, log_roots, roots).items())
     if errors:
         found[list(errors)] = False
@@ -274,9 +294,10 @@ def scan_grid(spec: GridSpec, workers: int = 1,
         # beta and beta * J as CouplingParameters and
         # kolmogorov_consistency_check form them
         cells = found.nonzero()[0]
-        beta = 1.0 / t[cell_t[cells]]
+        cell_j, cell_jp, cell_t = _cell_indices(cells, shape)[:3]
+        beta = 1.0 / t[cell_t]
         coef = np.empty((10, cells.size))
-        coef[0], coef[1] = beta * j[cell_j[cells]], beta * jp[cell_jp[cells]]
+        coef[0], coef[1] = beta * j[cell_j], beta * jp[cell_jp]
         # math.log, not np.log: the bits of field_from_scalar
         coef[2:] = scalar_field_h(np.array([math.log(r) for r in roots[found].tolist()]))
         per_root = np.empty(cells.size)
@@ -292,10 +313,8 @@ def scan_grid(spec: GridSpec, workers: int = 1,
             errors.update(dict.fromkeys(bad, "consistency residual is not finite"))
             found[bad] = False
             residual[bad] = np.nan
-    return ScanTable(j=j, jp=jp, t=t, c=c, d=d, cell_j=cell_j, cell_jp=cell_jp,
-                     cell_t=cell_t, cell_c=cell_c, cell_d=cell_d, found=found,
-                     roots=roots, stability=stability, eta=eta, residual=residual,
-                     errors=errors)
+    return ScanTable(j=j, jp=jp, t=t, c=c, d=d, found=found, roots=roots, stability=stability,
+                     eta=eta, residual=residual, errors=errors)
 
 
 # ------------------------------------------------------------------ outputs
@@ -334,6 +353,8 @@ def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str,
     field exactly when the scan ran the check.
     """
     n = len(table)
+    cell_j, cell_jp, cell_t, cell_c, cell_d = _cell_indices(
+        np.arange(n), (table.j.size, table.jp.size, table.t.size))
     errors = np.fromiter(table.errors, dtype=np.intp, count=len(table.errors))
     found = table.found
     count = found.sum(axis=1)
@@ -354,17 +375,17 @@ def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str,
     eta[has_eta] = [eta_spell(x) for x in table.eta[has_eta].tolist()]
 
     fields = {
-        "J": _texts(table.j, spell)[table.cell_j],
-        "Jp": _texts(table.jp, spell)[table.cell_jp],
-        "T": _texts(table.t, spell)[table.cell_t],
-        "c": _texts(table.c, spell, blank)[table.cell_c],
-        "d": _texts(table.d, spell, blank)[table.cell_d],
+        "J": _texts(table.j, spell)[cell_j],
+        "Jp": _texts(table.jp, spell)[cell_jp],
+        "T": _texts(table.t, spell)[cell_t],
+        "c": _texts(table.c, spell, blank)[cell_c],
+        "d": _texts(table.d, spell, blank)[cell_d],
         "root_count": np.array(["0", "1", "2", "3"], dtype=object)[count],
         "roots": roots[:, 0] + cut01 + roots[:, 1] + cut12 + roots[:, 2],
         "stabilities": np.array(lists, dtype=object)[keys],
         "eta1": eta[:, 0],
         "eta2": eta[:, 1],
-        "regime": _texts(table.d, lambda d: word(regime(d)))[table.cell_d],
+        "regime": _texts(table.d, lambda d: word(regime(d)))[cell_d],
         "phase_transition": np.where(count >= 2, "true", "false").astype(object),
     }
     if table.residual is not None:

@@ -113,6 +113,41 @@ def test_batches_of_one_regime_have_the_bits_of_the_mixed_batch(part):
         solve_fixed_points(c, d), cells)
 
 
+def _three_root_cell():
+    w = derive_weights(couplings(*THREE_ROOT_POINT))
+    return [w.c], [w.d]
+
+
+@pytest.mark.parametrize("cells, count", [
+    pytest.param(_pinned_sample, None, id="pinned-sample"),
+    pytest.param(lambda: ([3.0], [1.5]), 1, id="d<2"),
+    pytest.param(lambda: ([2.0], [2.0]), 1, id="d=2"),
+    pytest.param(lambda: ([100.0], [3.0]), 1, id="d>2-one-root"),
+    pytest.param(_three_root_cell, 3, id="d>2-three-roots"),
+])
+def test_the_solver_leaves_its_input_arrays_unchanged(cells, count, monkeypatch):
+    """solve_fixed_points keeps c and d, and every _newton call keeps all its
+    arguments, the brackets it narrows included: each call works on its own
+    copies."""
+    c, d = (np.array(x, dtype=float) for x in cells())
+    kept = []
+    newton = ivtree.fixpoint._newton
+
+    def checked_newton(*args):
+        before = [a.tobytes() for a in args]
+        out = newton(*args)
+        kept.append([a.tobytes() for a in args] == before)
+        return out
+
+    monkeypatch.setattr(ivtree.fixpoint, "_newton", checked_newton)
+    c_before, d_before = c.tobytes(), d.tobytes()
+    batch = solve_fixed_points(c, d)
+    assert kept == [True]
+    assert (c.tobytes(), d.tobytes()) == (c_before, d_before)
+    if count is not None:
+        assert batch.report(0).count == count
+
+
 def test_unconverged_slots_come_back_nan(monkeypatch):
     """With the step budget cut to two, the reference cell (seven Newton
     iterations) leaves every slot open, while c = d = 1, whose Newton start

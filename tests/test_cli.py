@@ -158,8 +158,8 @@ def test_workers_start_no_process_pool():
 def test_the_cli_imports_only_what_a_run_uses():
     """Neither the consistency oracle nor json nor dataclasses is loaded by
     importing the command line; a run loads them only when it needs them.
-    A grid run leaves the scalar map's module unloaded; a --curve run,
-    which evaluates g, loads it."""
+    A grid run, with or without the consistency check, leaves the scalar
+    map's module unloaded; a --curve run, which evaluates g, loads it."""
     script = ("import sys\n"
               "import ivtree.cli\n"
               "print([m for m in ('ivtree.oracle', 'dataclasses', 'json') if m in sys.modules])\n")
@@ -173,6 +173,11 @@ def test_the_cli_imports_only_what_a_run_uses():
               "    main(sys.argv[1:])\n"
               "print('ivtree.recurrence' in sys.modules, file=sys.stderr)\n")
     proc = run_python("-c", script, "--J=-3:3:5", "--Jp=-3:7:5", "--T", "13")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+    # the consistency check loads the oracle, which does not need g
+    proc = run_python("-c", script, "--J=-3:3:5", "--Jp=-3:7:5", "--T", "13",
+                      "--check-consistency", "--format", "jsonl")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "False\n"
     proc = run_python("-c", script, "--J", "-1.7", "--Jp", "6.5", "--T", "13", "--curve")

@@ -329,6 +329,31 @@ def test_table_is_a_sequence_of_phase_points():
         table[6]
 
 
+@pytest.mark.parametrize("check", [False, True])
+def test_rows_of_a_three_axis_grid_are_their_cells_alone(check):
+    """Each cell's coordinates and weights come from its index and the axis
+    sizes.  On a grid whose T = 0 layer is dropped, every row, read by
+    index (negative too), by slice or as CSV and JSONL text, is that of the
+    cell evaluated alone."""
+    spec = GridSpec(j=(-2.0, 2.0, 3), jp=(1.0, 5.0, 3), t=(-1.0, 1.0, 3))
+    with pytest.warns(UserWarning, match="T = 0"):
+        table = scan_grid(spec, check_consistency=check)
+    cells = [(J, Jp, T) for J in (-2.0, 0.0, 2.0) for Jp in (1.0, 3.0, 5.0) for T in (-1.0, 1.0)]
+    alone = [evaluate_point(*cell, check_consistency=check) for cell in cells]
+    assert len(table) == len(alone) == 18
+    assert list(table) == alone
+    assert [table[i - len(table)] for i in range(len(table))] == alone
+    for cut in (slice(None), slice(1, 13, 4), slice(None, None, -1), slice(-5, None),
+                slice(-3, -12, -2)):
+        assert table[cut] == alone[cut]
+    csv_rows = emit_csv(table).splitlines()
+    jsonl_rows = emit_jsonl(table).splitlines()
+    for i, cell in enumerate(cells):
+        one = scan_grid(singleton(*cell), check_consistency=check)
+        assert csv_rows[i + 1] == emit_csv(one).splitlines()[1]
+        assert jsonl_rows[i] == emit_jsonl(one).rstrip("\n")
+
+
 def test_csv_residual_is_empty_exactly_on_error_rows():
     table = scan_grid(LOW_T_GRID, check_consistency=True)
     lines = emit_csv(table).splitlines()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import conftest
+import ivtree
 from ivtree import GridSpec, emit_csv, scan_grid
 
 from test_cli import run_python
@@ -47,6 +48,25 @@ def test_tangency_sweep_rejects_what_it_cannot_sweep(argv, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith(f"tangency_sweep.py: error: {message}")
+
+
+def test_one_cell_ab_compares_a_tree_with_itself():
+    """Both copies of one tree give equal answers, and each round prints a
+    p50 and a mean for each."""
+    src = str(Path(ivtree.__file__).resolve().parent.parent)
+    proc = run_script("one_cell_ab.py", src, src, "--draws", "12", "--rounds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("12 draws, equal PhasePoints; ")
+    assert [line.split(":")[0] for line in lines[1:3]] == ["round 1", "round 2"]
+    assert all(line.count(" p50 ") == 2 and line.count(" mean ") == 2 for line in lines[1:3])
+    assert lines[3].startswith("median of rounds: old p50 ")
+
+
+def test_one_cell_ab_rejects_a_directory_without_the_package(tmp_path):
+    proc = run_script("one_cell_ab.py", str(tmp_path), str(tmp_path), "--draws", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == f"one_cell_ab.py: error: no ivtree package in {tmp_path}"
 
 
 def frozen_literals(name):
