@@ -1,12 +1,15 @@
 """Compare the one-cell query time of two source trees of ivtree in one process.
 
-Loads the ivtree package of each tree under its own name, checks that both
-give the same PhasePoint (compared by repr, so every bit) on seeded draws,
-then times one-cell scans of the draws that both answer, the trees taking
-turns: each round queries every draw on one tree and at once on the other,
-and the next round starts with the other tree.  Separate processes of the
-same code can differ by more than a 5-10 % change, so only the interleaved
-figures of one process are compared.
+Loads the ivtree package of each tree under its own name, checks on seeded
+draws that both give the same PhasePoint (compared by repr, so every bit)
+and the same bytes in the six FixedPointBatch arrays of
+solve_fixed_points(c, d), which also hold the slopes, log-roots and
+tangency points that no PhasePoint shows, then times one-cell scans of the
+draws that both answer, the trees taking turns: each round queries every
+draw on one tree and at once on the other, and the next round starts with
+the other tree.  Separate processes of the same code can differ by more
+than a 5-10 % change, so only the interleaved figures of one process are
+compared.
 
     python3 scripts/one_cell_ab.py OLD_SRC NEW_SRC
     python3 scripts/one_cell_ab.py ../parent/src src --draws 4000 --rounds 6
@@ -27,16 +30,21 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 
-def load_scanner(src: str, name: str):
-    """The scanner module of the ivtree package in src, loaded as package name."""
+# the FixedPointBatch arrays compared byte for byte
+BATCH_FIELDS = ("found", "log_roots", "roots", "slopes", "x_crit", "eta")
+
+
+def load_package(src: str, name: str):
+    """The ivtree package in src, loaded as package name."""
     home = Path(src) / "ivtree"
     spec = importlib.util.spec_from_file_location(
         name, home / "__init__.py", submodule_search_locations=[str(home)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.scanner")
+    return package
 
 
 def draws(seed: int, n: int) -> list[tuple[float, float]]:
@@ -47,6 +55,14 @@ def draws(seed: int, n: int) -> list[tuple[float, float]]:
 
 def one_cell(scanner, J: float, Jp: float):
     return scanner.scan_grid(scanner.GridSpec((J, J, 1), (Jp, Jp, 1), (1.0, 1.0, 1)))[0]
+
+
+def batch_bytes(package, J: float, Jp: float) -> bytes:
+    """The bytes of the FixedPointBatch arrays of the draw's weights at T = 1."""
+    w = package.derive_weights(package.couplings(J, Jp, 1.0))
+    batch = package.solve_fixed_points(w.c, w.d)
+    return b"".join(np.ascontiguousarray(getattr(batch, name)).tobytes()
+                    for name in BATCH_FIELDS)
 
 
 def sweep(scanners, cells) -> list[list[float]]:
@@ -77,8 +93,10 @@ def main(argv=None) -> int:
         if not (Path(src) / "ivtree" / "__init__.py").is_file():
             parser.error(f"no ivtree package in {src}")
 
-    trees = {"old": load_scanner(args.old_src, "ivtree_ab_old"),
-             "new": load_scanner(args.new_src, "ivtree_ab_new")}
+    packages = {"old": load_package(args.old_src, "ivtree_ab_old"),
+                "new": load_package(args.new_src, "ivtree_ab_new")}
+    trees = {name: importlib.import_module(f"{package.__name__}.scanner")
+             for name, package in packages.items()}
     # numpy warns of overflow inside failing cells; those cells carry their error
     warnings.simplefilter("ignore", RuntimeWarning)
     answered = []
@@ -88,9 +106,14 @@ def main(argv=None) -> int:
             print(f"different answers at J={J!r}, Jp={Jp!r}:\n  old {old}\n  new {new}",
                   file=sys.stderr)
             return 1
+        old_bytes, new_bytes = (batch_bytes(package, J, Jp) for package in packages.values())
+        if old_bytes != new_bytes:
+            print(f"different solver arrays at J={J!r}, Jp={Jp!r}", file=sys.stderr)
+            return 1
         if "error=None" in old:
             answered.append((J, Jp))
-    print(f"{args.draws} draws, equal PhasePoints; {len(answered)} answered, timed")
+    print(f"{args.draws} draws, equal PhasePoints and solver arrays; "
+          f"{len(answered)} answered, timed")
     if not answered:
         return 0
 

@@ -89,11 +89,48 @@ def test_solver_bits_are_pinned():
         "d549081f71c3967a96eba291e56a0b7f86c8e4207dc82c2b517d43c058abb2df")
 
 
-def test_cells_solved_alone_have_the_bits_of_the_batch():
-    c, d = _pinned_sample()
+def _near_tangency_cells():
+    """c* (1 + k 2^-52) for |k| <= 3 at both tangencies c* = 1/eta_i(c=1)
+    of several d > 2: a double root at a tangency point and one simple root."""
+    d = np.array([2.0 + 2.0**-20, 2.001, 2.5, 3.2, 10.0, 1e3, 1e8])
+    c_star = 1.0 / solve_fixed_points(np.ones(d.size), d).eta
+    ulps = 1.0 + np.arange(-3, 4) * 2.0**-52
+    return (c_star[:, :, None] * ulps).ravel(), np.repeat(d, 2 * ulps.size)
+
+
+def _assert_cells_alone_have_the_bits_of_the_batch(c, d):
+    """A one-cell batch runs its Newton loop on floats, every larger batch
+    on arrays; each cell's arrays have the same bits either way."""
     batch = solve_fixed_points(c, d)
-    for k in [*range(0, c.size, 97), *range(c.size - 12, c.size)]:
+    for k in range(c.size):
         assert _batch_bytes(solve_fixed_points(c[k], d[k])) == _batch_bytes(batch, [k])
+
+
+def test_cells_solved_alone_have_the_bits_of_the_batch():
+    _assert_cells_alone_have_the_bits_of_the_batch(*_pinned_sample())
+
+
+def test_near_tangency_cells_solved_alone_have_the_bits_of_the_batch():
+    c, d = _near_tangency_cells()
+    assert np.isfinite(c).all() and c.size == 98
+    assert solve_fixed_points(c, d).found.sum(axis=1).tolist() == [2] * c.size
+    _assert_cells_alone_have_the_bits_of_the_batch(c, d)
+
+
+def test_float_helpers_give_the_bits_of_numpy():
+    """The float Newton loop divides, and takes max and min, with numpy's
+    IEEE results: Python raises where numpy returns +-inf or NaN for a zero
+    divisor, and its max and min treat NaN and signed zeros otherwise."""
+    # +-0, +-inf, NaN of either sign and finite values
+    special = [0.0, -0.0, 1.5, -2.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, -math.nan]
+    fp = ivtree.fixpoint
+    for a in special:
+        for b in special:
+            x, y = np.array(a), np.array(b)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                assert np.float64(fp._divide(a, b)).tobytes() == (x / y).tobytes(), (a, b)
+            assert np.float64(fp._maximum(a, b)).tobytes() == np.maximum(x, y).tobytes(), (a, b)
+            assert np.float64(fp._minimum(a, b)).tobytes() == np.minimum(x, y).tobytes(), (a, b)
 
 
 @pytest.mark.parametrize("part", [
@@ -115,14 +152,15 @@ def test_batches_of_one_regime_have_the_bits_of_the_mixed_batch(part):
 
 def _three_root_cell():
     w = derive_weights(couplings(*THREE_ROOT_POINT))
-    return [w.c], [w.d]
+    return [w.c] * 2, [w.d] * 2
 
 
+# each cell comes twice: a batch of one cell does not call the array loop
 @pytest.mark.parametrize("cells, count", [
     pytest.param(_pinned_sample, None, id="pinned-sample"),
-    pytest.param(lambda: ([3.0], [1.5]), 1, id="d<2"),
-    pytest.param(lambda: ([2.0], [2.0]), 1, id="d=2"),
-    pytest.param(lambda: ([100.0], [3.0]), 1, id="d>2-one-root"),
+    pytest.param(lambda: ([3.0] * 2, [1.5] * 2), 1, id="d<2"),
+    pytest.param(lambda: ([2.0] * 2, [2.0] * 2), 1, id="d=2"),
+    pytest.param(lambda: ([100.0] * 2, [3.0] * 2), 1, id="d>2-one-root"),
     pytest.param(_three_root_cell, 3, id="d>2-three-roots"),
 ])
 def test_the_solver_leaves_its_input_arrays_unchanged(cells, count, monkeypatch):

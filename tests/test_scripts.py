@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import shutil
 from pathlib import Path
 
 import pytest
@@ -51,16 +52,32 @@ def test_tangency_sweep_rejects_what_it_cannot_sweep(argv, message):
 
 
 def test_one_cell_ab_compares_a_tree_with_itself():
-    """Both copies of one tree give equal answers, and each round prints a
-    p50 and a mean for each."""
+    """Both copies of one tree give equal answers and solver arrays, and
+    each round prints a p50 and a mean for each."""
     src = str(Path(ivtree.__file__).resolve().parent.parent)
     proc = run_script("one_cell_ab.py", src, src, "--draws", "12", "--rounds", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("12 draws, equal PhasePoints; ")
+    assert lines[0].startswith("12 draws, equal PhasePoints and solver arrays; ")
     assert [line.split(":")[0] for line in lines[1:3]] == ["round 1", "round 2"]
     assert all(line.count(" p50 ") == 2 and line.count(" mean ") == 2 for line in lines[1:3])
     assert lines[3].startswith("median of rounds: old p50 ")
+
+
+def test_one_cell_ab_finds_solver_bits_that_no_phase_point_shows(tmp_path):
+    """A tree whose slopes are one ulp off gives the same PhasePoints, and
+    the solver arrays tell the trees apart."""
+    home = Path(ivtree.__file__).resolve().parent
+    copy = tmp_path / "ivtree"
+    shutil.copytree(home, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    fixpoint = copy / "fixpoint.py"
+    text = fixpoint.read_text(encoding="utf-8")
+    slopes = "_slope(lcd[:, :, None] + log_roots)"
+    assert text.count(slopes) == 1
+    fixpoint.write_text(text.replace(slopes, f"np.nextafter({slopes}, np.inf)"), encoding="utf-8")
+    proc = run_script("one_cell_ab.py", str(home.parent), str(tmp_path), "--draws", "4")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("different solver arrays at J=")
 
 
 def test_one_cell_ab_rejects_a_directory_without_the_package(tmp_path):
