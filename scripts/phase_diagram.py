@@ -6,6 +6,9 @@ transition) and '.' marks unique-root cells.
 
     python3 scripts/phase_diagram.py
     python3 scripts/phase_diagram.py --T 2 --steps 41 --out /tmp/diagram.csv
+
+An invalid grid or an --out path that cannot be opened or written exits 2
+with one error line.
 """
 
 import argparse
@@ -24,12 +27,19 @@ def main():
     parser.add_argument("--out", default="phase_diagram.csv")
     args = parser.parse_args()
 
-    spec = GridSpec(j=(*args.j_range, args.steps),
-                    jp=(*args.jp_range, args.steps),
-                    t=(args.T, args.T, 1))
-    points = scan_grid(spec)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(emit_csv(points))
+    try:
+        spec = GridSpec(j=(*args.j_range, args.steps),
+                        jp=(*args.jp_range, args.steps),
+                        t=(args.T, args.T, 1))
+    except ValueError as exc:
+        parser.error(str(exc))
+    # --out is opened before the scan, so an unwritable path fails at once
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            points = scan_grid(spec)
+            fh.write(emit_csv(points))
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror or exc}")
 
     by_cell = {(p.J, p.Jp): p for p in points}
     j_values = spec.j_values()

@@ -4,25 +4,19 @@ Everything here is brute force on purpose: the Hamiltonian, partition
 function, and Gibbs probabilities are evaluated by direct enumeration (or by
 branch-factorized leaf sums where full enumeration is infeasible), giving an
 independent check on every closed-form recurrence result.  Depth 2 means
-2^13 = 8192 configurations, which is the workhorse scale for the Kolmogorov
-consistency check.
+2^13 = 8192 configurations.
 
 The enumeration stays in int8 from start to finish: the spin table and the
 count table (E, P, M_1..M_8 per configuration, every count in -12..12) are
 cached, read-only int8 arrays, 104 KB and 80 KB at depth 2.  The float64
 copy of the count table (_feature_table) is built only for finite_measure's
-matrix-vector product and, at 16 rows, for the depth-1 side of the check,
-so a checked scan never allocates the 640 KB depth-2 one.
+matrix-vector product and, at 16 rows, for the consistency check.
 
-The check runs on a merged depth-2 table.  Configurations with the same
-inner spins (vertices 0..3) and the same count row have the same log
-weight, so the 8192 rows collapse to 560 distinct ones, each carrying its
-multiplicity (up to 81; 512 per inner configuration).  The merge is pure
-counting over the int8 table; building it from nothing traces about
-540 KB, and a checked 21x21 CLI scan peaks near 31.3 MB RSS on a 2-CPU
-x86-64 Linux host.
 consistency_residuals checks a (10, m) block of coefficients (beta J,
-beta Jp, h_1..h_8) at once, one residual per column;
+beta Jp, h_1..h_8) at once, one residual per column, from the 16-row depth-1
+table alone: the depth-2 marginal of the inner vertices 0..3 factorizes
+into one leaf sum per child, so a checked scan never enumerates the depth-2
+volume, whose tables stay the tests' brute-force reference.
 kolmogorov_consistency_check is its one-column case.
 """
 
@@ -275,34 +269,6 @@ def finite_measure(tree: CayleyTree, params: CouplingParameters,
     return FiniteVolumeMeasure(tree=tree, params=params, h=h, log_Z=log_z)
 
 
-@functools.lru_cache(maxsize=None)
-def _merged_feature_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The depth-2 count table with equal rows merged per inner configuration.
-
-    Returns (features, multiplicity, starts): features is (10, 560), one
-    contiguous row per count; multiplicity is how many of the 8192
-    configurations each merged row stands for; starts is where each of the
-    16 inner configurations' merged rows begin, in index order.  Cached and
-    read-only.
-    """
-    table = _count_table(2)
-    # every count lies in -12..12, so base 25 digits give each (inner
-    # configuration, count row) pair one integer key, built one int64 column
-    # at a time; vertices 0..3 are the top four index bits, so index >> 9 is
-    # the inner configuration
-    inner = np.arange(table.shape[0]) >> 9
-    key = inner * 25**10
-    for k in range(10):
-        key += (table[:, k].astype(np.int64) + 12) * 25**k
-    _, first, count = np.unique(key, return_index=True, return_counts=True)
-    features = np.array(table[first].T, dtype=float, order="C")
-    multiplicity = count.astype(float)
-    starts = np.searchsorted(inner[first], np.arange(16))
-    for array in (features, multiplicity, starts):
-        array.flags.writeable = False
-    return features, multiplicity, starts
-
-
 def _log_weights_by_root(features: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(m, rows) log weights: the ten count-times-coefficient terms summed
     elementwise in a fixed order, so a root's bits do not depend on m (a
@@ -321,17 +287,35 @@ def consistency_residuals(coef) -> np.ndarray:
     when its residual vanishes; it does so at fixed points of the recurrence
     and fails by an O(1) amount for generic fields.  A column's residual has
     the same bits whatever block it sits in.
+
+    The depth-2 marginal of an inner configuration (s0; s1, s2, s3) is
+    exp(beta J s0 (s1 + s2 + s3)) times the leaf sums B(s0, s1), B(s0, s2)
+    and B(s0, s3), each over the eight leaf triples of one outermost
+    semi-ball (branch_sum).  The depth-1 rows with root spin j hold j*S in
+    E and the class sign in M_k, so log B(i, j) is the log-sum-exp of
+    their log weights plus beta Jp i j E.
     """
     coef = np.asarray(coef, dtype=float)
-    features, multiplicity, starts = _merged_feature_table()
-    lw2 = _log_weights_by_root(features, coef)
-    weights = np.exp(lw2 - lw2.max(axis=1, keepdims=True)) * multiplicity
-    marginal = np.add.reduceat(weights, starts, axis=1)
-    marginal /= marginal.sum(axis=1, keepdims=True)
-    lw1 = _log_weights_by_root(_feature_table(1).T, coef)
+    features = _feature_table(1).T
+    lw1 = _log_weights_by_root(features, coef)
+    m = lw1.shape[0]
+    # axes (root, i, j, leaf triple); leaf_sum is S = j E by (j, triple)
+    spin = np.array([1.0, -1.0])
+    leaf_sum = features[0].reshape(2, 8) * spin[:, None]
+    x = lw1.reshape(m, 1, 2, 8) + np.multiply.outer(coef[1], spin)[..., None, None] * leaf_sum
+    top = x.max(axis=3)
+    log_b = (top + np.log(np.exp(x - top[..., None]).sum(axis=3))).reshape(m, 4)
+    # row r of the depth-1 table: s0 is bit 3, s1..s3 are bits 2..0, and
+    # bit 1 means spin -1; log_b's column is 2 * (s0 bit) + (child bit)
+    rows = np.arange(16)
+    lm2 = coef[0][:, None] * features[0]
+    for shift in (2, 1, 0):
+        lm2 += log_b[:, 2 * (rows >> 3) + (rows >> shift & 1)]
+    p2 = np.exp(lm2 - lm2.max(axis=1, keepdims=True))
+    p2 /= p2.sum(axis=1, keepdims=True)
     p1 = np.exp(lw1 - lw1.max(axis=1, keepdims=True))
     p1 /= p1.sum(axis=1, keepdims=True)
-    return np.abs(marginal - p1).max(axis=1)
+    return np.abs(p2 - p1).max(axis=1)
 
 
 def kolmogorov_consistency_check(params: CouplingParameters,

@@ -20,7 +20,7 @@ the output column by column and format each distinct axis value and weight
 once.
 
 With the consistency check, every found root's field is checked by
-consistency_residuals in blocks of _CHECK_ROOTS roots, and a cell's residual
+consistency_residuals in blocks of _CHUNK_CELLS roots, and a cell's residual
 is the largest over its roots.  A root's residual has the same bits in any
 block, so the check keeps the rule that output bytes never depend on how
 the work is cut.  The oracle module is imported only by a scan that checks.
@@ -44,15 +44,10 @@ from .fixpoint import (STABILITY_LABELS, find_positive_fixed_points, regime, roo
 from .model import (CheckedRecord, CouplingParameters, couplings, coupling_weight,
                     derive_weights, scalar_field_h)
 
-# cells per solver call: keeps the solver's arrays (a few dozen doubles per
-# cell) in the low megabytes however large the grid
+# cells per solver call and roots per consistency_residuals call: keeps the
+# work arrays (a few dozen doubles per cell, about 140 per root) in the low
+# megabytes however large the grid
 _CHUNK_CELLS = 4096
-
-# roots per consistency_residuals call: its (roots, 560) work arrays stay
-# near 300 KB.  With the int8 oracle tables these blocks set the peak RSS of
-# a checked 21x21 CLI scan: 31.2, 31.3, 31.3 and 32.1 MB for blocks of 16,
-# 32, 64 and 128 (2-CPU Linux host, median of 7), and 64 scans fastest
-_CHECK_ROOTS = 64
 
 CSV_HEADER = ["J", "Jp", "T", "c", "d", "root_count", "roots", "stabilities",
               "eta1", "eta2", "phase_transition"]
@@ -302,8 +297,8 @@ def scan_grid(spec: GridSpec, workers: int = 1,
         # math.log, not np.log: the bits of field_from_scalar
         coef[2:] = scalar_field_h(np.array([math.log(r) for r in roots[found].tolist()]))
         per_root = np.empty(cells.size)
-        for s in range(0, cells.size, _CHECK_ROOTS):
-            e = s + _CHECK_ROOTS
+        for s in range(0, cells.size, _CHUNK_CELLS):
+            e = s + _CHUNK_CELLS
             per_root[s:e] = oracle.consistency_residuals(coef[:, s:e])
         per_slot = np.full(found.shape, -np.inf)
         per_slot[found] = per_root

@@ -25,7 +25,6 @@ from ivtree import (
 from ivtree.oracle import (
     _count_table,
     _feature_table,
-    _merged_feature_table,
     _log_partition_factorized,
     _spin_table,
     boundary_term,
@@ -161,28 +160,22 @@ def test_feature_table_is_built_once_per_depth_and_read_only():
                 array[0, 0] = 0
 
 
-def test_a_cold_merged_table_stays_small_and_a_checked_scan_skips_the_float_table():
-    """In a fresh process: building the merged table from nothing traces
-    under 1 MiB, and a checked scan never converts the depth-2 counts to
-    floats."""
-    script = ("import tracemalloc\n"
-              "from ivtree import GridSpec, scan_grid\n"
+def test_a_checked_scan_never_enumerates_the_depth_two_volume():
+    """In a fresh process, after a checked scan, the first call of each
+    depth-2 table builder misses its cache: the check never built the
+    8192-row spin, count or float table."""
+    script = ("from ivtree import GridSpec, scan_grid\n"
               "from ivtree import oracle\n"
-              "tracemalloc.start()\n"
-              "oracle._merged_feature_table()\n"
-              "print(tracemalloc.get_traced_memory()[1])\n"
-              "tracemalloc.stop()\n"
               "scan_grid(GridSpec(j=(-3, 3, 5), jp=(-3, 7, 5), t=(13, 13, 1)),\n"
               "          check_consistency=True)\n"
-              "misses = oracle._feature_table.cache_info().misses\n"
-              "oracle._feature_table(2)\n"
-              "print(oracle._feature_table.cache_info().misses - misses)\n")
+              "for build, arg in ((oracle._spin_table, 13), (oracle._count_table, 2),\n"
+              "                   (oracle._feature_table, 2)):\n"
+              "    misses = build.cache_info().misses\n"
+              "    build(arg)\n"
+              "    print(build.cache_info().misses - misses)\n")
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    peak, new_misses = map(int, proc.stdout.split())
-    assert peak < 2**20
-    # the first _feature_table(2) after the scan misses the cache
-    assert new_misses == 1
+    assert proc.stdout.split() == ["1", "1", "1"]
 
 
 def test_feature_table_weights_match_the_per_configuration_route():
@@ -317,37 +310,21 @@ def test_consistency_fails_for_generic_fields(three_root_params):
     assert kolmogorov_consistency_check(three_root_params, h) > 1e-3
 
 
-def test_merged_table_counts_every_configuration_once():
-    """Each inner configuration's 512 leaf assignments, merged by count row:
-    the merged rows and multiplicities are the distinct rows of its block
-    of _feature_table(2) and their counts."""
-    features, multiplicity, starts = _merged_feature_table()
-    assert _merged_feature_table()[0] is features
-    assert features.shape == (10, 560) and multiplicity.max() == 81
-    assert multiplicity.sum() == 8192
-    table = _feature_table(2)
-    ends = list(starts[1:]) + [multiplicity.size]
-    for inner, (s, e) in enumerate(zip(starts, ends)):
-        assert multiplicity[s:e].sum() == 512
-        rows, counts = np.unique(table[512 * inner:512 * (inner + 1)], axis=0,
-                                 return_counts=True)
-        order = np.lexsort(features[::-1, s:e])
-        assert np.array_equal(features[:, s:e].T[order], rows)
-        assert np.array_equal(multiplicity[s:e][order], counts)
-    for array in (features, multiplicity, starts):
-        with pytest.raises(ValueError):
-            array[0] = 0
-
-
-def random_consistency_cases(seed: int, draws: int):
+def random_consistency_cases(seed: int, draws: int, coupling: float = 5.0,
+                             t_range: tuple[float, float] = (0.2, 4.0)):
     """(params, field) pairs at random couplings, both signs of T: every
-    fixed-point field of the draw and one generic field."""
+    fixed-point field of the draw and one generic field.  J and Jp are
+    uniform in [-coupling, coupling] and |T| in t_range; a draw with a
+    fixed point outside the double range gives its generic field only."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(draws):
-        J, Jp = rng.uniform(-5.0, 5.0, 2)
-        p = couplings(J, Jp, rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 4.0))
-        roots = find_positive_fixed_points(derive_weights(p)).roots
+        J, Jp = rng.uniform(-coupling, coupling, 2)
+        p = couplings(J, Jp, rng.choice([-1.0, 1.0]) * rng.uniform(*t_range))
+        try:
+            roots = find_positive_fixed_points(derive_weights(p)).roots
+        except OverflowError:
+            roots = ()
         cases += [(p, field_from_scalar(r)) for r in roots]
         cases.append((p, BoundaryFieldVector(h=tuple(rng.uniform(-3.0, 3.0, 8)))))
     return cases
@@ -372,9 +349,27 @@ def test_batched_residuals_match_the_per_configuration_marginals():
     assert generic == 40 and len(cases) > 80
 
 
+def test_residuals_match_the_per_configuration_marginals_at_large_couplings():
+    """The brute-force comparison above with |beta J| and |beta Jp| into
+    the hundreds, both signs of T.  Log weights then reach the thousands,
+    and one ulp of them moves a probability by about 1e-13 in the residual
+    and in the 8192-row reference alike, hence the looser bound."""
+    cases = random_consistency_cases(seed=43, draws=40, coupling=60.0, t_range=(0.2, 1.0))
+    coef = coefficient_block(cases)
+    assert np.abs(coef[:2]).max() > 200.0 and len(cases) > 80
+    assert any(p.T < 0 for p, _ in cases) and any(p.T > 0 for p, _ in cases)
+    batch = consistency_residuals(coef)
+    for (p, h), res in zip(cases, batch.tolist()):
+        p2 = finite_measure(build_tree(2), p, h).probabilities()
+        p1 = finite_measure(build_tree(1), p, h).probabilities()
+        reference = np.max(np.abs(p2.reshape(16, 512).sum(axis=1) - p1))
+        assert abs(res - reference) <= 1e-12
+
+
 def test_a_residual_does_not_depend_on_its_block():
-    """Bits of each root alone, in the whole batch and in chunks of 7; the
-    one-field check is the one-column case."""
+    """Bits of each root alone, in the whole batch, in chunks of 7 and
+    tiled into one 4096-column block; the one-field check is the
+    one-column case."""
     cases = random_consistency_cases(seed=31, draws=20)
     coef = coefficient_block(cases)
     batch = consistency_residuals(coef)
@@ -382,6 +377,8 @@ def test_a_residual_does_not_depend_on_its_block():
     chunked = np.concatenate([consistency_residuals(coef[:, s:s + 7])
                               for s in range(0, len(cases), 7)])
     assert batch.tobytes() == np.array(alone).tobytes() == chunked.tobytes()
+    tiled = consistency_residuals(np.tile(coef, 4096 // len(cases) + 1)[:, :4096])
+    assert tiled.tobytes() == np.resize(batch, 4096).tobytes()
     assert [kolmogorov_consistency_check(p, h) for p, h in cases] == batch.tolist()
 
 

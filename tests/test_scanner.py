@@ -393,17 +393,15 @@ def test_error_heavy_scan_is_byte_identical_for_one_two_and_three_workers():
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    """Cells are solved in chunks of _CHUNK_CELLS and roots checked in blocks
-    of _CHECK_ROOTS; each chunk's errors and residuals must land on its own
-    cells, with the same bits, whatever the boundaries."""
+    """Cells are solved in chunks of _CHUNK_CELLS and their roots checked in
+    blocks of as many; each chunk's errors and residuals must land on its
+    own cells, with the same bits, whatever the boundaries."""
     def outputs():
         return (emit_jsonl(scan_grid(LOW_T_GRID, check_consistency=True)),
                 emit_csv(scan_grid(README_GRID)))
 
     default = outputs()
     monkeypatch.setattr(ivtree.scanner, "_CHUNK_CELLS", chunk)
-    assert outputs() == default
-    monkeypatch.setattr(ivtree.scanner, "_CHECK_ROOTS", chunk)
     assert outputs() == default
     assert default[0].count('"error"') == 122
 

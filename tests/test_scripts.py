@@ -29,6 +29,30 @@ def test_phase_diagram_writes_the_csv_of_its_scan(tmp_path):
     assert "25 cells: " in proc.stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--steps", "1"], "J: steps = 1 requires min = max"),
+    (["--steps", "0"], "J: steps must be >= 1"),
+    (["--T", "0"], "T: no nonzero temperature cells remain"),
+    (["--T", "nan"], "T: need finite min <= max"),
+    (["--jp-range", "7", "-3"], "Jp: need finite min <= max"),
+    (["--out", "{tmp}"], "--out {tmp}: Is a directory"),
+    (["--out", "{tmp}/missing/diagram.csv"],
+     "--out {tmp}/missing/diagram.csv: No such file or directory"),
+    (["--out", "/dev/full"], "--out /dev/full: No space left on device"),
+])
+def test_phase_diagram_rejects_what_it_cannot_scan_or_write(argv, message, tmp_path):
+    """Exit 2 with one usage error line, not a traceback, and leave no
+    output file behind for an invalid grid."""
+    out = tmp_path / "diagram.csv"
+    argv = ["--out", str(out)] + [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = run_script("phase_diagram.py", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    message = message.replace("{tmp}", str(tmp_path))
+    assert proc.stderr.splitlines()[-1] == f"phase_diagram.py: error: {message}"
+    assert not out.exists()
+
+
 def test_tangency_sweep_prints_the_collision_root():
     proc = run_script("tangency_sweep.py")
     assert proc.returncode == 0, proc.stderr
