@@ -38,9 +38,11 @@ directly, with no per-slot masks, brackets or gathers, and takes its
 tangency data as the NaN fill itself; the Newton loop narrows its own
 copies of the brackets in place.  These shortcuts test the batch's data,
 not its size, and give the same arrays.  A batch of one cell, and only
-such a batch, runs its Newton loop on Python floats instead, one root slot
-at a time: the same IEEE operations with about two numpy calls a step
-instead of 25.  numpy still takes the logaddexp and tanh of each step,
+such a batch, computes its Newton starts and runs its Newton loop on
+Python floats instead, one root slot at a time: the same IEEE operations
+with no numpy call for the start instead of about 25, and about two a step
+instead of 25.  The tangency setup and the brackets stay on arrays for
+every batch.  numpy still takes the logaddexp and tanh of each step,
 because math.tanh and math.exp differ from numpy's in the last bit on about
 20 % and 5 % of inputs uniform on [-20, 20].  Batches of two or more cells
 keep the array loop: a Python loop over the thousands of cells of a scan
@@ -165,22 +167,23 @@ def _model_root(lc, ld, lpd, lo, hi, sign):
     return k.choose(pts[:4] + frac * (pts[1:] - pts[:4]))
 
 
-def _newton(lcd, ld, lo, hi, sign, t):
+def _newton(lc, lcd, ld, lo, hi, sign):
     """Zeros of G in the brackets [lo, hi], one per entry, as log x.
 
-    sign is +1 where G falls on the bracket and -1 where it rises.  An
-    iterate has converged when its Newton step is below
-    _NEWTON_RTOL * max(1, |t|); that test comes first, because a converged
-    iterate may sit on the bracket's edge, and once every open entry has
-    passed it the call returns without updating the brackets.  A Newton
-    step is taken when it stays in the bracket (up to the tolerance; it is
-    then clipped) and is at most half the previous move; otherwise the
-    bracket is bisected, so the iteration cannot cycle.  Converged entries
-    leave the active set at once.  Entries still open after _MAX_STEPS come
-    back as NaN.  A done entry's value is its Newton iterate, or t itself
-    where G(t) is exactly 0.  The loop narrows its own copies of lo and hi
-    in place, so no argument changes.
+    sign is +1 where G falls on the bracket and -1 where it rises, and
+    each entry starts at its _model_root.  An iterate has converged when
+    its Newton step is below _NEWTON_RTOL * max(1, |t|); that test comes
+    first, because a converged iterate may sit on the bracket's edge, and
+    once every open entry has passed it the call returns without updating
+    the brackets.  A Newton step is taken when it stays in the bracket (up
+    to the tolerance; it is then clipped) and is at most half the previous
+    move; otherwise the bracket is bisected, so the iteration cannot cycle.
+    Converged entries leave the active set at once.  Entries still open
+    after _MAX_STEPS come back as NaN.  A done entry's value is its Newton
+    iterate, or t itself where G(t) is exactly 0.  The loop narrows its own
+    copies of lo and hi in place, so no argument changes.
     """
+    t = _model_root(lc, ld, lcd[0], lo, hi, sign)
     out = np.full(t.shape, np.nan)
     todo = np.arange(t.size)        # out's entry for each open entry
     lo, hi = lo.copy(), hi.copy()
@@ -243,15 +246,38 @@ def _divide(a, b):
     return a / b if b else a * math.copysign(math.inf, b)
 
 
-def _newton_one(lpd, lmd, ld, lo, hi, sign, t):
+def _model_start(lc, ld, lpd, lo, hi, sign):
+    """_model_root for one entry, on Python floats, with the same bits.
+
+    The same IEEE operations in the same order, with _maximum and _minimum
+    for numpy's (-lc - (-|ld|) is -lc + |ld| in IEEE arithmetic).  Only
+    segment k's zero is computed, and its quotient needs no _divide,
+    because va > vb makes va - vb nonzero.
+    """
+    a = abs(ld)
+    pts = (lo, lo, _minimum(_maximum(-lc - a, lo), hi),
+           _minimum(_maximum(-lc + a, lo), hi), hi)
+    v = [sign * (3.0 * _maximum(0.0, lpd + p) - 3.0 * _maximum(ld, lc + p) - p) for p in pts]
+    if v[4] > 0.0:
+        k = 3
+    else:
+        k = next((j for j in range(4) if v[j + 1] <= 0.0), 0)
+    va, vb = v[k], v[k + 1]
+    frac = va / (va - vb) if va > vb else 0.0
+    return pts[k] + frac * (pts[k + 1] - pts[k])
+
+
+def _newton_one(lc, lpd, lmd, ld, lo, hi, sign):
     """_newton for one entry, on Python floats, with the same bits.
 
-    lpd and lmd are lc + ld and lc - ld.  Every step, test and bracket
-    update is _newton's IEEE operation on floats, with _maximum, _minimum
-    and _divide where Python's max, min and / differ from numpy's.  numpy
-    keeps logaddexp and tanh: on a 2-tuple they give the bits they give in
-    an array, and math.exp and math.tanh do not.
+    lpd and lmd are lc + ld and lc - ld, and the entry starts at its
+    _model_start.  Every step, test and bracket update is _newton's IEEE
+    operation on floats, with _maximum, _minimum and _divide where Python's
+    max, min and / differ from numpy's.  numpy keeps logaddexp and tanh: on
+    a 2-tuple they give the bits they give in an array, and math.exp and
+    math.tanh do not.
     """
+    t = _model_start(lc, ld, lpd, lo, hi, sign)
     prev = hi - lo
     for _ in range(_MAX_STEPS):
         zp, zm = lpd + t, lmd + t
@@ -282,11 +308,11 @@ def _newton_one(lpd, lmd, ld, lo, hi, sign, t):
     return math.nan
 
 
-def _newton_cell(lcd, ld, lo, hi, sign, t):
-    """_newton for the one to three root slots of one cell: a float loop
-    per slot costs fewer numpy calls than the array loop."""
+def _newton_cell(lc, lcd, ld, lo, hi, sign):
+    """_newton for the one to three root slots of one cell: a float start
+    and loop per slot cost fewer numpy calls than the array ones."""
     return [_newton_one(*entry)
-            for entry in zip(*(a.tolist() for a in (lcd[0], lcd[1], ld, lo, hi, sign, t)))]
+            for entry in zip(*(a.tolist() for a in (lc, lcd[0], lcd[1], ld, lo, hi, sign)))]
 
 
 def root_errors(found, log_roots, roots) -> dict[int, ArithmeticError]:
@@ -392,9 +418,7 @@ def _solve(c, d):
         found[:, 0] = True
         sign = np.empty(n)
         sign.fill(1.0)
-        lo = -span
-        log_roots[:, 0] = newton(lcd, ld, lo, span, sign,
-                                 _model_root(lc, ld, lcd[0], lo, span, sign))
+        log_roots[:, 0] = newton(lc, lcd, ld, -span, span, sign)
     else:
         log_crit, log_eta = tangency[0], tangency[1]
         left = multi & (log_eta[0] < _MINUS_TOL)     # G(t_1) < 0: a zero left of t_1
@@ -411,9 +435,7 @@ def _solve(c, d):
         np.maximum(span, edge[2], out=edge[3])
         cells, slot = found.nonzero()
         lo, hi, sign = edge[slot, cells], edge[1:][slot, cells], _SLOT_SIGN[slot]
-        lcds, lds = lcd[:, cells], ld[cells]
-        log_roots[cells, slot] = newton(
-            lcds, lds, lo, hi, sign, _model_root(lc[cells], lds, lcds[0], lo, hi, sign))
+        log_roots[cells, slot] = newton(lc[cells], lcd[:, cells], ld[cells], lo, hi, sign)
 
         # a tangency point within _TANGENCY_TOL of G = 0 is itself a double root
         tangent = (multi & (np.abs(log_eta) <= _TOL)).T

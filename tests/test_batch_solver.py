@@ -133,6 +133,71 @@ def test_float_helpers_give_the_bits_of_numpy():
             assert np.float64(fp._minimum(a, b)).tobytes() == np.minimum(x, y).tobytes(), (a, b)
 
 
+def _assert_float_starts_have_the_bits_of_model_root(lc, ld, lpd, lo, hi, sign):
+    """_model_start on each entry gives _model_root's start bit for bit.
+    The starts themselves are compared: Newton can reach the same root from
+    two different starts and hide a mismatch."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        starts = ivtree.fixpoint._model_root(lc, ld, lpd, lo, hi, sign)
+    entries = zip(*(a.tolist() for a in (lc, ld, lpd, lo, hi, sign)))
+    floats = np.array([ivtree.fixpoint._model_start(*entry) for entry in entries])
+    assert floats.tobytes() == starts.tobytes()
+
+
+@pytest.mark.parametrize("cells", [
+    pytest.param(_pinned_sample, id="pinned-sample"),
+    pytest.param(_near_tangency_cells, id="near-tangency"),
+])
+def test_the_float_start_of_every_root_slot_has_the_bits_of_model_root(cells, monkeypatch):
+    """Every root slot's start arguments, as the array loop receives them."""
+    calls = []
+    newton = ivtree.fixpoint._newton
+
+    def recorded_newton(lc, lcd, ld, lo, hi, sign):
+        calls.append((lc, ld, lcd[0], lo, hi, sign))
+        return newton(lc, lcd, ld, lo, hi, sign)
+
+    c, d = cells()
+    monkeypatch.setattr(ivtree.fixpoint, "_newton", recorded_newton)
+    solve_fixed_points(c, d)
+    [args] = calls
+    assert args[0].size >= c.size
+    _assert_float_starts_have_the_bits_of_model_root(*args)
+
+
+def test_the_float_start_has_the_bits_of_model_root_on_special_arguments():
+    """A seeded sweep of +-0.0, kinks -lc -+ |ld| exactly on lo or hi,
+    lo == hi, models with no sign change on the bracket (so the last
+    segment is taken), both signs, and infinite and NaN operands."""
+    rng = np.random.default_rng(21)
+    n = 20000
+    special = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -5e-324, 700.0, -700.0,
+                        1e308, -1e308, math.inf, -math.inf, math.nan])
+
+    def draw():
+        x = rng.uniform(-50.0, 50.0, n)
+        pick = rng.random(n) < 0.4
+        x[pick] = rng.choice(special, pick.sum())
+        return x
+
+    lc, ld, lo, hi = draw(), draw(), draw(), draw()
+    sign = rng.choice([1.0, -1.0], n)
+    # 0: as drawn; 1, 2: a kink on lo; 3, 4: a kink on hi; 5: lo == hi;
+    # 6: the sign for which sign * model is positive at hi, where the last
+    # segment is taken
+    case = rng.integers(0, 7, n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kinks = -lc - np.abs(ld), -lc + np.abs(ld)
+        lo = np.select([case == 1, case == 2], kinks, lo)
+        hi = np.select([case == 3, case == 4, case == 5], [kinks[1], kinks[0], lo], hi)
+        lpd = lc + ld
+        model_hi = 3.0 * np.maximum(0.0, lpd + hi) - 3.0 * np.maximum(ld, lc + hi) - hi
+    sign[case == 6] = np.where(model_hi[case == 6] < 0.0, -1.0, 1.0)
+    assert (lo == hi).sum() > n // 10 and np.signbit(lo[lo == 0.0]).any()
+    assert (sign * model_hi > 0.0).sum() > n // 3
+    _assert_float_starts_have_the_bits_of_model_root(lc, ld, lpd, lo, hi, sign)
+
+
 @pytest.mark.parametrize("part", [
     pytest.param(lambda d: d < 2.0, id="d<2"),
     pytest.param(lambda d: d <= 2.0, id="d<=2"),
@@ -204,3 +269,18 @@ def test_unconverged_slots_come_back_nan(monkeypatch):
     point = evaluate_point(*THREE_ROOT_POINT)
     assert point.error == "Newton iteration for a fixed point did not converge"
     assert point.root_count is None and point.roots == ()
+
+
+def test_unconverged_slots_of_a_cell_solved_alone_come_back_nan(monkeypatch):
+    """The one-cell float loop runs out of steps as the array loop does:
+    with the budget cut to two, every slot of the reference cell solved
+    alone is NaN and an error, and c = d = 1 still gets its root x = 1."""
+    three = derive_weights(couplings(*THREE_ROOT_POINT))
+    full = solve_fixed_points(three.c, three.d)
+    monkeypatch.setattr(ivtree.fixpoint, "_MAX_STEPS", 2)
+    cut = solve_fixed_points(three.c, three.d)
+    assert cut.found.tolist() == full.found.tolist() == [[True] * 3]
+    assert np.isnan(cut.log_roots).all() and np.isnan(cut.roots).all()
+    [error] = ivtree.fixpoint.root_errors(cut.found, cut.log_roots, cut.roots).values()
+    assert isinstance(error, FloatingPointError)
+    assert solve_fixed_points(1.0, 1.0).log_roots[0, 0] == 0.0
