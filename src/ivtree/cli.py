@@ -16,6 +16,12 @@ built, ahead of the option checks here.  --out is opened only once the
 input has passed every check (for --curve, once the curve is tabulated), so
 a run that exits 2 creates or truncates no file, and a grid scan with an
 unwritable --out exits before it scans.
+
+Importing this module starts numpy with one BLAS thread unless the caller
+has set OPENBLAS_NUM_THREADS.  No run calls BLAS, and OpenBLAS's thread
+pool costs about 60-70 ms of start-up on a 2-CPU host, roughly a quarter of
+a 51x51 scan.  The library modules leave the environment alone, so a host
+application that imports them keeps its BLAS threads.
 """
 
 from __future__ import annotations
@@ -25,8 +31,11 @@ import contextlib
 import os
 import sys
 
-from .model import couplings
-from .scanner import GridSpec, emit_csv, emit_curve_csv, emit_jsonl, scan_grid
+# before numpy's first import: OpenBLAS reads this once, when it loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .model import couplings  # noqa: E402
+from .scanner import GridSpec, emit_csv, emit_curve_csv, emit_jsonl, scan_grid  # noqa: E402
 
 
 def _parse_axis(name: str, text: str) -> tuple[float, float, int]:

@@ -124,17 +124,22 @@ def test_invalid_invocations_exit_2(argv, recwarn):
     assert excinfo.value.code == 2
 
 
-def run_python(*argv, stdout=subprocess.PIPE):
+def run_python(*argv, stdout=subprocess.PIPE, blas_threads=None):
+    """Run a fresh interpreter; OPENBLAS_NUM_THREADS is blas_threads, or unset."""
     # the child imports the package under test, installed or not
     src = os.path.dirname(os.path.dirname(ivtree.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # importing ivtree.cli here sets the variable in this process's environment
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
                           text=True, env=env)
 
 
-def run_module(*argv, stdout=subprocess.PIPE):
-    return run_python("-m", "ivtree", *argv, stdout=stdout)
+def run_module(*argv, stdout=subprocess.PIPE, blas_threads=None):
+    return run_python("-m", "ivtree", *argv, stdout=stdout, blas_threads=blas_threads)
 
 
 def test_module_invocation():
@@ -153,6 +158,47 @@ def test_workers_start_no_process_pool():
     proc = run_python("-c", script, "--J=-2:2:3", "--Jp=5:7:2", "--T", "13", "--workers", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("module, preset, expected", [
+    ("ivtree.cli", None, "1"),
+    ("ivtree.cli", "2", "2"),
+    ("ivtree", None, "None"),
+    ("ivtree.scanner", None, "None"),
+])
+def test_only_the_cli_sets_the_blas_thread_count(module, preset, expected):
+    """Importing the command line sets OPENBLAS_NUM_THREADS to 1 before
+    numpy loads, so the process runs no OpenBLAS thread pool; a value the
+    caller set stays, and the library leaves the environment alone."""
+    script = ("import os, sys\n"
+              "__import__(sys.argv[1])\n"
+              "import numpy\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+              "if os.path.exists('/proc/self/status'):\n"
+              "    with open('/proc/self/status') as fh:\n"
+              "        print(next(line.split()[1] for line in fh\n"
+              "                   if line.startswith('Threads:')))\n")
+    proc = run_python("-c", script, module, blas_threads=preset)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == expected
+    if expected == "1":
+        if len(lines) == 1:
+            pytest.skip("no /proc/self/status to count threads")
+        assert lines[1] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--J=-2:2:5", "--Jp=5:7:4", "--T", "13", "--workers", "2"),
+    ("--J=-3:3:4", "--Jp=-3:7:3", "--T", "13", "--check-consistency", "--format", "jsonl"),
+])
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(argv):
+    outputs = []
+    for threads in (None, "1", "2"):
+        proc = run_module(*argv, blas_threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs == [outputs[0]] * 3
 
 
 def test_the_cli_imports_only_what_a_run_uses():
