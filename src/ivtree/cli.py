@@ -20,14 +20,20 @@ unwritable --out exits before it scans.
 Importing this module starts numpy with one BLAS thread unless the caller
 has set OPENBLAS_NUM_THREADS.  No run calls BLAS, and OpenBLAS's thread
 pool costs about 60-70 ms of start-up on a 2-CPU host, roughly a quarter of
-a 51x51 scan.  The library modules leave the environment alone, so a host
-application that imports them keeps its BLAS threads.
+a 51x51 scan.  It then freezes the import-time heap (gc.freeze): the
+collector stays on and still frees a run's own garbage, but no longer
+rescans the ~21,600 objects numpy and the package leave behind, which saves
+about 20 ms of exit time per run, roughly a tenth of a 51x51 scan.  The
+library modules leave the environment and the collector alone, so a host
+application that imports them keeps its BLAS threads and its own collector
+settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 
@@ -36,6 +42,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .model import couplings  # noqa: E402
 from .scanner import GridSpec, emit_csv, emit_curve_csv, emit_jsonl, scan_grid  # noqa: E402
+
+# the import-time heap (numpy's and ours) lives as long as the process, so
+# move it out of the collector's generations: the exit passes then skip it
+gc.freeze()
 
 
 def _parse_axis(name: str, text: str) -> tuple[float, float, int]:

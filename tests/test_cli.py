@@ -188,6 +188,46 @@ def test_only_the_cli_sets_the_blas_thread_count(module, preset, expected):
         assert lines[1] == "1"
 
 
+@pytest.mark.parametrize("module, disabled, expected", [
+    ("ivtree.cli", False, "frozen enabled"),
+    ("ivtree.cli", True, "frozen disabled"),
+    ("ivtree", False, "unfrozen enabled"),
+    ("ivtree.scanner", False, "unfrozen enabled"),
+])
+def test_only_the_cli_freezes_the_import_time_heap(module, disabled, expected):
+    """Importing the command line moves the import-time heap out of the
+    collector's reach and leaves the collector as it found it; the library
+    leaves the collector alone."""
+    script = ("import gc, sys\n"
+              "if sys.argv[2] == 'True':\n"
+              "    gc.disable()\n"
+              "__import__(sys.argv[1])\n"
+              "print('frozen' if gc.get_freeze_count() > 0 else 'unfrozen',\n"
+              "      'enabled' if gc.isenabled() else 'disabled')\n")
+    proc = run_python("-c", script, module, str(disabled))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"
+
+
+def test_the_cli_still_collects_a_runs_own_cycles():
+    """The freeze covers only what exists at import: a reference cycle made
+    afterwards is still freed, by the collector's own passes and without a
+    gc.collect() call, so a disabled collector fails this."""
+    script = ("import gc, weakref\n"
+              "import ivtree.cli\n"
+              "class Node:\n"
+              "    pass\n"
+              "node = Node()\n"
+              "node.self = node\n"
+              "ref = weakref.ref(node)\n"
+              "del node\n"
+              "keep = [[] for _ in range(10 * gc.get_threshold()[0])]\n"
+              "print(ref() is None)\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--J=-2:2:5", "--Jp=5:7:4", "--T", "13", "--workers", "2"),
     ("--J=-3:3:4", "--Jp=-3:7:3", "--T", "13", "--check-consistency", "--format", "jsonl"),
