@@ -15,7 +15,9 @@ opened or written.  Every check of the grid runs when its GridSpec is
 built, ahead of the option checks here.  --out is opened only once the
 input has passed every check (for --curve, once the curve is tabulated), so
 a run that exits 2 creates or truncates no file, and a grid scan with an
-unwritable --out exits before it scans.
+unwritable --out exits before it scans.  A grid's text is written in blocks
+of rows, so the run never holds the whole table's text; a write that fails
+part-way leaves the blocks already written in place, and the run exits 2.
 
 Importing this module starts numpy with one BLAS thread unless the caller
 has set OPENBLAS_NUM_THREADS.  No run calls BLAS, and OpenBLAS's thread
@@ -41,7 +43,7 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .model import couplings  # noqa: E402
-from .scanner import GridSpec, emit_csv, emit_curve_csv, emit_jsonl, scan_grid  # noqa: E402
+from .scanner import GridSpec, _emit_blocks, emit_curve_csv, scan_grid  # noqa: E402
 
 # the import-time heap (numpy's and ours) lives as long as the process, so
 # move it out of the collector's generations: the exit passes then skip it
@@ -126,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     with _output(parser, args.out) as fh:
         table = scan_grid(spec, workers=args.workers,
                           check_consistency=args.check_consistency)
-        fh.write((emit_jsonl if args.format == "jsonl" else emit_csv)(table))
+        fh.writelines(_emit_blocks(table, args.format))
     return 0
 
 

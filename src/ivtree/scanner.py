@@ -15,9 +15,12 @@ of one chunk keeps the solver's arrays as the table's.  Every cell's answer
 is independent of the chunk it lands in, so output bytes never depend on
 the chunk size.  The table stores no per-cell index: a cell's axis and
 weight indices follow from its own index and the axis sizes
-(_cell_indices).  evaluate_point is a one-cell scan.  The emitters build
-the output column by column and format each distinct axis value and weight
-once.
+(_cell_indices).  evaluate_point is a one-cell scan.  The emitters work
+block by block (_emit_blocks): each distinct axis value and weight is
+formatted once per table, and each block of _EMIT_ROWS rows builds its own
+columns and joins its own lines, so no more than one block of text is held
+at a time.  emit_csv and emit_jsonl join the blocks into one string; the
+command line writes them to its output one by one.
 
 With the consistency check, every found root's field is checked by
 consistency_residuals in blocks of _CHUNK_CELLS roots, and a cell's residual
@@ -34,7 +37,7 @@ import itertools
 import math
 import operator
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +51,10 @@ from .model import (CheckedRecord, CouplingParameters, couplings, coupling_weigh
 # work arrays (a few dozen doubles per cell, about 140 per root) in the low
 # megabytes however large the grid
 _CHUNK_CELLS = 4096
+
+# rows per block of emitted text: a block's strings (about 0.3 MB) stay
+# below the scan's own arrays, so emission never sets a run's peak memory
+_EMIT_ROWS = 512
 
 CSV_HEADER = ["J", "Jp", "T", "c", "d", "root_count", "roots", "stabilities",
               "eta1", "eta2", "phase_transition"]
@@ -339,83 +346,99 @@ def _texts(values, spell, blank: str | None = None) -> np.ndarray:
                      for v in values.tolist()], dtype=object)
 
 
-def _fields(table: ScanTable, spell, eta_spell, blank: str, sep: str,
-            word) -> dict[str, np.ndarray]:
-    """Per-cell text of every output field, by name, in JSONL key order.
+def _emit_blocks(table: ScanTable, fmt: str) -> Iterator[str]:
+    """The text of emit_csv (fmt "csv") or emit_jsonl (fmt "jsonl") in
+    blocks of _EMIT_ROWS rows; the CSV header is a block of its own.
 
-    spell formats a float, eta_spell an eta, blank is a missing value, sep
-    joins list entries and word quotes a label.  roots and stabilities hold
-    the joined entries only, without brackets.  consistency_residual is a
-    field exactly when the scan ran the check.
+    Each distinct axis value, weight and regime is formatted once per
+    table.  A block gathers its rows' texts from those, formats its own
+    roots, etas and residuals, blanks its error rows and joins its lines,
+    so no text of more than one block is ever held.  roots and stabilities
+    join their entries with sep and carry no brackets; consistency_residual
+    is a field exactly when the scan ran the check.
     """
-    n = len(table)
-    cell_j, cell_jp, cell_t, cell_c, cell_d = _cell_indices(
-        np.arange(n), (table.j.size, table.jp.size, table.t.size))
-    errors = np.fromiter(table.errors, dtype=np.intp, count=len(table.errors))
-    found = table.found
-    count = found.sum(axis=1)
-
-    roots = np.full(found.shape, "", dtype=object)
-    roots[found] = [spell(x) for x in table.roots[found].tolist()]
-    # a separator after slot 0 when a later slot is set, after slot 1 before slot 2
-    cut01 = np.where(found[:, 0] & (found[:, 1] | found[:, 2]), sep, "").astype(object)
-    cut12 = np.where(found[:, 1] & found[:, 2], sep, "").astype(object)
-
+    if fmt == "jsonl":
+        import json
+        spell, eta_spell, blank, sep, word = _json_float, _json_eta, "null", ", ", json.dumps
+    else:
+        spell, eta_spell, blank, sep, word = _spell, _spell, "", ";", str
+    n, shape = len(table), (table.j.size, table.jp.size, table.t.size)
+    texts = {"J": _texts(table.j, spell), "Jp": _texts(table.jp, spell),
+             "T": _texts(table.t, spell), "c": _texts(table.c, spell, blank),
+             "d": _texts(table.d, spell, blank),
+             "regime": _texts(table.d, lambda d: word(regime(d)))}
+    counts = np.array(["0", "1", "2", "3"], dtype=object)
     # each slot contributes 0 (empty) or 1 + its stability code, in base 4
-    lists = [sep.join(word(STABILITY_LABELS[(key >> 2 * k & 3) - 1])
-                      for k in range(3) if key >> 2 * k & 3) for key in range(64)]
-    keys = (found * (table.stability + 1)) @ np.array([1, 4, 16])
+    lists = np.array([sep.join(word(STABILITY_LABELS[(key >> 2 * k & 3) - 1])
+                               for k in range(3) if key >> 2 * k & 3) for key in range(64)],
+                     dtype=object)
+    errors = np.sort(np.fromiter(table.errors, dtype=np.intp, count=len(table.errors)))
+    residual = [] if table.residual is None else ["consistency_residual"]
+    if fmt == "jsonl":
+        names = CSV_HEADER[:-1] + ["regime", "phase_transition"] + residual
+        row = ("{%s%%s}" % ", ".join(f'"{name}": [%s]' if name in _LISTS else f'"{name}": %s'
+                                     for name in names)).__mod__
+    else:
+        names = CSV_HEADER + residual
+        row = ",".join
+        yield ",".join(names) + "\n"
 
-    eta = np.full((n, 2), blank, dtype=object)
-    has_eta = ~np.isnan(table.eta)
-    eta[has_eta] = [eta_spell(x) for x in table.eta[has_eta].tolist()]
-
-    fields = {
-        "J": _texts(table.j, spell)[cell_j],
-        "Jp": _texts(table.jp, spell)[cell_jp],
-        "T": _texts(table.t, spell)[cell_t],
-        "c": _texts(table.c, spell, blank)[cell_c],
-        "d": _texts(table.d, spell, blank)[cell_d],
-        "root_count": np.array(["0", "1", "2", "3"], dtype=object)[count],
-        "roots": roots[:, 0] + cut01 + roots[:, 1] + cut12 + roots[:, 2],
-        "stabilities": np.array(lists, dtype=object)[keys],
-        "eta1": eta[:, 0],
-        "eta2": eta[:, 1],
-        "regime": _texts(table.d, lambda d: word(regime(d)))[cell_d],
-        "phase_transition": np.where(count >= 2, "true", "false").astype(object),
-    }
-    if table.residual is not None:
-        fields["consistency_residual"] = _texts(table.residual, spell, blank)
-    # an error cell keeps its coordinates only; its lists stay empty
-    for name, column in fields.items():
-        if name not in ("J", "Jp", "T"):
-            column[errors] = "" if name in _LISTS else blank
-    return fields
+    for s in range(0, n, _EMIT_ROWS):
+        e = min(s + _EMIT_ROWS, n)
+        cell_j, cell_jp, cell_t, cell_c, cell_d = _cell_indices(np.arange(s, e), shape)
+        found = table.found[s:e]
+        count = found.sum(axis=1)
+        roots = np.full(found.shape, "", dtype=object)
+        roots[found] = [spell(x) for x in table.roots[s:e][found].tolist()]
+        # a separator after slot 0 when a later slot is set, after slot 1 before slot 2
+        cut01 = np.where(found[:, 0] & (found[:, 1] | found[:, 2]), sep, "").astype(object)
+        cut12 = np.where(found[:, 1] & found[:, 2], sep, "").astype(object)
+        eta = np.full((e - s, 2), blank, dtype=object)
+        has_eta = ~np.isnan(table.eta[s:e])
+        eta[has_eta] = [eta_spell(x) for x in table.eta[s:e][has_eta].tolist()]
+        fields = {
+            "J": texts["J"][cell_j],
+            "Jp": texts["Jp"][cell_jp],
+            "T": texts["T"][cell_t],
+            "c": texts["c"][cell_c],
+            "d": texts["d"][cell_d],
+            "root_count": counts[count],
+            "roots": roots[:, 0] + cut01 + roots[:, 1] + cut12 + roots[:, 2],
+            "stabilities": lists[(found * (table.stability[s:e] + 1)) @ np.array([1, 4, 16])],
+            "eta1": eta[:, 0],
+            "eta2": eta[:, 1],
+            "regime": texts["regime"][cell_d],
+            "phase_transition": np.where(count >= 2, "true", "false").astype(object),
+        }
+        if residual:
+            fields["consistency_residual"] = _texts(table.residual[s:e], spell, blank)
+        # an error row keeps its coordinates only; its lists stay empty
+        lo, hi = np.searchsorted(errors, (s, e)).tolist()
+        bad = errors[lo:hi] - s
+        for name, column in fields.items():
+            if name not in ("J", "Jp", "T"):
+                column[bad] = "" if name in _LISTS else blank
+        columns = [fields[name].tolist() for name in names]
+        if fmt == "jsonl":
+            error = np.full(e - s, "", dtype=object)
+            error[bad] = [f', "error": {json.dumps(table.errors[i])}'
+                          for i in errors[lo:hi].tolist()]
+            columns.append(error.tolist())
+        yield "\n".join(map(row, zip(*columns))) + "\n"
 
 
 def emit_csv(table: ScanTable) -> str:
     """CSV of a scan, one row per cell; lists are semicolon-joined inside one
     field, and a consistency_residual column follows when the scan ran the
     check."""
-    fields = _fields(table, _spell, _spell, "", ";", str)
-    header = CSV_HEADER + (["consistency_residual"] if table.residual is not None else [])
-    rows = map(",".join, zip(*(fields[name].tolist() for name in header)))
-    return "\n".join(itertools.chain([",".join(header)], rows)) + "\n"
+    return "".join(_emit_blocks(table, "csv"))
 
 
 def emit_jsonl(table: ScanTable) -> str:
     """One strict-JSON object per cell of a scan; carries the regime label,
     any cell error, and consistency_residual when the scan ran the check.
     An eta that saturated outside the double range is null."""
-    import json
-
-    fields = _fields(table, _json_float, _json_eta, "null", ", ", json.dumps)
-    error = np.full(len(table), "", dtype=object)
-    error[list(table.errors)] = [f', "error": {json.dumps(e)}' for e in table.errors.values()]
-    template = "{%s%%s}" % ", ".join(
-        f'"{name}": [%s]' if name in _LISTS else f'"{name}": %s' for name in fields)
-    lines = map(template.__mod__, zip(*(f.tolist() for f in fields.values()), error.tolist()))
-    return "\n".join(lines) + "\n"
+    return "".join(_emit_blocks(table, "jsonl"))
 
 
 def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4, 1e4),

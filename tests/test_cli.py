@@ -2,13 +2,15 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import ivtree
-from ivtree import GridSpec, emit_jsonl, scan_grid
+from ivtree import GridSpec, emit_csv, emit_jsonl, scan_grid
 from ivtree.cli import main
 
 
@@ -124,7 +126,7 @@ def test_invalid_invocations_exit_2(argv, recwarn):
     assert excinfo.value.code == 2
 
 
-def run_python(*argv, stdout=subprocess.PIPE, blas_threads=None):
+def run_python(*argv, stdout=subprocess.PIPE, blas_threads=None, preexec_fn=None):
     """Run a fresh interpreter; OPENBLAS_NUM_THREADS is blas_threads, or unset."""
     # the child imports the package under test, installed or not
     src = os.path.dirname(os.path.dirname(ivtree.__file__))
@@ -135,11 +137,12 @@ def run_python(*argv, stdout=subprocess.PIPE, blas_threads=None):
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env)
+                          text=True, env=env, preexec_fn=preexec_fn)
 
 
-def run_module(*argv, stdout=subprocess.PIPE, blas_threads=None):
-    return run_python("-m", "ivtree", *argv, stdout=stdout, blas_threads=blas_threads)
+def run_module(*argv, stdout=subprocess.PIPE, blas_threads=None, preexec_fn=None):
+    return run_python("-m", "ivtree", *argv, stdout=stdout, blas_threads=blas_threads,
+                      preexec_fn=preexec_fn)
 
 
 def test_module_invocation():
@@ -340,19 +343,78 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, out):
     ["--J", "1", "--Jp", "1", "--T", "1"],
     ["--J=-3:3:21", "--Jp=-3:7:21", "--T", "13"],
     ["--J", "1", "--Jp", "1", "--T", "1", "--curve"],
+    ["--J=-3:3:41", "--Jp=-3:7:41", "--T", "13"],
 ])
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_a_failed_write_to_stdout_exits_2_without_traceback(argv, unbuffered, monkeypatch):
     """stdout on a full device: the final flush of a short text fails, and so
-    does the write of a text longer than the stream's buffer.  A buffered
-    stdout still holds the short text at exit, and must not fail again."""
+    does the write of a text longer than the stream's buffer, and that of a
+    later block of a grid written in several.  A buffered stdout still holds
+    the short text at exit, and must not fail again."""
     monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
     with open("/dev/full", "w") as full:
         proc = run_module(*argv, stdout=full)
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1] == "ivtree: error: --out -: No space left on device"
+    assert proc.stderr.count("ivtree: error:") == 1
     assert proc.stderr.startswith("usage: ivtree ")
     assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [
+    ["--J", "1", "--Jp", "1", "--T", "1"],
+    ["--J=-3:3:41", "--Jp=-3:7:41", "--T", "13"],
+])
+def test_a_failed_write_to_out_exits_2_without_traceback(argv):
+    """--out on a full device: the first write or the closing flush fails."""
+    proc = run_module(*argv, "--out", "/dev/full")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == "ivtree: error: --out /dev/full: No space left on device"
+    assert proc.stderr.count("ivtree: error:") == 1
+    assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_a_write_that_fails_part_way_keeps_what_went_out(tmp_path):
+    """A file size limit in the child: the text of the 1,681-row grid is
+    written in blocks until the limit, then a write fails.  The run exits 2
+    with one line, and the file holds the text up to the limit."""
+    resource = pytest.importorskip("resource")
+    limit = 64 * 1024
+
+    def limit_file_size():
+        # past the limit a write fails with EFBIG instead of raising SIGXFSZ
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    out = tmp_path / "grid.csv"
+    proc = run_module("--J=-3:3:41", "--Jp=-3:7:41", "--T", "13", "--out", str(out),
+                      preexec_fn=limit_file_size)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == f"ivtree: error: --out {out}: File too large"
+    assert proc.stderr.count("ivtree: error:") == 1
+    assert "Traceback" not in proc.stderr
+    text = emit_csv(scan_grid(GridSpec(j=(-3, 3, 41), jp=(-3, 7, 41), t=(13, 13, 1))))
+    assert len(text) > limit
+    assert out.read_text(encoding="utf-8") == text[:limit]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_grid_output_memory_does_not_grow_with_the_table(fmt):
+    """A 201 x 201 scan written in blocks: the traced peak is the scan's
+    arrays (about 7.2 MB for either format) plus one block of text.  Writing
+    the table as one string peaked at about 25 MB for CSV and 44 MB for
+    JSONL, which is over the bound."""
+    tracemalloc.start()
+    try:
+        code = main(["--J=-3:3:201", "--Jp=-3:7:201", "--T", "13", "--format", fmt,
+                     "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 22e6
 
 
 @pytest.mark.parametrize("out", ["", "missing/x.csv"])

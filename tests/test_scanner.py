@@ -1,5 +1,6 @@
 """Grid scans, output emission, and the curve table."""
 
+import collections
 import hashlib
 import json
 import math
@@ -391,19 +392,48 @@ def test_error_heavy_scan_is_byte_identical_for_one_two_and_three_workers():
     assert texts[1].count('"error"') == 122
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+# 100 cuts both grids part-way: 441 = 4 * 100 + 41 and 1331 = 13 * 100 + 31
+@pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    """Cells are solved in chunks of _CHUNK_CELLS and their roots checked in
-    blocks of as many; each chunk's errors and residuals must land on its
+    """Cells are solved in chunks of _CHUNK_CELLS, their roots checked in
+    blocks of as many, and the text is emitted in blocks of _EMIT_ROWS
+    rows; each chunk's and block's errors and residuals must land on its
     own cells, with the same bits, whatever the boundaries."""
     def outputs():
         return (emit_jsonl(scan_grid(LOW_T_GRID, check_consistency=True)),
-                emit_csv(scan_grid(README_GRID)))
+                emit_csv(scan_grid(README_GRID)),
+                emit_csv(scan_grid(LOW_T_GRID, check_consistency=True)))
 
     default = outputs()
     monkeypatch.setattr(ivtree.scanner, "_CHUNK_CELLS", chunk)
+    monkeypatch.setattr(ivtree.scanner, "_EMIT_ROWS", chunk)
     assert outputs() == default
     assert default[0].count('"error"') == 122
+    assert default[2].splitlines()[0].endswith(",consistency_residual")
+
+
+def test_emission_formats_each_axis_value_and_weight_once(monkeypatch):
+    """On a grid of four blocks, every J, Jp, T, c and d value is spelled
+    once per table, not once per block; each root and eta once per cell."""
+    spec = GridSpec(j=(-3, 3, 21), jp=(-3, 7, 21), t=(10, 13, 4))
+    table = scan_grid(spec)
+    assert not table.errors and len(table) > 3 * ivtree.scanner._EMIT_ROWS
+    seen = collections.Counter()
+    spell = ivtree.scanner._spell
+
+    def counted(x):
+        seen[x] += 1
+        return spell(x)
+
+    monkeypatch.setattr(ivtree.scanner, "_spell", counted)
+    text = emit_csv(table)
+    monkeypatch.undo()
+    assert text == emit_csv(table)
+    expected = collections.Counter()
+    for values in (table.j, table.jp, table.t, table.c, table.d, table.roots[table.found],
+                   table.eta[~np.isnan(table.eta)]):
+        expected.update(values.tolist())
+    assert seen == expected
 
 
 def test_a_non_finite_residual_makes_an_error_cell(monkeypatch):
