@@ -12,12 +12,16 @@ cached, read-only int8 arrays, 104 KB and 80 KB at depth 2.  The float64
 copy of the count table (_feature_table) is built only for finite_measure's
 matrix-vector product and, at 16 rows, for the consistency check.
 
-consistency_residuals checks a (10, m) block of coefficients (beta J,
-beta Jp, h_1..h_8) at once, one residual per column, from the 16-row depth-1
-table alone: the depth-2 marginal of the inner vertices 0..3 factorizes
-into one leaf sum per child, so a checked scan never enumerates the depth-2
-volume, whose tables stay the tests' brute-force reference.
-kolmogorov_consistency_check is its one-column case.
+_log_brackets is the one closed form of the branch bracket log B(i, j), the
+leaf sum over one outermost semi-ball, for a (10, m) block of coefficients
+(beta J, beta Jp, h_1..h_8), read from the 16-row depth-1 table.
+consistency_residuals, the factorized depth-3 log Z and the recurrence's
+full_step all read it; branch_sum and enumerated_semi_ball_sum are its
+independent enumerated references.  consistency_residuals checks a block at
+once, one residual per column: the depth-2 marginal of the inner vertices
+0..3 factorizes into one bracket per child, so a checked scan never
+enumerates the depth-2 volume, whose tables stay the tests' brute-force
+reference.  kolmogorov_consistency_check is its one-column case.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import BoundaryFieldVector, CouplingParameters, TransferWeights
+from .model import BoundaryFieldVector, CouplingParameters, TransferWeights, class_sign
 
 if TYPE_CHECKING:   # an annotation only: a consistency check never loads recurrence
     from .recurrence import UVector
@@ -200,23 +204,20 @@ def branch_sum(i: int, j: int, params: CouplingParameters,
 def _log_partition_factorized(depth: int, params: CouplingParameters,
                               h: BoundaryFieldVector) -> float:
     """log Z by summing leaves first and exploiting branch independence."""
+    if depth not in (2, 3):
+        raise ValueError("factorized partition function supports depth 2 or 3")
     bj = params.beta * params.J
-    log_b = {(i, j): math.log(branch_sum(i, j, params, h))
-             for i in (1, -1) for j in (1, -1)}
-    if depth == 2:
-        log_t = [np.logaddexp(bj * i + log_b[(i, 1)], -bj * i + log_b[(i, -1)])
-                 for i in (1, -1)]
-        return float(np.logaddexp(3.0 * log_t[0], 3.0 * log_t[1]))
+    coef = np.array((bj, params.beta * params.Jp) + tuple(h.h))
+    # log_b[i, j] over (grandparent, center) spins, index 0 for spin +1
+    log_b = _log_brackets(coef[:, None])[1][0]
+    spin = np.array([1.0, -1.0])
     if depth == 3:
-        log_g = []
-        for i in (1, -1):
-            inner = {j: np.logaddexp(bj * j + params.beta * params.Jp * i + log_b[(j, 1)],
-                                     -bj * j - params.beta * params.Jp * i + log_b[(j, -1)])
-                     for j in (1, -1)}
-            log_g.append(np.logaddexp(bj * i + 3.0 * inner[1],
-                                      -bj * i + 3.0 * inner[-1]))
-        return float(np.logaddexp(3.0 * log_g[0], 3.0 * log_g[1]))
-    raise ValueError("factorized partition function supports depth 2 or 3")
+        # one level up, the bracket of (i, j) is the cube of the sum over
+        # j's children k of exp(beta J j k + beta Jp i k) B(j, k)
+        s = bj * spin + coef[1] * spin[:, None]
+        log_b = 3.0 * np.logaddexp(s + log_b[:, 0], -s + log_b[:, 1])
+    log_t = np.logaddexp(bj * spin + log_b[:, 0], -bj * spin + log_b[:, 1])
+    return float(np.logaddexp(3.0 * log_t[0], 3.0 * log_t[1]))
 
 
 class FiniteVolumeMeasure(NamedTuple):
@@ -279,6 +280,28 @@ def _log_weights_by_root(features: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return lw
 
 
+def _log_brackets(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth-1 log weights, (m, 16), and the branch brackets log B(i, j),
+    (m, 2, 2) over (column, i, j) with index 0 for spin +1, for each column
+    of a (10, m) block of coefficients (beta J, beta Jp, h_1..h_8).
+
+    B(i, j) is the leaf sum of branch_sum over one outermost semi-ball with
+    center spin j and grandparent spin i.  The depth-1 rows with root spin j
+    hold j*S in E and the class sign in M_k, so log B(i, j) is the
+    log-sum-exp of their log weights plus beta Jp i j E; being a log-sum-exp,
+    it stays finite at weights whose terms overflow a double.
+    """
+    features = _feature_table(1).T
+    lw1 = _log_weights_by_root(features, coef)
+    m = lw1.shape[0]
+    # axes (root, i, j, leaf triple); leaf_sum is S = j E by (j, triple)
+    spin = np.array([1.0, -1.0])
+    leaf_sum = features[0].reshape(2, 8) * spin[:, None]
+    x = lw1.reshape(m, 1, 2, 8) + np.multiply.outer(coef[1], spin)[..., None, None] * leaf_sum
+    top = x.max(axis=3)
+    return lw1, top + np.log(np.exp(x - top[..., None]).sum(axis=3))
+
+
 def consistency_residuals(coef) -> np.ndarray:
     """Max |depth-2 leaf marginal - depth-1 probability| for each column of
     a (10, m) block of coefficients (beta J, beta Jp, h_1..h_8).
@@ -289,26 +312,17 @@ def consistency_residuals(coef) -> np.ndarray:
     the same bits whatever block it sits in.
 
     The depth-2 marginal of an inner configuration (s0; s1, s2, s3) is
-    exp(beta J s0 (s1 + s2 + s3)) times the leaf sums B(s0, s1), B(s0, s2)
-    and B(s0, s3), each over the eight leaf triples of one outermost
-    semi-ball (branch_sum).  The depth-1 rows with root spin j hold j*S in
-    E and the class sign in M_k, so log B(i, j) is the log-sum-exp of
-    their log weights plus beta Jp i j E.
+    exp(beta J s0 (s1 + s2 + s3)) times the branch brackets B(s0, s1),
+    B(s0, s2) and B(s0, s3) of _log_brackets, which also gives the depth-1
+    log weights.
     """
     coef = np.asarray(coef, dtype=float)
-    features = _feature_table(1).T
-    lw1 = _log_weights_by_root(features, coef)
-    m = lw1.shape[0]
-    # axes (root, i, j, leaf triple); leaf_sum is S = j E by (j, triple)
-    spin = np.array([1.0, -1.0])
-    leaf_sum = features[0].reshape(2, 8) * spin[:, None]
-    x = lw1.reshape(m, 1, 2, 8) + np.multiply.outer(coef[1], spin)[..., None, None] * leaf_sum
-    top = x.max(axis=3)
-    log_b = (top + np.log(np.exp(x - top[..., None]).sum(axis=3))).reshape(m, 4)
+    lw1, log_b = _log_brackets(coef)
+    log_b = log_b.reshape(-1, 4)
     # row r of the depth-1 table: s0 is bit 3, s1..s3 are bits 2..0, and
     # bit 1 means spin -1; log_b's column is 2 * (s0 bit) + (child bit)
     rows = np.arange(16)
-    lm2 = coef[0][:, None] * features[0]
+    lm2 = coef[0][:, None] * _feature_table(1)[:, 0]
     for shift in (2, 1, 0):
         lm2 += log_b[:, 2 * (rows >> 3) + (rows >> shift & 1)]
     p2 = np.exp(lm2 - lm2.max(axis=1, keepdims=True))
@@ -355,24 +369,17 @@ _CLASS_REPS = [(1, (1, 1, 1)), (1, (1, 1, -1)), (1, (1, -1, -1)), (1, (-1, -1, -
 
 
 def verify_recurrence_by_enumeration(u: UVector, w: TransferWeights) -> np.ndarray:
-    """Relative mismatch of the eight closed-form updates against their sums.
+    """Relative mismatch of full_step's eight updates against their sums.
 
-    The enumerated side carries an unknown common normalization; it is fitted
-    from the first class and divided out, so a zero residual vector means the
-    closed forms reproduce the defining sums up to one shared constant.
+    full_step solves the classes 2, 4, 5, 7 for u_i itself, so its output
+    is raised to the class sign first.  The enumerated side carries an
+    unknown common normalization; it is fitted from the first class and
+    divided out, so a zero residual vector means the recurrence reproduces
+    the defining sums up to one shared constant.
     """
-    from .recurrence import log_branch_bracket
+    from .recurrence import full_step
 
-    log_u = np.log(u.as_array())
-    lb = {(i, j): log_branch_bracket(i, j, log_u, w) for i in (1, -1) for j in (1, -1)}
-    residuals = np.empty(8)
-    ratio0 = None
-    for k, (i, jvec) in enumerate(_CLASS_REPS):
-        minus = jvec.count(-1)
-        closed = math.exp((3 - minus) * lb[(i, 1)] + minus * lb[(i, -1)])
-        enumerated = enumerated_semi_ball_sum(i, jvec, u, w)
-        ratio = closed / enumerated
-        if ratio0 is None:
-            ratio0 = ratio
-        residuals[k] = abs(ratio / ratio0 - 1.0)
-    return residuals
+    signs = np.array([class_sign(k) for k in range(1, 9)])
+    closed = full_step(u, w)[0].as_array() ** signs
+    ratio = closed / np.array([enumerated_semi_ball_sum(i, jvec, u, w) for i, jvec in _CLASS_REPS])
+    return np.abs(ratio / ratio[0] - 1.0)

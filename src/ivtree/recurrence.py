@@ -2,10 +2,12 @@
 
 Marginalizing the depth-n measure over its outermost spins turns the eight
 class fields u_1..u_8 at depth n into new values at depth n-1.  Each updated
-component is a product of three "branch brackets": the four-term sums over a
-successor's own spin triple.  A common gauge factor (a partition-function
-ratio) multiplies every equation; it is physically irrelevant and is carried
-here as an explicit output so callers can work with gauge-free combinations.
+component is a product of three "branch brackets" B(i, j): the leaf sums
+over a successor's own spin triple.  full_step reads log B(i, j) from the
+oracle's vectorized kernel (oracle._log_brackets), its one home.  A common
+gauge factor (a partition-function ratio) multiplies every equation; it is
+physically irrelevant and is carried here as an explicit output so callers
+can work with gauge-free combinations.
 
 The eight equations collapse further: cube identities pin u_2, u_3, u_6, u_7
 in terms of the corner components, the corner system reduces to four
@@ -22,8 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import CheckedRecord, TransferWeights, class_sign
-
-LN3 = math.log(3.0)
 
 _EQUATION_NAMES = ("u1'", "u2'", "u3'", "u4'", "u5'", "u6'", "u7'", "u8'")
 
@@ -82,40 +82,6 @@ class VVector(CheckedRecord, _VVectorFields):
         return np.array(self)
 
 
-def _log_branch_terms(i: int, j: int, log_u: np.ndarray, w: TransferWeights) -> np.ndarray:
-    """Logs of the four terms of the branch bracket B(i, j).
-
-    B(i, +1) = a^3 b^{3i} u_1 + 3 a b^i / u_2 + 3 u_3 / (a b^i) + 1/(a^3 b^{3i} u_4)
-    B(i, -1) = b^{3i}/(a^3 u_5) + 3 b^i u_6 / a + 3 a/(b^i u_7) + a^3 u_8 / b^{3i}
-
-    i is the center spin of the ball being updated, j the successor spin; the
-    sum runs over the successor's own spin triple, whose class field u enters
-    with the class sign.
-    """
-    la, lb = w.log_a, w.log_b
-    if j == 1:
-        return np.array([
-            3.0 * la + 3.0 * i * lb + log_u[0],
-            LN3 + la + i * lb - log_u[1],
-            LN3 - la - i * lb + log_u[2],
-            -3.0 * la - 3.0 * i * lb - log_u[3],
-        ])
-    return np.array([
-        3.0 * i * lb - 3.0 * la - log_u[4],
-        LN3 + i * lb - la + log_u[5],
-        LN3 + la - i * lb - log_u[6],
-        3.0 * la - 3.0 * i * lb + log_u[7],
-    ])
-
-
-def log_branch_bracket(i: int, j: int, log_u: np.ndarray, w: TransferWeights) -> float:
-    """log B(i, j) for the branch bracket of _log_branch_terms, summed as
-    log-sum-exp so that extreme weights stay finite."""
-    terms = _log_branch_terms(i, j, log_u, w)
-    m = terms.max()
-    return m + math.log(np.exp(terms - m).sum())
-
-
 def full_step(u: UVector, w: TransferWeights, gauge: float = 1.0) -> tuple[UVector, float]:
     """One application of the eight-equation map.
 
@@ -125,17 +91,20 @@ def full_step(u: UVector, w: TransferWeights, gauge: float = 1.0) -> tuple[UVect
     Raises OverflowError naming the first equation whose result cannot be
     represented.
     """
+    # imported here, so a --curve run, which loads this module for g,
+    # leaves the oracle unloaded
+    from .oracle import _log_brackets
+
     if not (gauge > 0 and math.isfinite(gauge)):
         raise ValueError("gauge must be positive finite")
-    log_u = np.log(u.as_array())
-    lb = {(i, j): log_branch_bracket(i, j, log_u, w) for i in (1, -1) for j in (1, -1)}
+    coef = np.array([w.log_a, w.log_b, *np.log(u.as_array())])
+    lb = _log_brackets(coef[:, None])[1][0]
     log_gauge = math.log(gauge)
 
     out = np.empty(8)
     for k in range(8):
-        center = 1 if k < 4 else -1
-        minus = k % 4
-        log_rhs = log_gauge + (3 - minus) * lb[(center, 1)] + minus * lb[(center, -1)]
+        center, minus = divmod(k, 4)
+        log_rhs = log_gauge + (3 - minus) * lb[center, 0] + minus * lb[center, 1]
         val = class_sign(k + 1) * log_rhs
         if abs(val) > 709.0:
             raise OverflowError(f"{_EQUATION_NAMES[k]} is out of range (log value {val:.4g})")

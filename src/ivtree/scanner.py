@@ -28,7 +28,9 @@ is the largest over its roots.  A root's residual has the same bits in any
 block, so the check keeps the rule that output bytes never depend on how
 the work is cut.  The oracle module is imported only by a scan that checks.
 The recurrence module (the scalar map g) is imported by emit_curve, and by
-the oracle only inside verify_recurrence_by_enumeration, so no scan loads it.
+the oracle only inside verify_recurrence_by_enumeration, so no scan loads it;
+recurrence imports the oracle's bracket kernel only inside full_step, so
+emit_curve does not load the oracle.
 """
 
 from __future__ import annotations

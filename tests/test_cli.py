@@ -248,7 +248,8 @@ def test_the_cli_imports_only_what_a_run_uses():
     """Neither the consistency oracle nor json nor dataclasses is loaded by
     importing the command line; a run loads them only when it needs them.
     A grid run, with or without the consistency check, leaves the scalar
-    map's module unloaded; a --curve run, which evaluates g, loads it."""
+    map's module unloaded; a --curve run, which evaluates g, loads it and
+    leaves the oracle unloaded."""
     script = ("import sys\n"
               "import ivtree.cli\n"
               "print([m for m in ('ivtree.oracle', 'dataclasses', 'json') if m in sys.modules])\n")
@@ -260,18 +261,21 @@ def test_the_cli_imports_only_what_a_run_uses():
               "from ivtree.cli import main\n"
               "with redirect_stdout(io.StringIO()):\n"
               "    main(sys.argv[1:])\n"
-              "print('ivtree.recurrence' in sys.modules, file=sys.stderr)\n")
+              "print('ivtree.recurrence' in sys.modules, 'ivtree.oracle' in sys.modules,\n"
+              "      file=sys.stderr)\n")
     proc = run_python("-c", script, "--J=-3:3:5", "--Jp=-3:7:5", "--T", "13")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False\n"
+    assert proc.stderr == "False False\n"
     # the consistency check loads the oracle, which does not need g
     proc = run_python("-c", script, "--J=-3:3:5", "--Jp=-3:7:5", "--T", "13",
                       "--check-consistency", "--format", "jsonl")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False\n"
+    assert proc.stderr == "False True\n"
+    # the curve loads g's module but not the oracle, whose bracket kernel
+    # full_step imports only when it runs
     proc = run_python("-c", script, "--J", "-1.7", "--Jp", "6.5", "--T", "13", "--curve")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "True\n"
+    assert proc.stderr == "True False\n"
 
 
 def test_package_names_load_their_module_on_first_use():

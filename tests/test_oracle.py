@@ -25,6 +25,7 @@ from ivtree import (
 from ivtree.oracle import (
     _count_table,
     _feature_table,
+    _log_brackets,
     _log_partition_factorized,
     _spin_table,
     boundary_term,
@@ -411,17 +412,19 @@ def test_recurrence_matches_enumeration_for_random_draws():
         assert np.all(verify_recurrence_by_enumeration(u, w) < 1e-12)
 
 
-def test_branch_sum_equals_the_closed_bracket(three_root_params):
-    from ivtree import derive_weights
-    from ivtree.recurrence import log_branch_bracket
-
-    w = derive_weights(three_root_params)
-    h = field_from_scalar(1.3)
-    log_u = np.log(h.u)
-    for i in (1, -1):
-        for j in (1, -1):
-            assert_close(
-                math.log(branch_sum(i, j, three_root_params, h)),
-                log_branch_bracket(i, j, log_u, w),
-                1e-12, f"bracket ({i},{j})",
-            )
+def test_branch_sum_equals_the_closed_bracket():
+    """The bracket kernel against the enumerated leaf sum at the reference
+    points and at drawn fixed-point and generic fields; a column's brackets
+    have the same bits alone and inside a block."""
+    cases = [(couplings(*THREE_ROOT_POINT), field_from_scalar(1.3)),
+             (couplings(*NEGATIVE_T_POINT), field_from_scalar(3.0))]
+    cases += random_consistency_cases(seed=31, draws=4)
+    coef = coefficient_block(cases)
+    block = _log_brackets(coef)[1]
+    for col, (p, h) in enumerate(cases):
+        alone = _log_brackets(coef[:, col:col + 1])[1][0]
+        assert np.array_equal(alone, block[col])
+        for a, i in enumerate((1, -1)):
+            for b, j in enumerate((1, -1)):
+                assert_close(alone[a, b], math.log(branch_sum(i, j, p, h)),
+                             1e-12, f"case {col} bracket ({i},{j})")

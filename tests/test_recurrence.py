@@ -115,14 +115,17 @@ def test_gauge_must_be_positive():
 
 
 def test_extreme_weights_fall_back_to_log_sum():
-    # a bracket term beyond 1e280 switches accumulation to log-sum-exp;
-    # the dominant term a^3 b^3 u_1 then pins the bracket's log
-    from ivtree.recurrence import log_branch_bracket
+    # the bracket is always a log-sum-exp, so it stays finite where its
+    # terms overflow a double; at b = u = 1 the dominant term of B(+, +),
+    # a^3 u_1 for c > 1 and a^-3 / u_4 for c < 1, then pins its log
+    from ivtree.oracle import _log_brackets
 
-    w = TransferWeights(1e260, 1.0)
-    log_b = log_branch_bracket(1, 1, np.zeros(8), w)
-    assert math.isfinite(log_b)
-    assert_close(log_b, 3.0 * w.log_a, 1e-12, "saturated bracket")
+    for c in (1e260, 1e-260):
+        w = TransferWeights(c, 1.0)
+        coef = np.array([w.log_a, w.log_b] + [0.0] * 8)[:, None]
+        log_b = _log_brackets(coef)[1][0, 0, 0]
+        assert math.isfinite(log_b)
+        assert_close(log_b, 3.0 * abs(w.log_a), 1e-12, f"saturated bracket at c = {c}")
 
 
 def test_identity_residuals_flag_a_perturbed_component():
