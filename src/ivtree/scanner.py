@@ -16,11 +16,14 @@ is independent of the chunk it lands in, so output bytes never depend on
 the chunk size.  The table stores no per-cell index: a cell's axis and
 weight indices follow from its own index and the axis sizes
 (_cell_indices).  evaluate_point is a one-cell scan.  The emitters work
-block by block (_emit_blocks): each distinct axis value and weight is
-formatted once per table, and each block of _EMIT_ROWS rows builds its own
-columns and joins its own lines, so no more than one block of text is held
-at a time.  emit_csv and emit_jsonl join the blocks into one string; the
-command line writes them to its output one by one.
+block by block (_emit_blocks).  Each distinct axis value and weight is
+spelled once per table.  Every other choice in a row's text (its found
+slots and their stabilities, which etas and residual it prints, its regime,
+whether it is an error row) is a small integer key, and each key gets one
+%-template per table.  A block of _EMIT_ROWS rows joins its rows' templates
+and fills them with one % over its values, so no more than one block of
+text is held at a time.  emit_csv and emit_jsonl join the blocks into one
+string; the command line writes them to its output one by one.
 
 With the consistency check, every found root's field is checked by
 consistency_residuals in blocks of _CHUNK_CELLS roots, and a cell's residual
@@ -337,96 +340,109 @@ def _json_float(x: float) -> str:
     return repr(x)
 
 
-def _json_eta(x: float) -> str:
-    """An eta outside the double range has no strict JSON spelling: null."""
-    return repr(x) if math.isfinite(x) else "null"
-
-
-def _texts(values, spell, blank: str | None = None) -> np.ndarray:
-    """spell(v) for each value as an object array; NaN gives blank if set."""
-    return np.array([blank if blank is not None and math.isnan(v) else spell(v)
-                     for v in values.tolist()], dtype=object)
-
-
 def _emit_blocks(table: ScanTable, fmt: str) -> Iterator[str]:
     """The text of emit_csv (fmt "csv") or emit_jsonl (fmt "jsonl") in
     blocks of _EMIT_ROWS rows; the CSV header is a block of its own.
 
-    Each distinct axis value, weight and regime is formatted once per
-    table.  A block gathers its rows' texts from those, formats its own
-    roots, etas and residuals, blanks its error rows and joins its lines,
-    so no text of more than one block is ever held.  roots and stabilities
-    join their entries with sep and carry no brackets; consistency_residual
-    is a field exactly when the scan ran the check.
+    Each distinct axis value and weight is spelled once per table.  Every
+    other choice a row's text makes is one small integer key: which root
+    slots are found and the stability of each, whether each eta and the
+    residual are printed, the regime (JSONL only), or -1 for an error row.
+    Each key's %-template is built once per table, with %s for the axis and
+    weight texts and, for roots, etas and the residual, %.12g in CSV and %r
+    in JSONL, which is what json.dumps writes for a finite float.  A block
+    joins its rows' templates and applies % once to its flat tuple of
+    values, so no text of more than one block is ever held.  roots and
+    stabilities join their entries with sep and carry no brackets;
+    consistency_residual is a field exactly when the scan ran the check.
     """
-    if fmt == "jsonl":
+    jsonl = fmt == "jsonl"
+    if jsonl:
         import json
-        spell, eta_spell, blank, sep, word = _json_float, _json_eta, "null", ", ", json.dumps
+        spell, blank, sep, word, num = _json_float, "null", ", ", json.dumps, "%r"
     else:
-        spell, eta_spell, blank, sep, word = _spell, _spell, "", ";", str
+        spell, blank, sep, word, num = _spell, "", ";", str, "%.12g"
     n, shape = len(table), (table.j.size, table.jp.size, table.t.size)
-    texts = {"J": _texts(table.j, spell), "Jp": _texts(table.jp, spell),
-             "T": _texts(table.t, spell), "c": _texts(table.c, spell, blank),
-             "d": _texts(table.d, spell, blank),
-             "regime": _texts(table.d, lambda d: word(regime(d)))}
-    counts = np.array(["0", "1", "2", "3"], dtype=object)
-    # each slot contributes 0 (empty) or 1 + its stability code, in base 4
-    lists = np.array([sep.join(word(STABILITY_LABELS[(key >> 2 * k & 3) - 1])
-                               for k in range(3) if key >> 2 * k & 3) for key in range(64)],
-                     dtype=object)
-    errors = np.sort(np.fromiter(table.errors, dtype=np.intp, count=len(table.errors)))
+    # a weight is NaN only where its cell is an error row, which prints none
+    texts = [np.array([blank if math.isnan(v) else spell(v) for v in values.tolist()],
+                      dtype=object) for values in (table.j, table.jp, table.t, table.c, table.d)]
     residual = [] if table.residual is None else ["consistency_residual"]
-    if fmt == "jsonl":
+    if jsonl:
         names = CSV_HEADER[:-1] + ["regime", "phase_transition"] + residual
-        row = ("{%s%%s}" % ", ".join(f'"{name}": [%s]' if name in _LISTS else f'"{name}": %s'
-                                     for name in names)).__mod__
+        # each d's regime, as an index into the regimes the table has
+        regimes = {}
+        regime_of = np.array([regimes.setdefault(word(regime(d)), len(regimes))
+                              for d in table.d.tolist()])
+        regimes = list(regimes)
     else:
         names = CSV_HEADER + residual
-        row = ",".join
         yield ",".join(names) + "\n"
 
+    def template(key: int) -> str:
+        """A row's text with a %-field for each value it prints."""
+        if key < 0:
+            # an error row keeps its coordinates only; its lists stay empty
+            fields = dict.fromkeys(names, blank)
+            fields.update(roots="", stabilities="")
+        else:
+            labels = [word(STABILITY_LABELS[(key >> 2 * k & 3) - 1])
+                      for k in range(3) if key >> 2 * k & 3]
+            fields = {"c": "%s", "d": "%s", "root_count": str(len(labels)),
+                      "roots": sep.join([num] * len(labels)), "stabilities": sep.join(labels),
+                      "eta1": num if key & 64 else blank, "eta2": num if key & 128 else blank,
+                      "phase_transition": "true" if len(labels) >= 2 else "false",
+                      "consistency_residual": num if key & 256 else blank}
+            if jsonl:
+                fields["regime"] = regimes[key >> 9]
+        fields.update(J="%s", Jp="%s", T="%s")
+        if not jsonl:
+            return ",".join([fields[name] for name in names]) + "\n"
+        return "{%s%s}\n" % (", ".join([f'"{name}": [{fields[name]}]' if name in _LISTS
+                                         else f'"{name}": {fields[name]}' for name in names]),
+                              ', "error": %s' if key < 0 else "")
+
+    templates = {}
+    errors = np.sort(np.fromiter(table.errors, dtype=np.intp, count=len(table.errors)))
     for s in range(0, n, _EMIT_ROWS):
         e = min(s + _EMIT_ROWS, n)
-        cell_j, cell_jp, cell_t, cell_c, cell_d = _cell_indices(np.arange(s, e), shape)
-        found = table.found[s:e]
-        count = found.sum(axis=1)
-        roots = np.full(found.shape, "", dtype=object)
-        roots[found] = [spell(x) for x in table.roots[s:e][found].tolist()]
-        # a separator after slot 0 when a later slot is set, after slot 1 before slot 2
-        cut01 = np.where(found[:, 0] & (found[:, 1] | found[:, 2]), sep, "").astype(object)
-        cut12 = np.where(found[:, 1] & found[:, 2], sep, "").astype(object)
-        eta = np.full((e - s, 2), blank, dtype=object)
-        has_eta = ~np.isnan(table.eta[s:e])
-        eta[has_eta] = [eta_spell(x) for x in table.eta[s:e][has_eta].tolist()]
-        fields = {
-            "J": texts["J"][cell_j],
-            "Jp": texts["Jp"][cell_jp],
-            "T": texts["T"][cell_t],
-            "c": texts["c"][cell_c],
-            "d": texts["d"][cell_d],
-            "root_count": counts[count],
-            "roots": roots[:, 0] + cut01 + roots[:, 1] + cut12 + roots[:, 2],
-            "stabilities": lists[(found * (table.stability[s:e] + 1)) @ np.array([1, 4, 16])],
-            "eta1": eta[:, 0],
-            "eta2": eta[:, 1],
-            "regime": texts["regime"][cell_d],
-            "phase_transition": np.where(count >= 2, "true", "false").astype(object),
-        }
-        if residual:
-            fields["consistency_residual"] = _texts(table.residual[s:e], spell, blank)
-        # an error row keeps its coordinates only; its lists stay empty
+        cells = _cell_indices(np.arange(s, e), shape)
         lo, hi = np.searchsorted(errors, (s, e)).tolist()
         bad = errors[lo:hi] - s
-        for name, column in fields.items():
-            if name not in ("J", "Jp", "T"):
-                column[bad] = "" if name in _LISTS else blank
-        columns = [fields[name].tolist() for name in names]
-        if fmt == "jsonl":
-            error = np.full(e - s, "", dtype=object)
-            error[bad] = [f', "error": {json.dumps(table.errors[i])}'
-                          for i in errors[lo:hi].tolist()]
-            columns.append(error.tolist())
-        yield "\n".join(map(row, zip(*columns))) + "\n"
+        # each row's values in the order of its fields (J, Jp, T, c, d, three
+        # roots, two etas, the residual, the JSONL error text), and which of
+        # them the row prints
+        values = np.empty((e - s, 12), dtype=object)
+        printed = np.zeros((e - s, 12), dtype=bool)
+        numbers = np.full((e - s, 6), np.nan)
+        numbers[:, :3], numbers[:, 3:5] = table.roots[s:e], table.eta[s:e]
+        if table.residual is not None:
+            numbers[:, 5] = table.residual[s:e]
+        printed[:, :5] = True
+        printed[:, 5:8] = table.found[s:e]
+        # a saturated eta has no strict JSON spelling: null, where CSV prints inf
+        printed[:, 8:10] = np.isfinite(numbers[:, 3:5]) if jsonl else ~np.isnan(numbers[:, 3:5])
+        printed[:, 10] = ~np.isnan(numbers[:, 5])
+        printed[bad, 3:] = False
+        for k in range(5):
+            values[:, k] = texts[k][cells[k]]
+        values[:, 5:11] = numbers
+        # bits 2k and 2k + 1 hold 1 + the stability code of found slot k,
+        # bits 6-8 whether eta1, eta2 and the residual are printed, and the
+        # bits from 9 on the regime
+        keys = ((printed[:, 5:8] * (table.stability[s:e] + 1)) @ np.array([1, 4, 16])
+                + printed[:, 8:11] @ np.array([64, 128, 256]))
+        if jsonl:
+            shown = numbers[printed[:, 5:11]]
+            if not np.isfinite(shown).all():
+                _json_float(shown[~np.isfinite(shown)][0].item())
+            keys += regime_of[cells[4]] << 9
+            printed[bad, 11] = True
+            values[bad, 11] = [json.dumps(table.errors[i]) for i in errors[lo:hi].tolist()]
+        keys[bad] = -1
+        keys = keys.tolist()
+        for key in set(keys).difference(templates):
+            templates[key] = template(key)
+        yield "".join([templates[key] for key in keys]) % tuple(values[printed].tolist())
 
 
 def emit_csv(table: ScanTable) -> str:

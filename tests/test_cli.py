@@ -212,6 +212,22 @@ def test_only_the_cli_freezes_the_import_time_heap(module, disabled, expected):
     assert proc.stdout == expected + "\n"
 
 
+@pytest.mark.parametrize("module, collected", [("ivtree.cli", False), ("ivtree.scanner", True)])
+def test_the_cli_imports_with_the_collector_off(module, collected):
+    """Importing the command line runs no collector pass, since the heap it
+    builds is frozen at once; the collector is on afterwards.  The
+    library's import, which leaves the collector alone, still runs
+    passes."""
+    script = ("import gc, sys\n"
+              "passes = []\n"
+              "gc.callbacks.append(lambda phase, info: phase == 'start' and passes.append(info))\n"
+              "__import__(sys.argv[1])\n"
+              "print(len(passes) > 0, gc.isenabled(), gc.get_freeze_count() > 0)\n")
+    proc = run_python("-c", script, module)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{collected} True {not collected}\n"
+
+
 def test_the_cli_still_collects_a_runs_own_cycles():
     """The freeze covers only what exists at import: a reference cycle made
     afterwards is still freed, by the collector's own passes and without a

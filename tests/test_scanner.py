@@ -252,6 +252,37 @@ def test_jsonl_error_texts_are_pinned(spec, error_rows, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# four blocks of _EMIT_ROWS rows; and a grid around the cell of
+# test_cli.py::test_jsonl_is_strict_when_eta_saturates, whose rows mix
+# weight-bound and out-of-range errors, one and three roots, NaN etas and
+# etas above the double range
+FOUR_BLOCK_GRID = GridSpec(j=(-3, 3, 21), jp=(-3, 7, 21), t=(10, 13, 4))
+SATURATED_GRID = GridSpec(j=(260.06291799467704 - 80, 260.06291799467704 + 100, 10),
+                          jp=(93.55166319011829 - 40, 93.55166319011829 + 20, 7),
+                          t=(0.9, 1, 2))
+
+
+@pytest.mark.parametrize("spec, check, emit, digest", [
+    (README_GRID, False, emit_jsonl,
+     "cd3e7d7d23fcb8849a650534099a45491c97daa2435d8259edf42a33fdeb3bd6"),
+    (FOUR_BLOCK_GRID, False, emit_csv,
+     "0fa589b4f3f7a1bb948d197c5711e4e82b3dac3b35f15628f5685d11e8473fdd"),
+    (FOUR_BLOCK_GRID, False, emit_jsonl,
+     "1923cc69eb017884f0f0e4f8d7b8abaa997d7d2b96f959c08dbf244ee8aeed97"),
+    (README_GRID, True, emit_csv,
+     "a2f1dc9575036ce445ff4c69495eaace6192fe85fb3628308e1127b2744f67ff"),
+    (SATURATED_GRID, False, emit_csv,
+     "b33b5da3570a7367c10ee28e8b9d72a2d8f994faed3560feab1da4fe8c4f887d"),
+    (SATURATED_GRID, False, emit_jsonl,
+     "33a3c5b4d705b42f15d66de33df13bdda8deb47f2d5607bb485ad48c6fc416b9"),
+])
+def test_emitted_bytes_are_pinned(spec, check, emit, digest):
+    """sha256 of the emitters' text, every root, eta and residual spelling
+    included, as the per-column emitter wrote it."""
+    text = emit(scan_grid(spec, check_consistency=check))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_scan_residuals_are_those_of_the_one_field_check():
     """Each cell's residual is, bit for bit, the largest
     kolmogorov_consistency_check over the fields field_from_scalar makes of
@@ -414,9 +445,9 @@ def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
 
 def test_emission_formats_each_axis_value_and_weight_once(monkeypatch):
     """On a grid of four blocks, every J, Jp, T, c and d value is spelled
-    once per table, not once per block; each root and eta once per cell."""
-    spec = GridSpec(j=(-3, 3, 21), jp=(-3, 7, 21), t=(10, 13, 4))
-    table = scan_grid(spec)
+    once per table, not once per block; the roots and etas go through the
+    row templates, whose bytes test_emitted_bytes_are_pinned pins."""
+    table = scan_grid(FOUR_BLOCK_GRID)
     assert not table.errors and len(table) > 3 * ivtree.scanner._EMIT_ROWS
     seen = collections.Counter()
     spell = ivtree.scanner._spell
@@ -430,8 +461,7 @@ def test_emission_formats_each_axis_value_and_weight_once(monkeypatch):
     monkeypatch.undo()
     assert text == emit_csv(table)
     expected = collections.Counter()
-    for values in (table.j, table.jp, table.t, table.c, table.d, table.roots[table.found],
-                   table.eta[~np.isnan(table.eta)]):
+    for values in (table.j, table.jp, table.t, table.c, table.d):
         expected.update(values.tolist())
     assert seen == expected
 
@@ -532,6 +562,22 @@ def test_jsonl_is_strict_on_every_error_kind(spec, check):
     assert len(lines) == len(table)
     for line in lines:
         json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("column", ["roots", "residual"])
+def test_jsonl_refuses_a_non_finite_root_or_residual(column):
+    """A root or residual that is printed must be finite: JSONL raises
+    json.dumps's error, where CSV prints inf."""
+    table = scan_grid(README_GRID, check_consistency=True)
+    cell = int(table.found[:, 2].nonzero()[0][-1])
+    if column == "roots":
+        table.roots[cell, 2] = math.inf
+    else:
+        table.residual[cell] = math.inf
+    with pytest.raises(ValueError, match=r"^Out of range float values are not JSON "
+                                         r"compliant: inf$"):
+        emit_jsonl(table)
+    assert emit_csv(table).splitlines()[1 + cell].count("inf") == 1
 
 
 # -------------------------------------------------------------------- curve

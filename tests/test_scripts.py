@@ -110,6 +110,43 @@ def test_one_cell_ab_rejects_a_directory_without_the_package(tmp_path):
     assert proc.stderr.splitlines()[-1] == f"one_cell_ab.py: error: no ivtree package in {tmp_path}"
 
 
+GRID_ARGV = ("--J=-3:3:5", "--Jp=-3:7:5", "--T", "13")
+
+
+def test_cli_ab_compares_a_tree_with_itself():
+    """Both runs of one checkout print the same bytes, and each round of
+    fresh processes adds to the paired figures."""
+    root = str(Path(ivtree.__file__).resolve().parents[2])
+    proc = run_script("cli_ab.py", root, root, "--rounds", "2", "--", *GRID_ARGV)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("equal output: exit 0, ")
+    assert lines[1].startswith("2 rounds: old median ")
+    assert lines[2].startswith("new - old: median ") and lines[2].endswith(" of 2")
+
+
+def test_cli_ab_refuses_trees_whose_output_differs(tmp_path):
+    home = Path(ivtree.__file__).resolve().parent
+    shutil.copytree(home, tmp_path / "src" / "ivtree",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    scanner = tmp_path / "src" / "ivtree" / "scanner.py"
+    text = scanner.read_text(encoding="utf-8")
+    header = 'CSV_HEADER = ["J", '
+    assert text.count(header) == 1
+    scanner.write_text(text.replace(header, 'CSV_HEADER = ["j", '), encoding="utf-8")
+    proc = run_script("cli_ab.py", str(home.parents[1]), str(tmp_path), "--", *GRID_ARGV)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("different output: old exit 0, ")
+
+
+def test_cli_ab_rejects_a_directory_without_the_package(tmp_path):
+    proc = run_script("cli_ab.py", str(tmp_path), str(tmp_path), "--", *GRID_ARGV)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"cli_ab.py: error: no ivtree package in {tmp_path / 'src'}")
+
+
 def frozen_literals(name):
     """The source text of each value in the conftest dict `name`, by key;
     a tuple gives a list of texts."""
