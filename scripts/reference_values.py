@@ -6,8 +6,8 @@ Run it and diff the output against the constants in the test suite:
 
     python3 scripts/reference_values.py
 
-Requires mpmath (pip install mpmath); it is deliberately not a package
-dependency.
+Requires mpmath, which the test extra installs (pip install -e ".[test]");
+it is deliberately not a runtime dependency.
 """
 
 from mpmath import mp, mpf, exp, sqrt, polyroots

@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 # the public names of each module, as the module defines them
 _EXPORTS = {
     "fixpoint": ("FixedPointReport", "ThresholdReport", "critical_points",
-                 "find_positive_fixed_points", "iterate_map", "predict_count",
-                 "solve_fixed_points"),
+                 "find_positive_fixed_points", "iterate_map", "solve_fixed_points"),
     "model": ("BoundaryFieldVector", "ConfigClass", "CouplingParameters",
               "SemiBallConfiguration", "TransferWeights", "classify_config", "couplings",
               "derive_weights", "field_form_from_pqrs", "field_from_scalar"),

@@ -1,4 +1,4 @@
-"""Fixed points of the scalar map g, their stability, and count prediction.
+"""Fixed points of the scalar map g and their stability.
 
 Positive fixed points of g(x) = ((1+cdx)/(d+cx))^3 are found in t = log x,
 where g(x) = x reads G(t) = 0 with
@@ -486,30 +486,6 @@ def critical_points(w: TransferWeights) -> ThresholdReport:
         eta1, eta2 = batch.eta[0].tolist()
         x1, x2 = batch.x_crit[0].tolist()
     return ThresholdReport(eta1=eta1, eta2=eta2, x_crit_1=x1, x_crit_2=x2, regime=regime(w.d))
-
-
-def predict_count(w: TransferWeights) -> tuple[int, str]:
-    """Fixed-point count from the threshold rule, with the regime used.
-
-    d < 1 gives one (decreasing map); d > 2 gives three when eta_1 < 1 < eta_2,
-    two at tangency (the solver's |log eta_i| <= _TANGENCY_TOL), one otherwise.
-    In the band 1 <= d <= 2 no closed-form rule applies and the direct root
-    search decides (on 1 < d < 2 the negative discriminant already forbids
-    tangencies).
-    """
-    d = w.d
-    if d < 1.0:
-        return 1, "unique: d < 1, g strictly decreasing"
-    if d > 2.0:
-        th = critical_points(w)
-        # an eta saturated at 0 is no tangency (and math.log(0) raises)
-        if any(eta > 0.0 and abs(math.log(eta)) <= _TANGENCY_TOL for eta in (th.eta1, th.eta2)):
-            return 2, "tangency: |log eta| <= 1e-10 for an eta threshold"
-        if th.eta1 < 1.0 < th.eta2:
-            return 3, "multi-capable: eta1 < 1 < eta2"
-        return 1, "multi-capable regime but 1 outside (eta1, eta2)"
-    count = find_positive_fixed_points(w).count
-    return count, "intermediate band 1 <= d <= 2: count from direct root search"
 
 
 class IterationResult(NamedTuple):

@@ -1,16 +1,12 @@
 """Exact finite-volume computations on the order-3 tree.
 
-Everything here is brute force on purpose: the Hamiltonian, partition
-function, and Gibbs probabilities are evaluated by direct enumeration (or by
-branch-factorized leaf sums where full enumeration is infeasible), giving an
-independent check on every closed-form recurrence result.  Depth 2 means
-2^13 = 8192 configurations.
-
-The enumeration stays in int8 from start to finish: the spin table and the
-count table (E, P, M_1..M_8 per configuration, every count in -12..12) are
-cached, read-only int8 arrays, 104 KB and 80 KB at depth 2.  The float64
-copy of the count table (_feature_table) is built only for finite_measure's
-matrix-vector product and, at 16 rows, for the consistency check.
+A checked scan runs only consistency_residuals, the branch brackets of
+_log_brackets that it reads, and the 16-row depth-1 feature table under
+both.  The rest evaluates the Hamiltonian, partition function and Gibbs
+probabilities by direct enumeration (or by branch-factorized leaf sums
+where full enumeration is infeasible), giving an independent check on
+every closed-form recurrence result.  Depth 2 means 2^13 = 8192
+configurations.
 
 _log_brackets is the one closed form of the branch bracket log B(i, j), the
 leaf sum over one outermost semi-ball, for a (10, m) block of coefficients
@@ -141,20 +137,20 @@ def _spin_table(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _count_table(depth: int) -> np.ndarray:
+def _feature_table(depth: int) -> np.ndarray:
     """Per-configuration counts (E, P, M_1..M_8) on the volume of this depth.
 
     E sums the edge products and P the prolonged-pair products; M_k is the
     signed count (spin product of center and successors) of outermost
     semi-balls in class k.  A configuration's log weight is then
-    beta*J*E + beta*Jp*P + sum_k M_k*h_k.  Rows follow _spin_table; every
-    count lies in -12..12, so the table is int8 (80 KB at depth 2) and is
-    summed in int8 from the spins, one column at a time.  Cached per depth,
-    read-only, column-major.
+    beta*J*E + beta*Jp*P + sum_k M_k*h_k, one matrix-vector product for
+    finite_measure.  Rows follow _spin_table; every count lies in -12..12,
+    so the float64 sums are exact.  Cached per depth, read-only and
+    column-major, which makes the product about twice as fast as row-major.
     """
     tree = build_tree(depth)
     spins = _spin_table(tree.n_vertices)
-    table = np.zeros((spins.shape[0], 10), dtype=np.int8, order="F")
+    table = np.zeros((spins.shape[0], 10), order="F")
     for col, (xs, ys) in enumerate((tree.edge_pairs(), tree.prolonged_pairs())):
         for x, y in zip(xs.tolist(), ys.tolist()):
             table[:, col] += spins[:, x] * spins[:, y]
@@ -163,20 +159,6 @@ def _count_table(depth: int) -> np.ndarray:
         triple = spins[:, list(tree.successors(x))]
         cls = np.where(spins[:, x] == 1, 2, 6) + (triple == -1).sum(axis=1, dtype=np.int8)
         table[rows, cls] += spins[:, x] * triple.prod(axis=1, dtype=np.int8)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _feature_table(depth: int) -> np.ndarray:
-    """_count_table(depth) as integer-valued floats, for finite_measure's
-    matrix-vector product (and the 16-row depth-1 table for
-    consistency_residuals); a checked scan never builds the depth-2 one.
-
-    Cached per depth, read-only, column-major, which makes the product
-    about twice as fast as row-major.
-    """
-    table = np.array(_count_table(depth), dtype=float, order="F")
     table.flags.writeable = False
     return table
 

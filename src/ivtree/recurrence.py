@@ -157,6 +157,12 @@ def reduced_step(v: VVector, w: TransferWeights, gauge: float = 1.0) -> tuple[VV
     return VVector(*out), gauge
 
 
+def _power_overflow(name: str, x: float) -> OverflowError:
+    """The error of a float ** that overflows, with the map named."""
+    return OverflowError(f"{name}({x:.6g}) is outside the double range "
+                         "(Numerical result out of range)")
+
+
 def scalar_map_g(x: float, w: TransferWeights) -> float:
     """The scalar map g(x) = ((1 + c d x) / (d + c x))^3 on x >= 0."""
     if not x >= 0:
@@ -167,11 +173,16 @@ def scalar_map_g(x: float, w: TransferWeights) -> float:
     else:
         # divided form avoids overflow of c*d*x for large x
         ratio = (1.0 / x + c * d) / (d / x + c)
-    return ratio**3
+    try:
+        return ratio**3
+    except OverflowError:
+        raise _power_overflow("g", x) from None
 
 
 def scalar_map_dg(x: float, w: TransferWeights) -> float:
     """First derivative g'(x) = 3c(d^2-1)(1+cdx)^2 / (d+cx)^4."""
     c, d = w.c, w.d
-    return 3.0 * c * (d * d - 1.0) * (1.0 + c * d * x) ** 2 / (d + c * x) ** 4
-
+    try:
+        return 3.0 * c * (d * d - 1.0) * (1.0 + c * d * x) ** 2 / (d + c * x) ** 4
+    except OverflowError:
+        raise _power_overflow("g'", x) from None

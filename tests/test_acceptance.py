@@ -24,7 +24,6 @@ from ivtree import (
     full_step,
     iterate_map,
     kolmogorov_consistency_check,
-    predict_count,
     scalar_map_dg,
     scalar_map_g,
     scan_grid,
@@ -33,8 +32,8 @@ from ivtree import (
 from ivtree.recurrence import UVector
 from ivtree.scanner import evaluate_point
 
-from conftest import (THREE_ROOT_EXPECTED, THREE_ROOT_POINT, quartic_positive_roots,
-                      scalar_map_d2g)
+from conftest import (THREE_ROOT_EXPECTED, THREE_ROOT_POINT, eta_closed_forms,
+                      quartic_positive_roots, scalar_map_d2g)
 
 EPS = float(np.finfo(float).eps)
 
@@ -193,8 +192,10 @@ def test_acceptance_04_decreasing_map_point_oracle_agreement():
 
 def test_acceptance_05_randomized_count_rule_sweep():
     """200 random points with d < 1 have one root each; for 200 random
-    points with d > 2 the threshold-slope prediction matches the root
-    finder exactly.  The whole sweep must finish within 5 s."""
+    points with d > 2 the threshold-slope rule (three roots exactly when the
+    closed-form etas give eta1 < 1 < eta2, one otherwise) matches the root
+    finder exactly, with both counts drawn.  The whole sweep must finish
+    within 5 s."""
     rng = np.random.default_rng(20240)
     t0 = time.perf_counter()
     mismatches = 0
@@ -202,14 +203,18 @@ def test_acceptance_05_randomized_count_rule_sweep():
         w = TransferWeights(10.0 * (1.0 - rng.random()), float(rng.uniform(0.01, 0.999)))
         if find_positive_fixed_points(w).count != 1:
             mismatches += 1
+    predicted_counts = []
     for _ in range(200):
         w = TransferWeights(10.0 * (1.0 - rng.random()), float(rng.uniform(2.001, 10.0)))
-        predicted, _ = predict_count(w)
-        if predicted != find_positive_fixed_points(w).count:
+        eta1, eta2 = eta_closed_forms(w.c, w.d)
+        predicted_counts.append(3 if eta1 < 1.0 < eta2 else 1)
+        if predicted_counts[-1] != find_positive_fixed_points(w).count:
             mismatches += 1
     elapsed = time.perf_counter() - t0
-    ok = mismatches == 0 and elapsed < 5.0
-    _verdict("randomized count rule", ok, f"mismatches={mismatches}/400 elapsed={elapsed:.2f} s")
+    three = predicted_counts.count(3)
+    ok = mismatches == 0 and 0 < three < 200 and elapsed < 5.0
+    _verdict("randomized count rule", ok, f"mismatches={mismatches}/400 "
+             f"three-root={three}/200 elapsed={elapsed:.2f} s")
 
 
 def test_acceptance_06_closed_form_updates_match_enumeration():

@@ -1,4 +1,4 @@
-"""Root finding, stability, threshold slopes, and count prediction for g."""
+"""Root finding, stability, threshold slopes, and the root count of g."""
 
 import math
 
@@ -13,7 +13,6 @@ from ivtree import (
     derive_weights,
     find_positive_fixed_points,
     iterate_map,
-    predict_count,
     scalar_map_dg,
     scalar_map_g,
 )
@@ -214,29 +213,20 @@ def test_eta_values_scale_linearly_with_c():
 
 
 def test_predicted_counts_at_reference_points(three_root_weights):
-    n, reason = predict_count(three_root_weights)
-    assert n == 3 and "eta1 < 1 < eta2" in reason
-    n, reason = predict_count(decreasing_weights())
-    assert n == 1 and "decreasing" in reason
-    n, _ = predict_count(derive_weights(couplings(*NEGATIVE_T_POINT)))
-    assert n == 1
+    assert find_positive_fixed_points(three_root_weights).count == 3
+    assert find_positive_fixed_points(decreasing_weights()).count == 1
+    assert find_positive_fixed_points(derive_weights(couplings(*NEGATIVE_T_POINT))).count == 1
 
 
 @pytest.mark.parametrize("d", [1.0, 1.5, 2.0])
 def test_predicted_count_in_the_intermediate_band(d):
     """1 <= d <= 2, both edges included: no closed-form rule applies, and
     the root search finds the one fixed point."""
-    w = TransferWeights(0.5, d)
-    count = find_positive_fixed_points(w).count
-    assert count == 1
-    assert predict_count(w) == (
-        count, "intermediate band 1 <= d <= 2: count from direct root search")
+    assert find_positive_fixed_points(TransferWeights(0.5, d)).count == 1
 
 
 def test_tangency_case_predicts_two_roots():
     w = TransferWeights(TANGENT_CASE["c"], TANGENT_CASE["d"])
-    n, reason = predict_count(w)
-    assert n == 2 and "tangency" in reason
     rep = find_positive_fixed_points(w)
     assert rep.count == 2
     assert_close(rep.roots[0], TANGENT_CASE["x_tangent"], 1e-6, "tangent root")
@@ -247,21 +237,20 @@ def test_tangency_case_predicts_two_roots():
                                                 ("eta2", 5e-10, 3), ("eta2", -5e-10, 1)])
 def test_predicted_count_uses_the_solver_tangency_band(eta, nudge, count):
     """eta_i = 1 + nudge at d = 5 (eta is linear in c): outside the solver's
-    band |log eta_i| <= 1e-10, so the rule and the root search both give one
-    or three roots, not a tangency."""
+    band |log eta_i| <= 1e-10, so the root search gives one or three roots,
+    not a tangency."""
     at_unit_c = getattr(critical_points(TransferWeights(1.0, 5.0)), eta)
     w = TransferWeights((1.0 + nudge) / at_unit_c, 5.0)
-    assert predict_count(w)[0] == find_positive_fixed_points(w).count == count
+    assert find_positive_fixed_points(w).count == count
 
 
 @pytest.mark.parametrize("c, d", [(1e-300, 1e100), (1e300, 1e100)])
 def test_predicted_count_with_a_saturated_eta(c, d):
     """eta_1 underflows to 0 or eta_2 overflows to inf; neither is a
-    tangency, and neither makes the rule raise."""
+    tangency, and the cell has one root."""
     th = critical_points(TransferWeights(c, d))
     assert th.eta1 == 0.0 or th.eta2 == math.inf
-    assert predict_count(TransferWeights(c, d)) == (
-        1, "multi-capable regime but 1 outside (eta1, eta2)")
+    assert find_positive_fixed_points(TransferWeights(c, d)).count == 1
 
 
 def test_count_changes_only_through_a_tangency():

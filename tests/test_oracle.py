@@ -23,7 +23,6 @@ from ivtree import (
     verify_recurrence_by_enumeration,
 )
 from ivtree.oracle import (
-    _count_table,
     _feature_table,
     _log_brackets,
     _log_partition_factorized,
@@ -147,36 +146,33 @@ def test_spin_table_is_built_once_and_read_only():
 
 
 def test_feature_table_is_built_once_per_depth_and_read_only():
-    """The int8 count table and its column-major float copy."""
+    """The one count table: cached, read-only, column-major float64, and
+    integer-valued, every count in -12..12."""
     for depth, rows in ((1, 16), (2, 8192)):
-        counts = _count_table(depth)
-        assert _count_table(depth) is counts
-        assert counts.dtype == np.int8 and counts.shape == (rows, 10)
         table = _feature_table(depth)
         assert _feature_table(depth) is table
-        assert table.dtype == np.float64 and table.flags.f_contiguous
-        assert np.array_equal(table, counts)
-        for array in (counts, table):
-            with pytest.raises(ValueError):
-                array[0, 0] = 0
+        assert table.dtype == np.float64 and table.shape == (rows, 10)
+        assert table.flags.f_contiguous
+        assert np.array_equal(table, np.round(table)) and np.abs(table).max() <= 12
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
 
 
 def test_a_checked_scan_never_enumerates_the_depth_two_volume():
     """In a fresh process, after a checked scan, the first call of each
     depth-2 table builder misses its cache: the check never built the
-    8192-row spin, count or float table."""
+    8192-row spin or feature table."""
     script = ("from ivtree import GridSpec, scan_grid\n"
               "from ivtree import oracle\n"
               "scan_grid(GridSpec(j=(-3, 3, 5), jp=(-3, 7, 5), t=(13, 13, 1)),\n"
               "          check_consistency=True)\n"
-              "for build, arg in ((oracle._spin_table, 13), (oracle._count_table, 2),\n"
-              "                   (oracle._feature_table, 2)):\n"
+              "for build, arg in ((oracle._spin_table, 13), (oracle._feature_table, 2)):\n"
               "    misses = build.cache_info().misses\n"
               "    build(arg)\n"
               "    print(build.cache_info().misses - misses)\n")
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1", "1"]
+    assert proc.stdout.split() == ["1", "1"]
 
 
 def test_feature_table_weights_match_the_per_configuration_route():

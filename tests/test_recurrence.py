@@ -14,6 +14,7 @@ from ivtree import (
     couplings,
     derive_weights,
     full_step,
+    iterate_map,
     reduced_step,
     scalar_map_dg,
     scalar_map_g,
@@ -213,6 +214,17 @@ def test_scalar_map_trivial_cases():
 def test_scalar_map_saturates_at_d_cubed():
     w = TransferWeights(0.5, 3.0)
     assert_close(scalar_map_g(1e300, w), 27.0, 1e-10, "g at huge x")
+
+
+def test_scalar_map_out_of_range_names_the_map():
+    """A cube outside the double range raises an error that names g (or g')
+    and the range, not the bare OverflowError(34, ...) of float **; at
+    beta Jp = 300 iterating from x = 5 reaches one in two steps."""
+    w = derive_weights(couplings(1.0, 300.0, 1.0))
+    with pytest.raises(OverflowError, match=r"^g\(7\.03471e\+160\) is outside the double range"):
+        iterate_map(5.0, w)
+    with pytest.raises(OverflowError, match=r"^g'\(1e-10\) is outside the double range"):
+        scalar_map_dg(1e-10, w)
 
 
 def test_first_derivative_vanishes_at_d_equal_one():
