@@ -21,8 +21,8 @@ _EXPORTS = {
     "oracle": ("CayleyTree", "FiniteVolumeMeasure", "build_tree", "finite_measure",
                "hamiltonian", "kolmogorov_consistency_check",
                "verify_recurrence_by_enumeration"),
-    "recurrence": ("UVector", "VVector", "check_identities", "full_step", "reduced_step",
-                   "scalar_map_dg", "scalar_map_g"),
+    "recurrence": ("VVector", "check_identities", "full_step", "reduced_step", "scalar_map_dg",
+                   "scalar_map_g"),
     "scanner": ("GridSpec", "PhasePoint", "emit_csv", "emit_curve", "emit_jsonl", "scan_grid"),
 }
 

@@ -194,26 +194,27 @@ class _BoundaryFieldVectorFields(NamedTuple):
 
 
 class BoundaryFieldVector(CheckedRecord, _BoundaryFieldVectorFields):
-    """Eight collapsed boundary-field values h_1..h_8 (class order)."""
+    """Eight collapsed boundary-field values h_1..h_8 (class order), kept as a tuple of floats."""
 
     __slots__ = ()
 
     def __new__(cls, h: tuple[float, float, float, float, float, float, float, float]):
+        h = tuple(h)
         if len(h) != 8 or any(not math.isfinite(v) for v in h):
             raise ValueError("h must be eight finite reals")
-        return super().__new__(cls, h)
+        return super().__new__(cls, tuple(map(float, h)))
 
     @property
     def u(self) -> np.ndarray:
         """Exponentiated fields u_i = exp(h_i), all positive."""
-        return np.exp(np.asarray(self.h, dtype=float))
+        return np.exp(self.h)
 
     @classmethod
     def from_u(cls, u) -> "BoundaryFieldVector":
         u = np.asarray(u, dtype=float)
-        if u.shape != (8,) or np.any(u <= 0):
-            raise ValueError("u must be eight positive reals")
-        return cls(h=tuple(np.log(u)))
+        if u.shape != (8,) or not np.all(np.isfinite(u) & (u > 0)):
+            raise ValueError("u must be eight positive finite reals")
+        return cls(np.log(u))
 
 
 def field_form_from_pqrs(p: float, q: float, r: float, s: float) -> BoundaryFieldVector:

@@ -25,14 +25,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import BoundaryFieldVector, CouplingParameters, TransferWeights, class_sign
-
-if TYPE_CHECKING:   # an annotation only: a consistency check never loads recurrence
-    from .recurrence import UVector
+from .model import BoundaryFieldVector, CouplingParameters, TransferWeights
 
 # deepest volume that build_tree makes and finite_measure accepts
 _MAX_DEPTH = 3
@@ -322,16 +319,16 @@ def kolmogorov_consistency_check(params: CouplingParameters,
     return float(consistency_residuals(np.array(coef)[:, None])[0])
 
 
-def enumerated_semi_ball_sum(i: int, jvec: tuple[int, int, int], u: UVector,
+def enumerated_semi_ball_sum(i: int, jvec: tuple[int, int, int], h: BoundaryFieldVector,
                              w: TransferWeights) -> float:
     """Defining sum for one semi-ball update: all 2^9 grandchild assignments.
 
     The semi-ball has center spin i and successor spins jvec; each successor
     carries three further spins.  The weight of an assignment is the product
     over the three branches of exp(beta*J*j_b*S_b + beta*Jp*i*S_b) times the
-    branch's own class field factor u^sign.
+    branch's own class field factor u^sign, u = e^h.
     """
-    u_arr = u.as_array()
+    u_arr = h.u
     factors = []
     for j in jvec:
         f = np.empty(8)
@@ -350,18 +347,17 @@ _CLASS_REPS = [(1, (1, 1, 1)), (1, (1, 1, -1)), (1, (1, -1, -1)), (1, (-1, -1, -
                (-1, (1, 1, 1)), (-1, (1, 1, -1)), (-1, (1, -1, -1)), (-1, (-1, -1, -1))]
 
 
-def verify_recurrence_by_enumeration(u: UVector, w: TransferWeights) -> np.ndarray:
+def verify_recurrence_by_enumeration(h: BoundaryFieldVector, w: TransferWeights) -> np.ndarray:
     """Relative mismatch of full_step's eight updates against their sums.
 
-    full_step solves the classes 2, 4, 5, 7 for u_i itself, so its output
-    is raised to the class sign first.  The enumerated side carries an
+    full_step solves the classes 2, 4, 5, 7 for h_i itself, so its output
+    is multiplied by the class sign first.  The enumerated side carries an
     unknown common normalization; it is fitted from the first class and
     divided out, so a zero residual vector means the recurrence reproduces
     the defining sums up to one shared constant.
     """
-    from .recurrence import full_step
+    from .recurrence import _SIGNS, full_step
 
-    signs = np.array([class_sign(k) for k in range(1, 9)])
-    closed = full_step(u, w)[0].as_array() ** signs
-    ratio = closed / np.array([enumerated_semi_ball_sum(i, jvec, u, w) for i, jvec in _CLASS_REPS])
+    closed = np.exp(_SIGNS * full_step(h, w).h)
+    ratio = closed / np.array([enumerated_semi_ball_sum(i, jvec, h, w) for i, jvec in _CLASS_REPS])
     return np.abs(ratio / ratio[0] - 1.0)

@@ -1,19 +1,17 @@
 """Recurrence maps relating boundary fields at successive tree depths.
 
 Marginalizing the depth-n measure over its outermost spins turns the eight
-class fields u_1..u_8 at depth n into new values at depth n-1.  Each updated
-component is a product of three "branch brackets" B(i, j): the leaf sums
-over a successor's own spin triple.  full_step reads log B(i, j) from the
-oracle's vectorized kernel (oracle._log_brackets), its one home.  A common
-gauge factor (a partition-function ratio) multiplies every equation; it is
-physically irrelevant and is carried here as an explicit output so callers
-can work with gauge-free combinations.
+class fields h_1..h_8 at depth n into new values at depth n-1: each is the
+log of a product of three "branch brackets" B(i, j), the leaf sums over a
+successor's own spin triple, which full_step reads from the oracle's kernel
+(oracle._log_brackets), their one home.  A gauge C (a partition-function
+ratio) adds s_k log C to h_k, s_k the class sign.
 
-The eight equations collapse further: cube identities pin u_2, u_3, u_6, u_7
+The eight equations collapse further: cube identities pin h_2, h_3, h_6, h_7
 in terms of the corner components, the corner system reduces to four
-variables (v_1, v_4, v_5, v_8 with u_i = v_i^3), and on the invariant set
-v_1 = v_4^3, v_8 = v_5^3 with v_4^4 = v_5^4 = x everything contracts to the
-scalar rational map g.
+variables (v_1, v_4, v_5, v_8 with e^{h_i} = v_i^3), and on the invariant
+set v_1 = v_4^3, v_8 = v_5^3 with v_4^4 = v_5^4 = x everything contracts to
+the scalar rational map g.
 """
 
 from __future__ import annotations
@@ -23,41 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CheckedRecord, TransferWeights, class_sign
+from .model import BoundaryFieldVector, CheckedRecord, TransferWeights, class_sign
 
-_EQUATION_NAMES = ("u1'", "u2'", "u3'", "u4'", "u5'", "u6'", "u7'", "u8'")
-
-
-class _UVectorFields(NamedTuple):
-    u1: float
-    u2: float
-    u3: float
-    u4: float
-    u5: float
-    u6: float
-    u7: float
-    u8: float
-
-
-class UVector(CheckedRecord, _UVectorFields):
-    """The eight exponentiated class fields u_i = e^{h_i}, all positive."""
-
-    __slots__ = ()
-
-    def __new__(cls, u1: float, u2: float, u3: float, u4: float,
-                u5: float, u6: float, u7: float, u8: float):
-        for v in (u1, u2, u3, u4, u5, u6, u7, u8):
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError("u components must be positive finite")
-        return super().__new__(cls, u1, u2, u3, u4, u5, u6, u7, u8)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
-
-    @classmethod
-    def from_array(cls, arr) -> "UVector":
-        arr = np.asarray(arr, dtype=float)
-        return cls(*arr.tolist())
+# class sign s_k and minus-successor count m_k of the eight classes
+_SIGNS = np.array([class_sign(k) for k in range(1, 9)], dtype=float)
+_MINUS = np.arange(8) % 4
 
 
 class _VVectorFields(NamedTuple):
@@ -82,65 +50,45 @@ class VVector(CheckedRecord, _VVectorFields):
         return np.array(self)
 
 
-def full_step(u: UVector, w: TransferWeights, gauge: float = 1.0) -> tuple[UVector, float]:
-    """One application of the eight-equation map.
+def full_step(h: BoundaryFieldVector, w: TransferWeights) -> BoundaryFieldVector:
+    """One application of the eight-equation map, in log space.
 
-    Every equation carries the same gauge prefactor; with gauge = 1 the raw
-    bracket products are returned.  Components whose defining equation is
-    stated for the reciprocal (classes 2, 4, 5, 7) are solved for u_i itself.
-    Raises OverflowError naming the first equation whose result cannot be
-    represented.
+    h'_k = s_k ((3 - m_k) log B(c_k, +) + m_k log B(c_k, -)) for class k
+    with center spin c_k, m_k minus successors and class sign s_k: the
+    classes 2, 4, 5, 7 (s_k = -1) state their equation for the reciprocal.
+    The brackets are log-sum-exps, so h' is finite wherever the kernel is.
     """
     # imported here, so a --curve run, which loads this module for g,
     # leaves the oracle unloaded
     from .oracle import _log_brackets
 
-    if not (gauge > 0 and math.isfinite(gauge)):
-        raise ValueError("gauge must be positive finite")
-    coef = np.array([w.log_a, w.log_b, *np.log(u.as_array())])
-    lb = _log_brackets(coef[:, None])[1][0]
-    log_gauge = math.log(gauge)
-
-    out = np.empty(8)
-    for k in range(8):
-        center, minus = divmod(k, 4)
-        log_rhs = log_gauge + (3 - minus) * lb[center, 0] + minus * lb[center, 1]
-        val = class_sign(k + 1) * log_rhs
-        if abs(val) > 709.0:
-            raise OverflowError(f"{_EQUATION_NAMES[k]} is out of range (log value {val:.4g})")
-        out[k] = math.exp(val)
-    return UVector.from_array(out), gauge
+    coef = np.array((w.log_a, w.log_b) + h.h)
+    lb = _log_brackets(coef[:, None])[1][0].repeat(4, axis=0)
+    return BoundaryFieldVector(_SIGNS * ((3 - _MINUS) * lb[:, 0] + _MINUS * lb[:, 1]))
 
 
-def check_identities(u_next: UVector) -> np.ndarray:
+def check_identities(h_next: BoundaryFieldVector) -> np.ndarray:
     """Residuals of the four cube identities tying inner to corner components.
 
-    Returns |u2'^3 u1'^2 / u4' - 1| and the three analogous combinations;
-    all vanish identically for any full_step output, whatever the gauge.
+    Returns |exp(3 h2' + 2 h1' - h4') - 1| and the three analogous
+    combinations; all vanish identically for any full_step output, whatever
+    the gauge.
     """
-    l = np.log(u_next.as_array())
-    combos = np.array([
-        3.0 * l[1] + 2.0 * l[0] - l[3],
-        3.0 * l[2] + 2.0 * l[3] - l[0],
-        3.0 * l[5] + 2.0 * l[4] - l[7],
-        3.0 * l[6] + 2.0 * l[7] - l[4],
-    ])
-    return np.abs(np.expm1(combos))
+    l = np.array(h_next.h)
+    return np.abs(np.expm1(3.0 * l[[1, 2, 5, 6]] + 2.0 * l[[0, 3, 4, 7]] - l[[3, 0, 7, 4]]))
 
 
-def reduced_step(v: VVector, w: TransferWeights, gauge: float = 1.0) -> tuple[VVector, float]:
+def reduced_step(v: VVector, w: TransferWeights) -> VVector:
     """One application of the four-variable corner system.
 
-    v1' = gauge * R1^3        with R1 = (1 + (ab)^2 v1 v4) / (a b v4)
-    1/v4' = gauge * R2^3      with R2 = (d + c v5 v8) / (a b v5)
-    1/v5' = gauge * R3^3      with R3 = (d + c v1 v4) / (a b v4)
-    v8' = gauge * R4^3        with R4 = (1 + (ab)^2 v5 v8) / (a b v5)
+    v1' = R1^3        with R1 = (1 + (ab)^2 v1 v4) / (a b v4)
+    1/v4' = R2^3      with R2 = (d + c v5 v8) / (a b v5)
+    1/v5' = R3^3      with R3 = (d + c v1 v4) / (a b v4)
+    v8' = R4^3        with R4 = (1 + (ab)^2 v5 v8) / (a b v5)
 
-    The gauge here is the cube root of the full-step gauge.  Note the cross
-    coupling: the (v4, v5) updates each mix the opposite corner pair.
+    Note the cross coupling: the (v4, v5) updates each mix the opposite
+    corner pair.
     """
-    if not (gauge > 0 and math.isfinite(gauge)):
-        raise ValueError("gauge must be positive finite")
     c, d = w.c, w.d
     ab = w.a * w.b
     r1 = (1.0 + ab * ab * v.v1 * v.v4) / (ab * v.v4)
@@ -149,40 +97,65 @@ def reduced_step(v: VVector, w: TransferWeights, gauge: float = 1.0) -> tuple[VV
     r4 = (1.0 + ab * ab * v.v5 * v.v8) / (ab * v.v5)
     try:
         # a float ** that overflows raises; a product that does gives inf
-        out = (gauge * r1**3, 1.0 / (gauge * r2**3), 1.0 / (gauge * r3**3), gauge * r4**3)
+        out = (r1**3, 1.0 / r2**3, 1.0 / r3**3, r4**3)
         if any(not (0 < x < math.inf) for x in out):
             raise OverflowError
     except OverflowError:
         raise OverflowError("reduced step out of representable range") from None
-    return VVector(*out), gauge
+    return VVector(*out)
 
 
-def _power_overflow(name: str, x: float) -> OverflowError:
-    """The error of a float ** that overflows, with the map named."""
-    return OverflowError(f"{name}({x:.6g}) is outside the double range "
-                         "(Numerical result out of range)")
+def _finite(name: str, x: float, f, *args) -> float:
+    """f(*args) where it is a finite double, else an OverflowError that names
+    the map (float ** and math.exp raise one on overflow, but pass inf on)."""
+    try:
+        value = f(*args)
+    except OverflowError:
+        value = math.inf
+    if not abs(value) < math.inf:
+        raise OverflowError(f"{name}({x:.6g}) is outside the double range "
+                            "(Numerical result out of range)")
+    return value
+
+
+def _ratio(x: float, c: float, d: float) -> float:
+    """(1 + c d x) / (d + c x), the cube root of g, formed without overflow:
+    divided through by x for x > 1, and by d where c d overflows (c, d > 1)."""
+    cd = c * d
+    if cd == math.inf:
+        return ((1.0 / d + c * x) / (1.0 + c / d * x) if x <= 1.0
+                else (1.0 / (d * x) + c) / (1.0 / x + c / d))
+    return (1.0 + cd * x) / (d + c * x) if x <= 1.0 else (1.0 / x + cd) / (d / x + c)
 
 
 def scalar_map_g(x: float, w: TransferWeights) -> float:
-    """The scalar map g(x) = ((1 + c d x) / (d + c x))^3 on x >= 0."""
+    """The scalar map g(x) = ((1 + c d x) / (d + c x))^3 on x >= 0, wherever it
+    is a finite double (0.0 where it underflows); elsewhere an OverflowError."""
     if not x >= 0:
         raise ValueError("x must be nonnegative")
-    c, d = w.c, w.d
-    if x <= 1.0:
-        ratio = (1.0 + c * d * x) / (d + c * x)
-    else:
-        # divided form avoids overflow of c*d*x for large x
-        ratio = (1.0 / x + c * d) / (d / x + c)
-    try:
-        return ratio**3
-    except OverflowError:
-        raise _power_overflow("g", x) from None
+    return _finite("g", x, pow, _ratio(x, w.c, w.d), 3)
 
 
 def scalar_map_dg(x: float, w: TransferWeights) -> float:
-    """First derivative g'(x) = 3c(d^2-1)(1+cdx)^2 / (d+cx)^4."""
+    """First derivative g'(x) = 3c(d^2-1)(1+cdx)^2 / (d+cx)^4 on x >= 0, wherever
+    it is a finite double (0.0 where it underflows); elsewhere an OverflowError."""
+    if not x >= 0:
+        raise ValueError("x must be nonnegative")
     c, d = w.c, w.d
     try:
-        return 3.0 * c * (d * d - 1.0) * (1.0 + c * d * x) ** 2 / (d + c * x) ** 4
-    except OverflowError:
-        raise _power_overflow("g'", x) from None
+        den = (d + c * x) ** 4
+        dg = 3.0 * c * (d * d - 1.0) * (1.0 + c * d * x) ** 2 / den
+        # a subnormal den (below 2^-1022) has lost bits
+        if math.isfinite(dg) and den >= 2.0**-1022:
+            return dg
+    except (OverflowError, ZeroDivisionError):
+        pass
+    # a term left the double range: g' = 3 c (d^2 - 1) (N / D)^2 / D^2 in logs,
+    # with N / D = _ratio, D = d + c x and |d^2 - 1| = e^{2 max(ld, 0)} (1 - e^{-2 |ld|})
+    if d == 1.0:
+        return 0.0
+    lc, ld = math.log(c), math.log(d)
+    log_den = np.logaddexp(ld, lc + math.log(x)) if x > 0 else ld
+    log_dg = (math.log(3.0) + lc + 2.0 * (math.log(_ratio(x, c, d)) - log_den)
+              + 2.0 * max(ld, 0.0) + math.log(-math.expm1(-2.0 * abs(ld))))
+    return math.copysign(_finite("g'", x, math.exp, log_dg), d - 1.0)

@@ -29,7 +29,6 @@ from ivtree import (
     scan_grid,
     verify_recurrence_by_enumeration,
 )
-from ivtree.recurrence import UVector
 from ivtree.scanner import evaluate_point
 
 from conftest import (THREE_ROOT_EXPECTED, THREE_ROOT_POINT, eta_closed_forms,
@@ -227,8 +226,8 @@ def test_acceptance_06_closed_form_updates_match_enumeration():
         params = couplings(
             float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), float(rng.uniform(5, 15))
         )
-        u = UVector(*np.exp(rng.uniform(-1, 1, 8)))
-        worst = max(worst, float(verify_recurrence_by_enumeration(u, derive_weights(params)).max()))
+        h = BoundaryFieldVector(rng.uniform(-1, 1, 8))
+        worst = max(worst, float(verify_recurrence_by_enumeration(h, derive_weights(params)).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 2.0
     _verdict("enumeration agreement", ok, f"worst residual={worst:.2e} elapsed={elapsed:.2f} s")
@@ -241,9 +240,8 @@ def test_acceptance_07_cube_identities_hold_after_every_step():
     worst = 0.0
     for _ in range(100):
         w = TransferWeights(10.0 * (1.0 - rng.random()), 10.0 * (1.0 - rng.random()))
-        u = UVector(*np.exp(rng.uniform(-2, 2, 8)))
-        u_next, _ = full_step(u, w)
-        worst = max(worst, float(check_identities(u_next).max()))
+        h = BoundaryFieldVector(rng.uniform(-2, 2, 8))
+        worst = max(worst, float(check_identities(full_step(h, w)).max()))
     ok = worst < 1e-10
     _verdict("cube identities", ok, f"worst residual={worst:.2e}")
 

@@ -16,7 +16,6 @@ from ivtree import (
     PhasePoint,
     SemiBallConfiguration,
     TransferWeights,
-    UVector,
     VVector,
     build_tree,
     find_positive_fixed_points,
@@ -27,7 +26,7 @@ from ivtree import (
     field_form_from_pqrs,
     field_from_scalar,
 )
-from ivtree.model import INVERTED_CLASSES, class_index, class_sign
+from ivtree.model import INVERTED_CLASSES, class_index, class_sign, scalar_field_h
 
 from conftest import NEGATIVE_T_POINT, THREE_ROOT_POINT, assert_close
 
@@ -161,8 +160,8 @@ def test_a_copy_with_a_new_c_is_the_record_built_from_it():
     w = derive_weights(couplings(1.0, 2.0, 3.0))
     copy, fresh = w._replace(c=10.0), TransferWeights(10.0, w.d)
     assert find_positive_fixed_points(copy) == find_positive_fixed_points(fresh)
-    u = UVector(*np.exp(np.linspace(-1.0, 1.0, 8)))
-    assert full_step(u, copy) == full_step(u, fresh)
+    h = BoundaryFieldVector(np.linspace(-1.0, 1.0, 8))
+    assert full_step(h, copy) == full_step(h, fresh)
 
 
 def test_sixteen_configurations_partition_into_eight_classes():
@@ -262,11 +261,33 @@ def test_boundary_field_u_round_trip():
         BoundaryFieldVector(h=(0.0,) * 7 + (math.inf,))
 
 
+def test_a_boundary_field_keeps_its_own_tuple_of_floats():
+    """Any sequence of eight finite reals becomes a tuple of floats: a list
+    changed after the check leaves the record as it was, and a record built
+    from an array hashes and compares by value."""
+    values = [0.5] * 8
+    field = BoundaryFieldVector(values)
+    values[0] = math.nan
+    assert field.h == (0.5,) * 8
+    with pytest.raises(TypeError):
+        field.h[0] = math.nan
+    from_array = BoundaryFieldVector(np.linspace(-1.0, 1.0, 8))
+    assert all(type(v) is float for v in from_array.h)
+    assert BoundaryFieldVector(np.zeros(8)) == BoundaryFieldVector([0.0] * 8)
+    assert hash(BoundaryFieldVector(np.zeros(8))) == hash(BoundaryFieldVector((0.0,) * 8))
+    # the three constructors keep their values
+    assert field_form_from_pqrs(1, 2, 3, 4).h == (1.0, 0.0, -1.0, 2.0, 3.0, (4 - 6) / 3,
+                                                  (3 - 8) / 3, 4.0)
+    assert field_from_scalar(2.0).h == scalar_field_h(math.log(2.0))
+    u = np.exp(np.linspace(-2.0, 2.0, 8))
+    assert BoundaryFieldVector.from_u(u).h == tuple(np.log(u).tolist())
+
+
 @pytest.mark.parametrize("record, change", [
     (couplings(1.0, 2.0, 3.0), {"T": 0.0}),
     (SemiBallConfiguration(1, (1, 1, 1)), {"center": 0}),
     (BoundaryFieldVector(h=(0.0,) * 8), {"h": (0.0,) * 7}),
-    (UVector(*[1.0] * 8), {"u3": -1.0}),
+    (BoundaryFieldVector(h=(0.0,) * 8), {"h": (0.0,) * 7 + (math.nan,)}),
     (VVector(1.0, 1.0, 1.0, 1.0), {"v8": math.inf}),
     (GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(1, 1, 1)), {"t": (math.nan, math.nan, 1)}),
     (couplings(1.0, 2.0, 3.0), {"beta": 0.5}),

@@ -10,7 +10,6 @@ from ivtree import (
     BoundaryFieldVector,
     CayleyTree,
     TransferWeights,
-    UVector,
     build_tree,
     couplings,
     derive_weights,
@@ -384,18 +383,18 @@ def test_a_residual_does_not_depend_on_its_block():
 
 def test_enumerated_sum_trivial_weights():
     w = TransferWeights(1.0, 1.0)
-    u = UVector.from_array(np.ones(8))
-    assert enumerated_semi_ball_sum(1, (1, 1, 1), u, w) == 512.0
+    h = BoundaryFieldVector((0.0,) * 8)
+    assert enumerated_semi_ball_sum(1, (1, 1, 1), h, w) == 512.0
 
 
 def test_enumerated_sum_is_permutation_invariant():
     rng = np.random.default_rng(23)
     w = TransferWeights(0.7, 2.3)
-    u = UVector.from_array(np.exp(rng.uniform(-1, 1, 8)))
+    h = BoundaryFieldVector(rng.uniform(-1, 1, 8))
     for jvec in itertools.permutations((1, 1, -1)):
         assert_close(
-            enumerated_semi_ball_sum(-1, jvec, u, w),
-            enumerated_semi_ball_sum(-1, (1, 1, -1), u, w),
+            enumerated_semi_ball_sum(-1, jvec, h, w),
+            enumerated_semi_ball_sum(-1, (1, 1, -1), h, w),
             1e-14, "branch permutation",
         )
 
@@ -404,8 +403,8 @@ def test_recurrence_matches_enumeration_for_random_draws():
     rng = np.random.default_rng(29)
     for _ in range(25):
         w = TransferWeights(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0))
-        u = UVector.from_array(np.exp(rng.uniform(-2, 2, 8)))
-        assert np.all(verify_recurrence_by_enumeration(u, w) < 1e-12)
+        h = BoundaryFieldVector(rng.uniform(-2, 2, 8))
+        assert np.all(verify_recurrence_by_enumeration(h, w) < 1e-12)
 
 
 def test_branch_sum_equals_the_closed_bracket():

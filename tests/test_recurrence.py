@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivtree import (
+    BoundaryFieldVector,
     TransferWeights,
-    UVector,
     VVector,
     check_identities,
     couplings,
@@ -24,15 +24,22 @@ from conftest import THREE_ROOT_POINT, assert_close, scalar_map_d2g
 
 EPS = np.finfo(float).eps
 
+SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
+
 weights_st = st.builds(
     TransferWeights,
     st.floats(0.05, 10.0),
     st.floats(0.05, 10.0),
 )
 
-u_st = st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8).map(
-    lambda hs: UVector.from_array(np.exp(hs))
+# the whole box derive_weights accepts: |log c|, |log d| <= 709
+box_weights_st = st.builds(
+    lambda lc, ld: TransferWeights(math.exp(lc), math.exp(ld)),
+    st.floats(-709.0, 709.0),
+    st.floats(-709.0, 709.0),
 )
+
+h_st = st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8).map(BoundaryFieldVector)
 
 v_st = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(
     lambda hs: VVector(*np.exp(hs))
@@ -52,67 +59,47 @@ def fd_second(f, x, h):
 
 
 def test_trivial_weights_collapse_every_bracket_to_eight():
-    w = TransferWeights(1.0, 1.0)
-    out, gauge = full_step(UVector.from_array(np.ones(8)), w)
-    assert gauge == 1.0
-    expected = np.where(np.array([1, -1, 1, -1, -1, 1, -1, 1]) == 1, 512.0, 1.0 / 512.0)
-    assert_close(out.as_array(), expected, 1e-14, "trivial step")
+    """At c = d = 1 every bracket is 8, so the zero field maps to s_k 9 log 2."""
+    out = full_step(BoundaryFieldVector((0.0,) * 8), TransferWeights(1.0, 1.0))
+    assert_close(out.h, SIGNS * 9.0 * math.log(2.0), 1e-14, "trivial step")
 
 
-@given(u=u_st, w=weights_st)
-def test_cube_identities_hold_for_any_step_output(u, w):
-    out, _ = full_step(u, w)
+@given(h=h_st, w=box_weights_st)
+def test_cube_identities_hold_for_any_step_output(h, w):
+    out = full_step(h, w)
+    assert all(math.isfinite(v) for v in out.h)
     assert np.all(check_identities(out) < 1e-10)
 
 
-@given(u=u_st, w=weights_st, log_gauge=st.floats(-3.0, 3.0))
-def test_gauge_covariance(u, w, log_gauge):
-    """Scaling the gauge scales direct components up and inverted ones down,
-    leaving the corner products invariant."""
-    gauge = math.exp(log_gauge)
-    base, _ = full_step(u, w)
-    scaled, _ = full_step(u, w, gauge=gauge)
-    signs = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
-    assert_close(scaled.as_array(), base.as_array() * gauge**signs, 1e-9, "gauge scaling")
-    b, s = base.as_array(), scaled.as_array()
-    assert_close(s[0] * s[3], b[0] * b[3], 1e-9, "u1'u4'")
-    assert_close(s[4] * s[7], b[4] * b[7], 1e-9, "u5'u8'")
-
-
 def test_fixed_point_makes_step_output_proportional(three_root_weights):
-    """At a fixed point of g the map reproduces u up to one common constant
-    (direct components times C, inverted components divided by C)."""
+    """At a fixed point of g the map reproduces h up to one common gauge
+    (s_k log C added to component k)."""
     from ivtree import field_from_scalar, find_positive_fixed_points
 
-    signs = np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float)
     for root in find_positive_fixed_points(three_root_weights).roots:
-        u = UVector.from_array(field_from_scalar(root).u)
-        out, _ = full_step(u, three_root_weights)
-        ratios = (out.as_array() / u.as_array()) ** signs
-        assert ratios.max() / ratios.min() - 1.0 < 1e-12
+        h = field_from_scalar(root)
+        log_ratios = SIGNS * (np.array(full_step(h, three_root_weights).h) - h.h)
+        assert math.expm1(log_ratios.max() - log_ratios.min()) < 1e-12
 
 
-def test_step_overflow_names_the_equation():
+def test_step_is_finite_where_the_bracket_product_overflows():
+    """At a = 1e140 the update of class 1 is a^9: far outside the double
+    range as a power, but a finite log, 9 |log a|."""
     w = TransferWeights(1e280, 1.0)
-    with pytest.raises(OverflowError, match="u1'"):
-        full_step(UVector.from_array(np.ones(8)), w)
+    out = full_step(BoundaryFieldVector((0.0,) * 8), w)
+    assert all(math.isfinite(v) for v in out.h)
+    assert_close(out.h[0], 9.0 * abs(w.log_a), 1e-12, "h1' at a = 1e140")
 
 
 @pytest.mark.parametrize("make", [
-    lambda: UVector(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
-    lambda: UVector.from_array([1.0] * 7 + [math.inf]),
+    lambda: BoundaryFieldVector.from_u([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+    lambda: BoundaryFieldVector.from_u([1.0] * 7 + [math.inf]),
     lambda: VVector(v1=1.0, v4=-1.0, v5=1.0, v8=1.0),
     lambda: VVector(1.0, 1.0, math.nan, 1.0),
 ])
 def test_field_vectors_reject_non_positive_or_non_finite_components(make):
     with pytest.raises(ValueError, match="positive finite"):
         make()
-
-
-def test_gauge_must_be_positive():
-    w = TransferWeights(1.0, 1.0)
-    with pytest.raises(ValueError):
-        full_step(UVector.from_array(np.ones(8)), w, gauge=0.0)
 
 
 def test_extreme_weights_fall_back_to_log_sum():
@@ -131,17 +118,18 @@ def test_extreme_weights_fall_back_to_log_sum():
 
 def test_identity_residuals_flag_a_perturbed_component():
     w = derive_weights(couplings(*THREE_ROOT_POINT))
-    out, _ = full_step(UVector.from_array(np.ones(8)), w)
+    out = full_step(BoundaryFieldVector((0.0,) * 8), w)
     assert np.all(check_identities(out) < 1e-10)
-    arr = out.as_array()
-    arr[1] *= 2.0
-    res = check_identities(UVector.from_array(arr))
+    h = list(out.h)
+    h[1] += math.log(2.0)
+    res = check_identities(BoundaryFieldVector(h))
     assert_close(res[0], 7.0, 1e-9, "perturbed residual")  # 2^3 - 1
-    assert res[1] < 1e-9  # u2' does not enter the second identity
+    assert res[1] < 1e-9  # h2' does not enter the second identity
 
 
 def test_all_ones_passes_identities_exactly():
-    assert np.all(check_identities(UVector.from_array(np.ones(8))) == 0.0)
+    """u = 1, that is h = 0."""
+    assert np.all(check_identities(BoundaryFieldVector((0.0,) * 8)) == 0.0)
 
 
 # ------------------------------------------------------------- reduced step
@@ -149,7 +137,7 @@ def test_all_ones_passes_identities_exactly():
 
 def test_reduced_trivial_weights():
     w = TransferWeights(1.0, 1.0)
-    out, _ = reduced_step(VVector(1, 1, 1, 1), w)
+    out = reduced_step(VVector(1, 1, 1, 1), w)
     assert_close(out.as_array(), [8.0, 0.125, 0.125, 8.0], 1e-14, "reduced trivial")
 
 
@@ -162,27 +150,20 @@ def test_reduced_step_out_of_range_names_the_step(c):
 
 @given(v=v_st, w=weights_st)
 def test_reduced_step_matches_full_step_on_the_cube_manifold(v, w):
-    """With u_i = v_i^3 on corners and the inner components pinned by the
-    cube identities, the full map cubes exactly what the reduced map yields."""
-    u = UVector.from_array([
+    """With u_i = e^{h_i} = v_i^3 on corners and the inner components pinned
+    by the cube identities, the full map cubes exactly what the reduced map
+    yields."""
+    h = BoundaryFieldVector.from_u([
         v.v1**3, v.v4 / v.v1**2, v.v1 / v.v4**2, v.v4**3,
         v.v5**3, v.v8 / v.v5**2, v.v5 / v.v8**2, v.v8**3,
     ])
-    u_next, _ = full_step(u, w)
-    v_next, _ = reduced_step(v, w)
+    u_next = full_step(h, w).u
+    v_next = reduced_step(v, w)
     assert_close(
-        [u_next.u1, u_next.u4, u_next.u5, u_next.u8],
+        u_next[[0, 3, 4, 7]],
         [v_next.v1**3, v_next.v4**3, v_next.v5**3, v_next.v8**3],
         1e-9, "corner cubes",
     )
-
-
-@given(v=v_st, w=weights_st, log_gauge=st.floats(-2.0, 2.0))
-def test_reduced_products_are_gauge_invariant(v, w, log_gauge):
-    base, _ = reduced_step(v, w)
-    scaled, _ = reduced_step(v, w, gauge=math.exp(log_gauge))
-    assert_close(scaled.v1 * scaled.v4, base.v1 * base.v4, 1e-9, "v1'v4'")
-    assert_close(scaled.v5 * scaled.v8, base.v5 * base.v8, 1e-9, "v5'v8'")
 
 
 @given(log_x=st.floats(-12.0, 12.0), w=weights_st)
@@ -191,7 +172,7 @@ def test_reduction_commutes_with_the_scalar_map(log_x, w):
     x^{1/4}, the gauge-free products after one step equal g(x)."""
     x = math.exp(log_x)
     q = x**0.25
-    v_next, _ = reduced_step(VVector(q**3, q, q, q**3), w)
+    v_next = reduced_step(VVector(q**3, q, q, q**3), w)
     gx = scalar_map_g(x, w)
     assert_close(v_next.v1 * v_next.v4, gx, 1e-10, "x' forward pair")
     assert_close(v_next.v5 * v_next.v8, gx, 1e-10, "x' backward pair")
@@ -217,14 +198,51 @@ def test_scalar_map_saturates_at_d_cubed():
 
 
 def test_scalar_map_out_of_range_names_the_map():
-    """A cube outside the double range raises an error that names g (or g')
+    """A value outside the double range raises an error that names g (or g')
     and the range, not the bare OverflowError(34, ...) of float **; at
-    beta Jp = 300 iterating from x = 5 reaches one in two steps."""
+    beta Jp = 300 iterating from x = 5 reaches one in two steps, and at
+    beta Jp = -300, g'(0) = 3 c (d^2 - 1) / d^4 is about -3 e^2400."""
     w = derive_weights(couplings(1.0, 300.0, 1.0))
     with pytest.raises(OverflowError, match=r"^g\(7\.03471e\+160\) is outside the double range"):
         iterate_map(5.0, w)
-    with pytest.raises(OverflowError, match=r"^g'\(1e-10\) is outside the double range"):
-        scalar_map_dg(1e-10, w)
+    with pytest.raises(OverflowError, match=r"^g'\(0\) is outside the double range"):
+        scalar_map_dg(0.0, derive_weights(couplings(1.0, -300.0, 1.0)))
+
+
+def test_scalar_maps_return_every_finite_value():
+    """g and g' return their value wherever it is a finite double, also
+    where c d, a power or the denominator leaves the double range on the
+    way; they raise their named error only where the value does."""
+    w = TransferWeights(1e200, 1e200)   # c d = 1e400
+    assert scalar_map_g(0.0, w) == 0.0   # d^-3 = 1e-600 underflows
+    assert_close(scalar_map_g(1e-300, w), 1e-300, 1e-12, "g(1e-300)")
+    with pytest.raises(OverflowError, match=r"^g\(0\.5\) is outside the double range"):
+        scalar_map_g(0.5, w)
+    assert_close(scalar_map_dg(1.0, TransferWeights(1.0, 1e100)), 3.0, 1e-12, "g'(1)")
+    # (d + c x)^4 = 1e-328 underflows: 3 c (d^2 - 1) / d^4 = -3e28
+    assert_close(scalar_map_dg(0.0, TransferWeights(1e-300, 1e-82)), -3e28, 1e-12, "g'(0)")
+    # a subnormal (d + c x)^4 that kept a few bits; the value is from mpmath
+    w = TransferWeights(2.685307147754759e-141, 1.5301368904835623e-81)
+    assert_close(scalar_map_dg(2.5316215332759752e-111, w), -1.4695828644050358e+183,
+                 1e-12, "g' at a subnormal (d + c x)^4")
+    # the log-space fallback against 40-digit values over the accepted box
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    for lc, ld, lx in zip(*rng.uniform(-709.0, 709.0, (3, 400))):
+        w, x = TransferWeights(math.exp(lc), math.exp(ld)), math.exp(lx)
+        with mpmath.workdps(40):
+            c, d, xx = mpmath.mpf(w.c), mpmath.mpf(w.d), mpmath.mpf(x)
+            cases = ((scalar_map_g, ((1 + c * d * xx) / (d + c * xx)) ** 3),
+                     (scalar_map_dg, 3 * c * (d * d - 1) * (1 + c * d * xx) ** 2
+                      / (d + c * xx) ** 4))
+        for f, true in cases:
+            if abs(true) >= mpmath.ldexp(1, 1024):
+                with pytest.raises(OverflowError, match="is outside the double range"):
+                    f(x, w)
+            elif abs(true) >= 2.0**-970:
+                assert_close(f(x, w), float(true), 1e-12, f"{f.__name__} at {(lc, ld, lx)}")
+            else:
+                assert abs(f(x, w)) <= 2.0**-960
 
 
 def test_first_derivative_vanishes_at_d_equal_one():
