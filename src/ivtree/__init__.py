@@ -3,8 +3,8 @@ nearest-neighbor and prolonged next-nearest-neighbor interactions on the
 order-3 Cayley tree.
 
 Each public name loads its module on first use (PEP 562), so a run imports
-only the layers it calls: the command line never loads the oracle unless it
-checks consistency.
+only the layers it calls: a grid scan loads the scanner and the private
+kernels _solver and _check (this one only to check consistency).
 """
 
 import importlib

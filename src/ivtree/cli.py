@@ -55,8 +55,7 @@ try:
     # before numpy's first import: OpenBLAS reads this once, when it loads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-    from .model import couplings
-    from .scanner import GridSpec, _emit_blocks, emit_curve_csv, scan_grid
+    from .scanner import GridSpec, _emit_blocks, scan_grid
 
     # move that heap out of the collector's generations: the exit passes,
     # and the passes of the run, then skip it
@@ -132,6 +131,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.format != "csv" or args.check_consistency:
             parser.error("--curve writes CSV only and takes neither "
                          "--format jsonl nor --check-consistency")
+        from .model import couplings
+        from .scanner import emit_curve_csv
+
         params = couplings(spec.j[0], spec.jp[0], spec.t[0])
         try:
             text = emit_curve_csv(params, samples=args.samples)

@@ -23,25 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._solver import CheckedRecord, coupling_weight, scalar_field_h
+
 # classes 2, 4, 5, 7 have spin product -1: their field enters the measure
 # exponent with a minus sign, and their recurrence equations are stated for
 # the reciprocal of the updated variable
 INVERTED_CLASSES = (2, 4, 5, 7)
-
-# largest |log weight| that still exponentiates to a finite double (c = a^2
-# needs 2*beta*J <= log(DBL_MAX) ~ 709.8)
-_MAX_LOG_WEIGHT = 354.0
-
-
-class CheckedRecord:
-    """Base of a record whose __new__ checks its values: _make, and with it
-    _replace, builds the record through __new__, so a copy is checked too."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class _CouplingParametersFields(NamedTuple):
@@ -113,23 +100,6 @@ class TransferWeights(CheckedRecord, _TransferWeightsFields):
     @property
     def log_b(self) -> float:
         return math.log(self.b)
-
-
-def coupling_weight(name: str, log_weight: float) -> float:
-    """Squared weight (e^log_weight)^2 for log_weight = beta * coupling: c
-    for name "J", d for "Jp".
-
-    Raises OverflowError when the square would not fit in a double, or when
-    log_weight is NaN (beta = inf at a subnormal T times a zero coupling).
-    derive_weights and the grid scanner both go through here, so a scan's
-    weights are bit-for-bit those of derive_weights.
-    """
-    if not abs(log_weight) <= _MAX_LOG_WEIGHT:
-        raise OverflowError(
-            f"|beta*{name}| = {abs(log_weight):.6g} exceeds the representable range"
-        )
-    a = math.exp(log_weight)
-    return a * a
 
 
 def derive_weights(params: CouplingParameters) -> TransferWeights:
@@ -228,19 +198,6 @@ def field_form_from_pqrs(p: float, q: float, r: float, s: float) -> BoundaryFiel
         float(p), (q - 2.0 * p) / 3.0, (p - 2.0 * q) / 3.0, float(q),
         float(r), (s - 2.0 * r) / 3.0, (r - 2.0 * s) / 3.0, float(s),
     ))
-
-
-def scalar_field_h(t):
-    """h_1..h_8 of the field encoded by x = e^t, as field_form_from_pqrs
-    forms them from (p, q, r, s) = (2.25 t, 0.75 t, 0.75 t, 2.25 t).
-
-    t may be a float or an array; the arithmetic is elementwise, so every
-    entry has the bits of the float case.
-    """
-    # h_1 = ln v_1^3 = (9/4) ln x,  h_4 = ln v_4^3 = (3/4) ln x; symmetric tail
-    p, q = 2.25 * t, 0.75 * t
-    outer, inner = (q - 2.0 * p) / 3.0, (p - 2.0 * q) / 3.0
-    return (p, outer, inner, q, q, inner, outer, p)
 
 
 def field_from_scalar(x: float) -> BoundaryFieldVector:

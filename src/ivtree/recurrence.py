@@ -3,8 +3,8 @@
 Marginalizing the depth-n measure over its outermost spins turns the eight
 class fields h_1..h_8 at depth n into new values at depth n-1: each is the
 log of a product of three "branch brackets" B(i, j), the leaf sums over a
-successor's own spin triple, which full_step reads from the oracle's kernel
-(oracle._log_brackets), their one home.  A gauge C (a partition-function
+successor's own spin triple, which full_step reads from the check kernel
+(_check._log_brackets), their one home.  A gauge C (a partition-function
 ratio) adds s_k log C to h_k, s_k the class sign.
 
 The eight equations collapse further: cube identities pin h_2, h_3, h_6, h_7
@@ -56,15 +56,20 @@ def full_step(h: BoundaryFieldVector, w: TransferWeights) -> BoundaryFieldVector
     h'_k = s_k ((3 - m_k) log B(c_k, +) + m_k log B(c_k, -)) for class k
     with center spin c_k, m_k minus successors and class sign s_k: the
     classes 2, 4, 5, 7 (s_k = -1) state their equation for the reciprocal.
-    The brackets are log-sum-exps, so h' is finite wherever the kernel is.
+    The brackets are log-sum-exps, so h' is finite wherever the kernel is;
+    an h' outside the double range raises OverflowError.
     """
     # imported here, so a --curve run, which loads this module for g,
-    # leaves the oracle unloaded
-    from .oracle import _log_brackets
+    # leaves the check kernel unloaded
+    from ._check import _log_brackets
 
     coef = np.array((w.log_a, w.log_b) + h.h)
-    lb = _log_brackets(coef[:, None])[1][0].repeat(4, axis=0)
-    return BoundaryFieldVector(_SIGNS * ((3 - _MINUS) * lb[:, 0] + _MINUS * lb[:, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lb = _log_brackets(coef[:, None])[1][0].repeat(4, axis=0)
+        h_next = _SIGNS * ((3 - _MINUS) * lb[:, 0] + _MINUS * lb[:, 1])
+    if not np.isfinite(h_next).all():
+        raise OverflowError("full_step: h' is outside the double range")
+    return BoundaryFieldVector(h_next)
 
 
 def check_identities(h_next: BoundaryFieldVector) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 A cell is classified by its positive fixed points: more than one fixed point
 means more than one translation-invariant measure, i.e. a phase transition.
-The rules of that classification live in fixpoint (root_errors,
-stability_codes, regime).  GridSpec makes every check of a grid when it is
-built, so scan_grid has no input error to raise.  scan_grid is the one
-route from couplings to a ScanTable, and it works on arrays from the axes to
-the output bytes.  The weight c depends only on (J, T) and d only on
+The rules of that classification live in the solver kernel _solver
+(root_errors, stability_codes, regime).  GridSpec makes every check of a
+grid when it is built, so scan_grid has no input error to raise.  scan_grid
+is the one route from couplings to a ScanTable, and it works on arrays from
+the axes to the output bytes.  The weight c depends only on (J, T) and d only on
 (Jp, T), so each is computed once per distinct pair, and a cell's weights
 are those tables repeated over the third axis.  The cells are cut into
 chunks, each solved in this process by one call of the array solver, and
@@ -29,11 +29,10 @@ With the consistency check, every found root's field is checked by
 consistency_residuals in blocks of _CHUNK_CELLS roots, and a cell's residual
 is the largest over its roots.  A root's residual has the same bits in any
 block, so the check keeps the rule that output bytes never depend on how
-the work is cut.  The oracle module is imported only by a scan that checks.
-The recurrence module (the scalar map g) is imported by emit_curve, and by
-the oracle only inside verify_recurrence_by_enumeration, so no scan loads it;
-recurrence imports the oracle's bracket kernel only inside full_step, so
-emit_curve does not load the oracle.
+the work is cut.  At import this module loads only the solver kernel; the
+check's kernel _check is imported only by a scan that checks, and model,
+fixpoint and recurrence only by evaluate_point and emit_curve, so a grid
+scan compiles none of them, nor the oracle.
 """
 
 from __future__ import annotations
@@ -43,14 +42,15 @@ import math
 import operator
 import warnings
 from collections.abc import Iterator, Sequence
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .fixpoint import (STABILITY_LABELS, find_positive_fixed_points, regime, root_errors,
-                       solve_fixed_points, stability_codes)
-from .model import (CheckedRecord, CouplingParameters, couplings, coupling_weight,
-                    derive_weights, scalar_field_h)
+from ._solver import (STABILITY_LABELS, CheckedRecord, coupling_weight, regime, root_errors,
+                      scalar_field_h, solve_fixed_points, stability_codes)
+
+if TYPE_CHECKING:
+    from .model import CouplingParameters
 
 # cells per solver call and roots per consistency_residuals call: keeps the
 # work arrays (a few dozen doubles per cell, about 140 per root) in the low
@@ -240,6 +240,8 @@ def evaluate_point(J: float, Jp: float, T: float,
                    check_consistency: bool = False) -> PhasePoint:
     """Classify one cell: the only row of its one-cell scan_grid, or the
     error of couplings() for input that no grid holds (T = 0, non-finite)."""
+    from .model import couplings
+
     try:
         p = couplings(J, Jp, T)
     except ValueError as exc:
@@ -297,7 +299,7 @@ def scan_grid(spec: GridSpec, workers: int = 1,
 
     residual = None
     if check_consistency:
-        from . import oracle
+        from . import _check
         # found roots in cell order, each with the coefficients of its field;
         # beta and beta * J as CouplingParameters and
         # kolmogorov_consistency_check form them
@@ -311,7 +313,7 @@ def scan_grid(spec: GridSpec, workers: int = 1,
         per_root = np.empty(cells.size)
         for s in range(0, cells.size, _CHUNK_CELLS):
             e = s + _CHUNK_CELLS
-            per_root[s:e] = oracle.consistency_residuals(coef[:, s:e])
+            per_root[s:e] = _check.consistency_residuals(coef[:, s:e])
         per_slot = np.full(found.shape, -np.inf)
         per_slot[found] = per_root
         answered = found.any(axis=1)
@@ -473,6 +475,8 @@ def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4,
     lo, hi = x_range
     if not 0 < lo < hi < math.inf:
         raise ValueError("x_range must satisfy 0 < lo < hi < inf")
+    from .fixpoint import find_positive_fixed_points
+    from .model import derive_weights
     from .recurrence import scalar_map_g
 
     w = derive_weights(params)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ivtree.fixpoint
+import ivtree._solver
 from ivtree import couplings, derive_weights, solve_fixed_points
 from ivtree.scanner import evaluate_point
 
@@ -123,7 +123,7 @@ def test_float_helpers_give_the_bits_of_numpy():
     divisor, and its max and min treat NaN and signed zeros otherwise."""
     # +-0, +-inf, NaN of either sign and finite values
     special = [0.0, -0.0, 1.5, -2.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, -math.nan]
-    fp = ivtree.fixpoint
+    fp = ivtree._solver
     for a in special:
         for b in special:
             x, y = np.array(a), np.array(b)
@@ -138,9 +138,9 @@ def _assert_float_starts_have_the_bits_of_model_root(lc, ld, lpd, lo, hi, sign):
     The starts themselves are compared: Newton can reach the same root from
     two different starts and hide a mismatch."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        starts = ivtree.fixpoint._model_root(lc, ld, lpd, lo, hi, sign)
+        starts = ivtree._solver._model_root(lc, ld, lpd, lo, hi, sign)
     entries = zip(*(a.tolist() for a in (lc, ld, lpd, lo, hi, sign)))
-    floats = np.array([ivtree.fixpoint._model_start(*entry) for entry in entries])
+    floats = np.array([ivtree._solver._model_start(*entry) for entry in entries])
     assert floats.tobytes() == starts.tobytes()
 
 
@@ -151,14 +151,14 @@ def _assert_float_starts_have_the_bits_of_model_root(lc, ld, lpd, lo, hi, sign):
 def test_the_float_start_of_every_root_slot_has_the_bits_of_model_root(cells, monkeypatch):
     """Every root slot's start arguments, as the array loop receives them."""
     calls = []
-    newton = ivtree.fixpoint._newton
+    newton = ivtree._solver._newton
 
     def recorded_newton(lc, lcd, ld, lo, hi, sign):
         calls.append((lc, ld, lcd[0], lo, hi, sign))
         return newton(lc, lcd, ld, lo, hi, sign)
 
     c, d = cells()
-    monkeypatch.setattr(ivtree.fixpoint, "_newton", recorded_newton)
+    monkeypatch.setattr(ivtree._solver, "_newton", recorded_newton)
     solve_fixed_points(c, d)
     [args] = calls
     assert args[0].size >= c.size
@@ -234,7 +234,7 @@ def test_the_solver_leaves_its_input_arrays_unchanged(cells, count, monkeypatch)
     copies."""
     c, d = (np.array(x, dtype=float) for x in cells())
     kept = []
-    newton = ivtree.fixpoint._newton
+    newton = ivtree._solver._newton
 
     def checked_newton(*args):
         before = [a.tobytes() for a in args]
@@ -242,7 +242,7 @@ def test_the_solver_leaves_its_input_arrays_unchanged(cells, count, monkeypatch)
         kept.append([a.tobytes() for a in args] == before)
         return out
 
-    monkeypatch.setattr(ivtree.fixpoint, "_newton", checked_newton)
+    monkeypatch.setattr(ivtree._solver, "_newton", checked_newton)
     c_before, d_before = c.tobytes(), d.tobytes()
     batch = solve_fixed_points(c, d)
     assert kept == [True]
@@ -258,7 +258,7 @@ def test_unconverged_slots_come_back_nan(monkeypatch):
     three = derive_weights(couplings(*THREE_ROOT_POINT))
     c, d = [three.c, 1.0], [three.d, 1.0]
     full = solve_fixed_points(c, d)
-    monkeypatch.setattr(ivtree.fixpoint, "_MAX_STEPS", 2)
+    monkeypatch.setattr(ivtree._solver, "_MAX_STEPS", 2)
     cut = solve_fixed_points(c, d)
     assert cut.found.tolist() == full.found.tolist()
     assert np.isnan(cut.log_roots[0]).all() and np.isnan(cut.roots[0]).all()
@@ -277,10 +277,10 @@ def test_unconverged_slots_of_a_cell_solved_alone_come_back_nan(monkeypatch):
     alone is NaN and an error, and c = d = 1 still gets its root x = 1."""
     three = derive_weights(couplings(*THREE_ROOT_POINT))
     full = solve_fixed_points(three.c, three.d)
-    monkeypatch.setattr(ivtree.fixpoint, "_MAX_STEPS", 2)
+    monkeypatch.setattr(ivtree._solver, "_MAX_STEPS", 2)
     cut = solve_fixed_points(three.c, three.d)
     assert cut.found.tolist() == full.found.tolist() == [[True] * 3]
     assert np.isnan(cut.log_roots).all() and np.isnan(cut.roots).all()
-    [error] = ivtree.fixpoint.root_errors(cut.found, cut.log_roots, cut.roots).values()
+    [error] = ivtree._solver.root_errors(cut.found, cut.log_roots, cut.roots).values()
     assert isinstance(error, FloatingPointError)
     assert solve_fixed_points(1.0, 1.0).log_roots[0, 0] == 0.0

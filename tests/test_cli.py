@@ -261,37 +261,37 @@ def test_output_bytes_do_not_depend_on_the_blas_thread_count(argv):
 
 
 def test_the_cli_imports_only_what_a_run_uses():
-    """Neither the consistency oracle nor json nor dataclasses is loaded by
-    importing the command line; a run loads them only when it needs them.
-    A grid run, with or without the consistency check, leaves the scalar
-    map's module unloaded; a --curve run, which evaluates g, loads it and
-    leaves the oracle unloaded."""
+    """Neither json nor dataclasses is loaded by importing the command line,
+    and each run loads exactly the package modules it runs: a grid scan the
+    solver kernel alone, a checked scan the check kernel besides, and a
+    --curve run the scalar map's layers but neither the oracle nor the
+    check kernel."""
+    scan = ["ivtree", "ivtree._solver", "ivtree.cli", "ivtree.scanner"]
     script = ("import sys\n"
               "import ivtree.cli\n"
-              "print([m for m in ('ivtree.oracle', 'dataclasses', 'json') if m in sys.modules])\n")
+              "print([m for m in ('dataclasses', 'json') if m in sys.modules])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ivtree'))\n")
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == f"[]\n{scan}\n"
     script = ("import io, sys\n"
               "from contextlib import redirect_stdout\n"
               "from ivtree.cli import main\n"
               "with redirect_stdout(io.StringIO()):\n"
               "    main(sys.argv[1:])\n"
-              "print('ivtree.recurrence' in sys.modules, 'ivtree.oracle' in sys.modules,\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ivtree'),\n"
               "      file=sys.stderr)\n")
     proc = run_python("-c", script, "--J=-3:3:5", "--Jp=-3:7:5", "--T", "13")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False False\n"
-    # the consistency check loads the oracle, which does not need g
+    assert proc.stderr == f"{scan}\n"
     proc = run_python("-c", script, "--J=-3:3:5", "--Jp=-3:7:5", "--T", "13",
                       "--check-consistency", "--format", "jsonl")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "False True\n"
-    # the curve loads g's module but not the oracle, whose bracket kernel
-    # full_step imports only when it runs
+    assert proc.stderr == f"{sorted(scan + ['ivtree._check'])}\n"
     proc = run_python("-c", script, "--J", "-1.7", "--Jp", "6.5", "--T", "13", "--curve")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "True False\n"
+    curve = scan + ["ivtree.fixpoint", "ivtree.model", "ivtree.recurrence"]
+    assert proc.stderr == f"{sorted(curve)}\n"
 
 
 def test_package_names_load_their_module_on_first_use():

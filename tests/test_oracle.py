@@ -21,14 +21,11 @@ from ivtree import (
     kolmogorov_consistency_check,
     verify_recurrence_by_enumeration,
 )
+from ivtree._check import _feature_table, _log_brackets, _spin_table, consistency_residuals
 from ivtree.oracle import (
-    _feature_table,
-    _log_brackets,
     _log_partition_factorized,
-    _spin_table,
     boundary_term,
     branch_sum,
-    consistency_residuals,
     enumerated_semi_ball_sum,
 )
 
@@ -162,10 +159,10 @@ def test_a_checked_scan_never_enumerates_the_depth_two_volume():
     depth-2 table builder misses its cache: the check never built the
     8192-row spin or feature table."""
     script = ("from ivtree import GridSpec, scan_grid\n"
-              "from ivtree import oracle\n"
+              "from ivtree import _check\n"
               "scan_grid(GridSpec(j=(-3, 3, 5), jp=(-3, 7, 5), t=(13, 13, 1)),\n"
               "          check_consistency=True)\n"
-              "for build, arg in ((oracle._spin_table, 13), (oracle._feature_table, 2)):\n"
+              "for build, arg in ((_check._spin_table, 13), (_check._feature_table, 2)):\n"
               "    misses = build.cache_info().misses\n"
               "    build(arg)\n"
               "    print(build.cache_info().misses - misses)\n")

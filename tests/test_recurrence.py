@@ -91,6 +91,15 @@ def test_step_is_finite_where_the_bracket_product_overflows():
     assert_close(out.h[0], 9.0 * abs(w.log_a), 1e-12, "h1' at a = 1e140")
 
 
+def test_step_names_an_update_outside_the_double_range():
+    """A finite field whose update leaves the double range raises a named
+    OverflowError, with no numpy warning (the suite turns warnings into
+    errors), rather than blaming its input with a ValueError."""
+    h = BoundaryFieldVector((1e308, -1e308, 1e308, 0.0, 0.0, 0.0, 0.0, 5.0))
+    with pytest.raises(OverflowError, match="h' is outside the double range"):
+        full_step(h, TransferWeights(1.0, 1.0))
+
+
 @pytest.mark.parametrize("make", [
     lambda: BoundaryFieldVector.from_u([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
     lambda: BoundaryFieldVector.from_u([1.0] * 7 + [math.inf]),
@@ -106,7 +115,7 @@ def test_extreme_weights_fall_back_to_log_sum():
     # the bracket is always a log-sum-exp, so it stays finite where its
     # terms overflow a double; at b = u = 1 the dominant term of B(+, +),
     # a^3 u_1 for c > 1 and a^-3 / u_4 for c < 1, then pins its log
-    from ivtree.oracle import _log_brackets
+    from ivtree._check import _log_brackets
 
     for c in (1e260, 1e-260):
         w = TransferWeights(c, 1.0)

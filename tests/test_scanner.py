@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-import ivtree.oracle
+import ivtree._check
 import ivtree.recurrence
 import ivtree.scanner
 from ivtree import (GridSpec, TransferWeights, couplings, critical_points, derive_weights,
@@ -472,8 +472,8 @@ def test_a_non_finite_residual_makes_an_error_cell(monkeypatch):
     message, null in JSONL and empty in CSV.  The other cells keep their
     answers."""
     plain = scan_grid(README_GRID, check_consistency=True)
-    original = ivtree.oracle.consistency_residuals
-    monkeypatch.setattr(ivtree.oracle, "consistency_residuals",
+    original = ivtree._check.consistency_residuals
+    monkeypatch.setattr(ivtree._check, "consistency_residuals",
                         lambda coef: np.where(coef[2] > 0.0, np.nan, original(coef)))
     table = scan_grid(README_GRID, check_consistency=True)
     hit = {i for i, p in enumerate(plain) if max(p.roots) > 1.0}

@@ -94,11 +94,11 @@ def test_one_cell_ab_finds_solver_bits_that_no_phase_point_shows(tmp_path):
     home = Path(ivtree.__file__).resolve().parent
     copy = tmp_path / "ivtree"
     shutil.copytree(home, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    fixpoint = copy / "fixpoint.py"
-    text = fixpoint.read_text(encoding="utf-8")
+    solver = copy / "_solver.py"
+    text = solver.read_text(encoding="utf-8")
     slopes = "_slope(lcd[:, :, None] + log_roots)"
     assert text.count(slopes) == 1
-    fixpoint.write_text(text.replace(slopes, f"np.nextafter({slopes}, np.inf)"), encoding="utf-8")
+    solver.write_text(text.replace(slopes, f"np.nextafter({slopes}, np.inf)"), encoding="utf-8")
     proc = run_script("one_cell_ab.py", str(home.parent), str(tmp_path), "--draws", "4")
     assert proc.returncode == 1
     assert proc.stderr.startswith("different solver arrays at J=")
