@@ -6,10 +6,11 @@ bytes for ARGV, then runs `python -m ivtree ARGV` from each tree in turn,
 the first tree of a round alternating, each run pinned to one CPU where the
 platform allows it and with bytecode writing off, so a checkout without
 __pycache__ compiles its sources in every run, as a fresh checkout does.
-It prints the median paired difference (new minus old), its quartiles and
-the number of rounds that the new tree won.  A fresh process pays the
-interpreter's start-up, numpy's import and the exit, so a change to any
-of those shows here and not in the in-process figures of one_cell_ab.py.
+It prints each tree's median, the old tree's quartiles, the median paired
+difference (new minus old), its quartiles and the number of rounds that the
+new tree won.  A fresh process pays the interpreter's start-up, numpy's
+import and the exit, so a change to any of those shows here and not in the
+in-process figures of one_cell_ab.py.
 
     python3 scripts/cli_ab.py OLD_ROOT NEW_ROOT -- ARGV...
     python3 scripts/cli_ab.py ../parent . --rounds 40 -- --J=-3:3:51 --Jp=-3:7:51 --T 13
@@ -77,7 +78,9 @@ def main(argv=None) -> int:
             times[name].append((time.perf_counter() - t0) * 1e3)
     diffs = [n - o for o, n in zip(times["old"], times["new"])]
     q1, _, q3 = statistics.quantiles(diffs, n=4)
-    print(f"{args.rounds} rounds: old median {statistics.median(times['old']):.1f} ms, "
+    old_q1, _, old_q3 = statistics.quantiles(times["old"], n=4)
+    print(f"{args.rounds} rounds: old median {statistics.median(times['old']):.1f} ms "
+          f"(quartiles {old_q1:.1f} to {old_q3:.1f} ms), "
           f"new median {statistics.median(times['new']):.1f} ms")
     print(f"new - old: median {statistics.median(diffs):+.2f} ms "
           f"(quartiles {q1:+.2f} to {q3:+.2f}); new faster in "

@@ -9,27 +9,27 @@ is the one route from couplings to a ScanTable, and it works on arrays from
 the axes to the output bytes.  The weight c depends only on (J, T) and d only on
 (Jp, T), so each is computed once per distinct pair, and a cell's weights
 are those tables repeated over the third axis.  The cells are cut into
-chunks, each solved in this process by one call of the array solver, and
-the answers land in one ScanTable in deterministic J-major order; a grid
-of one chunk keeps the solver's arrays as the table's.  Every cell's answer
-is independent of the chunk it lands in, so output bytes never depend on
-the chunk size.  The table stores no per-cell index: a cell's axis and
-weight indices follow from its own index and the axis sizes
-(_cell_indices).  evaluate_point is a one-cell scan.  The emitters work
-block by block (_emit_blocks).  Each distinct axis value and weight is
-spelled once per table.  Every other choice in a row's text (its found
-slots and their stabilities, which etas and residual it prints, its regime,
-whether it is an error row) is a small integer key, and each key gets one
-%-template per table.  A block of _EMIT_ROWS rows joins its rows' templates
-and fills them with one % over its values, so no more than one block of
-text is held at a time.  emit_csv and emit_jsonl join the blocks into one
-string; the command line writes them to its output one by one.
+chunks, and _scan_chunk does all of a chunk's work (solve, error cells,
+check), so no scratch array spans the grid.  The answers land in one
+ScanTable in deterministic J-major order; a grid of one chunk keeps the
+chunk's arrays as the table's.  Every cell's answer is independent of the
+chunk it lands in, so output bytes never depend on the chunk size.  The table
+stores no per-cell index: a cell's axis and weight indices follow from its
+own index and the axis sizes (_cell_indices).  evaluate_point is a one-cell
+scan.  The emitters work block by block (_emit_blocks).  Each distinct axis
+value and weight is spelled once per table.  Every other choice in a row's
+text (its found slots and their stabilities, which etas and residual it
+prints, its regime, whether it is an error row) is a small integer key, and
+each key gets one %-template per table.  A block of _EMIT_ROWS rows joins its
+rows' templates and fills them with one % over its values, so no more than
+one block of text is held at a time.  emit_csv and emit_jsonl join the blocks
+into one string; the command line writes them to its output one by one.
 
-With the consistency check, every found root's field is checked by
-consistency_residuals in blocks of _CHUNK_CELLS roots, and a cell's residual
-is the largest over its roots.  A root's residual has the same bits in any
-block, so the check keeps the rule that output bytes never depend on how
-the work is cut.  At import this module loads only the solver kernel; the
+With the consistency check, the field of every found root of a chunk is
+checked by one consistency_residuals call, and a cell's residual is the
+largest over its roots.  A root's residual has the same bits in any call,
+so the check keeps the rule that output bytes never depend on how the work
+is cut.  At import this module loads only the solver kernel; the
 check's kernel _check is imported only by a scan that checks, and model,
 fixpoint and recurrence only by evaluate_point and emit_curve, so a grid
 scan compiles none of them, nor the oracle.
@@ -52,9 +52,9 @@ from ._solver import (STABILITY_LABELS, CheckedRecord, coupling_weight, regime, 
 if TYPE_CHECKING:
     from .model import CouplingParameters
 
-# cells per solver call and roots per consistency_residuals call: keeps the
-# work arrays (a few dozen doubles per cell, about 140 per root) in the low
-# megabytes however large the grid
+# cells per solver call and per consistency_residuals call: the work arrays
+# (a few dozen doubles per cell, about 140 per root checked, at most three
+# roots a cell) stay within about 10 MB however large the grid
 _CHUNK_CELLS = 4096
 
 # rows per block of emitted text: a block's strings (about 0.3 MB) stay
@@ -236,6 +236,61 @@ def _pair_weights(name: str, values: list[float], betas: list[float]):
     return np.array(weights), rejected
 
 
+def _scan_chunk(axes: tuple[np.ndarray, ...], rejected: tuple[dict[int, str], dict[int, str]],
+                check: bool, errors: dict[int, str], start: int, c: np.ndarray, d: np.ndarray):
+    """Classify the cells start, start + 1, ... of the grid on axes
+    (j, jp, t) whose weights are c and d: their found, roots, stability,
+    eta and residual (None unless check) as ScanTable holds them.
+
+    Adds the error text of each failed cell to errors and clears its found
+    slots.  rejected maps the position of each (J, T) and (Jp, T) pair whose
+    weight did not fit in a double to its text; those weights are NaN in c
+    and d.  With check, one consistency_residuals call checks every found
+    root.
+    """
+    shape = tuple(axis.size for axis in axes)
+    c_rejected, d_rejected = rejected
+    if c_rejected or d_rejected:
+        # a cell with a NaN weight carries J's message where both weights
+        # fail, and solves the placeholder c = d = 1, which is never reported
+        weightless = np.isnan(c) | np.isnan(d)
+        bad = weightless.nonzero()[0]
+        cell_c, cell_d = _cell_indices(bad + start, shape)[3:]
+        errors.update((start + i, c_rejected.get(a) or d_rejected[b]) for i, a, b in
+                      zip(bad.tolist(), cell_c.tolist(), cell_d.tolist()))
+        c[bad] = d[bad] = 1.0
+    batch = solve_fixed_points(c, d)
+    found, roots = batch.found, batch.roots
+    if c_rejected or d_rejected:
+        found[weightless] = False
+    failed = root_errors(found, batch.log_roots, roots)
+    if failed:
+        errors.update((start + i, str(e)) for i, e in failed.items())
+        found[list(failed)] = False
+    if not check:
+        return found, roots, stability_codes(batch.slopes), batch.eta, None
+    from . import _check
+    # the field coefficients of each found root, in cell order; beta and
+    # beta * J as CouplingParameters and kolmogorov_consistency_check form them
+    cell_j, cell_jp, cell_t = _cell_indices(found.nonzero()[0] + start, shape)[:3]
+    j, jp, t = axes
+    beta = 1.0 / t[cell_t]
+    coef = np.empty((10, beta.size))
+    coef[0], coef[1] = beta * j[cell_j], beta * jp[cell_jp]
+    # math.log, not np.log: the bits of field_from_scalar
+    coef[2:] = scalar_field_h(np.array([math.log(r) for r in roots[found].tolist()]))
+    per_slot = np.full(found.shape, -np.inf)
+    per_slot[found] = _check.consistency_residuals(coef)
+    answered = found.any(axis=1)
+    residual = np.where(answered, per_slot.max(axis=1), np.nan)
+    bad = (answered & ~np.isfinite(residual)).nonzero()[0]
+    if bad.size:
+        errors.update(dict.fromkeys((bad + start).tolist(), "consistency residual is not finite"))
+        found[bad] = False
+        residual[bad] = np.nan
+    return found, roots, stability_codes(batch.slopes), batch.eta, residual
+
+
 def evaluate_point(J: float, Jp: float, T: float,
                    check_consistency: bool = False) -> PhasePoint:
     """Classify one cell: the only row of its one-cell scan_grid, or the
@@ -269,60 +324,21 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     # d once per J
     cc = c.reshape(shape[0], shape[2]).repeat(shape[1], axis=0).ravel()
     dd = d.reshape(1, -1).repeat(shape[0], axis=0).ravel()
-    n = cc.size
-    errors = {}
-    if c_rejected or d_rejected:
-        # a cell with a NaN weight carries J's message where both weights
-        # fail, and solves the placeholder c = d = 1, which is never reported
-        bad = (np.isnan(cc) | np.isnan(dd)).nonzero()[0]
-        cell_c, cell_d = _cell_indices(bad, shape)[3:]
-        errors = {i: c_rejected.get(a) or d_rejected[b] for i, a, b in
-                  zip(bad.tolist(), cell_c.tolist(), cell_d.tolist())}
-        cc[bad] = dd[bad] = 1.0
-
+    n, errors, axes, rejected = cc.size, {}, (j, jp, t), (c_rejected, d_rejected)
     if n <= _CHUNK_CELLS:
-        # one chunk: the solver's arrays are the table's
-        batch = solve_fixed_points(cc, dd)
-        found, log_roots, roots, eta = batch.found, batch.log_roots, batch.roots, batch.eta
-        stability = stability_codes(batch.slopes)
+        # one chunk: its arrays are the table's
+        found, roots, stability, eta, residual = _scan_chunk(axes, rejected, check_consistency,
+                                                             errors, 0, cc, dd)
     else:
-        found, log_roots, roots = np.empty((n, 3), dtype=bool), np.empty((n, 3)), np.empty((n, 3))
+        found, roots = np.empty((n, 3), dtype=bool), np.empty((n, 3))
         stability, eta = np.empty((n, 3), dtype=np.intp), np.empty((n, 2))
+        residual = np.empty(n) if check_consistency else None
         for s in range(0, n, _CHUNK_CELLS):
             e = s + _CHUNK_CELLS
-            batch = solve_fixed_points(cc[s:e], dd[s:e])
-            found[s:e], log_roots[s:e], roots[s:e] = batch.found, batch.log_roots, batch.roots
-            stability[s:e], eta[s:e] = stability_codes(batch.slopes), batch.eta
-    errors.update((i, str(e)) for i, e in root_errors(found, log_roots, roots).items())
-    if errors:
-        found[list(errors)] = False
-
-    residual = None
-    if check_consistency:
-        from . import _check
-        # found roots in cell order, each with the coefficients of its field;
-        # beta and beta * J as CouplingParameters and
-        # kolmogorov_consistency_check form them
-        cells = found.nonzero()[0]
-        cell_j, cell_jp, cell_t = _cell_indices(cells, shape)[:3]
-        beta = 1.0 / t[cell_t]
-        coef = np.empty((10, cells.size))
-        coef[0], coef[1] = beta * j[cell_j], beta * jp[cell_jp]
-        # math.log, not np.log: the bits of field_from_scalar
-        coef[2:] = scalar_field_h(np.array([math.log(r) for r in roots[found].tolist()]))
-        per_root = np.empty(cells.size)
-        for s in range(0, cells.size, _CHUNK_CELLS):
-            e = s + _CHUNK_CELLS
-            per_root[s:e] = _check.consistency_residuals(coef[:, s:e])
-        per_slot = np.full(found.shape, -np.inf)
-        per_slot[found] = per_root
-        answered = found.any(axis=1)
-        residual = np.where(answered, per_slot.max(axis=1), np.nan)
-        bad = (answered & ~np.isfinite(residual)).nonzero()[0].tolist()
-        if bad:
-            errors.update(dict.fromkeys(bad, "consistency residual is not finite"))
-            found[bad] = False
-            residual[bad] = np.nan
+            chunk = _scan_chunk(axes, rejected, check_consistency, errors, s, cc[s:e], dd[s:e])
+            found[s:e], roots[s:e], stability[s:e], eta[s:e] = chunk[:4]
+            if residual is not None:
+                residual[s:e] = chunk[4]
     return ScanTable(j=j, jp=jp, t=t, c=c, d=d, found=found, roots=roots, stability=stability,
                      eta=eta, residual=residual, errors=errors)
 
@@ -360,8 +376,9 @@ def _emit_blocks(table: ScanTable, fmt: str) -> Iterator[str]:
     """
     jsonl = fmt == "jsonl"
     if jsonl:
-        import json
-        spell, blank, sep, word, num = _json_float, "null", ", ", json.dumps, "%r"
+        # the stability labels and regimes are plain ASCII words, which
+        # json.dumps quotes as they are
+        spell, blank, sep, word, num = _json_float, "null", ", ", '"{}"'.format, "%r"
     else:
         spell, blank, sep, word, num = _spell, "", ";", str, "%.12g"
     n, shape = len(table), (table.j.size, table.jp.size, table.t.size)
@@ -438,8 +455,10 @@ def _emit_blocks(table: ScanTable, fmt: str) -> Iterator[str]:
             if not np.isfinite(shown).all():
                 _json_float(shown[~np.isfinite(shown)][0].item())
             keys += regime_of[cells[4]] << 9
-            printed[bad, 11] = True
-            values[bad, 11] = [json.dumps(table.errors[i]) for i in errors[lo:hi].tolist()]
+            if bad.size:
+                import json
+                printed[bad, 11] = True
+                values[bad, 11] = [json.dumps(table.errors[i]) for i in errors[lo:hi].tolist()]
         keys[bad] = -1
         keys = keys.tolist()
         for key in set(keys).difference(templates):

@@ -10,6 +10,8 @@ import tracemalloc
 import pytest
 
 import ivtree
+# loaded here, so that no traced peak holds the check kernel's import
+import ivtree._check  # noqa: F401
 from ivtree import GridSpec, emit_csv, emit_jsonl, scan_grid
 from ivtree.cli import main
 
@@ -294,6 +296,26 @@ def test_the_cli_imports_only_what_a_run_uses():
     assert proc.stderr == f"{sorted(curve)}\n"
 
 
+def test_jsonl_loads_json_only_to_quote_an_error_text():
+    """A JSONL run quotes its labels and regimes itself, so a run without
+    error rows never loads json; a run with error rows does, to quote their
+    texts."""
+    script = ("import io, sys\n"
+              "from contextlib import redirect_stdout\n"
+              "from ivtree.cli import main\n"
+              "with redirect_stdout(io.StringIO()) as out:\n"
+              "    main(sys.argv[1:])\n"
+              "print('json' in sys.modules, out.getvalue().count('\"error\"'), file=sys.stderr)\n")
+    proc = run_python("-c", script, "--J=-3:3:5", "--Jp=-3:7:5", "--T", "13",
+                      "--check-consistency", "--format", "jsonl")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False 0\n"
+    proc = run_python("-c", script, "--J=-400:400:3", "--Jp", "0", "--T", "1",
+                      "--format", "jsonl")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "True 2\n"
+
+
 def test_package_names_load_their_module_on_first_use():
     """In a fresh process: dir() lists every public name before any module
     is loaded, and each name resolves, through getattr and through
@@ -435,6 +457,26 @@ def test_grid_output_memory_does_not_grow_with_the_table(fmt):
         tracemalloc.stop()
     assert code == 0
     assert peak < 22e6
+
+
+def test_the_check_adds_one_chunk_of_memory_not_one_grid(monkeypatch):
+    """A 151 x 151 scan in 45 chunks of 512 cells: with --check-consistency
+    the traced peak stays within 2 MB of the unchecked run's, because each
+    chunk's roots are checked as soon as it is solved (0.6 MB more).
+    Checking every root of the grid after the solve, from grid-wide copies
+    of the roots' logs and field coefficients, added 4.8 MB."""
+    monkeypatch.setattr(ivtree.scanner, "_CHUNK_CELLS", 512)
+    peaks = []
+    for flags in ([], ["--check-consistency"]):
+        tracemalloc.start()
+        try:
+            code = main(["--J=-3:3:151", "--Jp=-3:7:151", "--T", "13", *flags,
+                         "--out", os.devnull])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] - peaks[0] < 2e6
 
 
 @pytest.mark.parametrize("out", ["", "missing/x.csv"])

@@ -16,6 +16,7 @@ from ivtree import (GridSpec, TransferWeights, couplings, critical_points, deriv
                     emit_csv, emit_curve, emit_jsonl, field_from_scalar,
                     find_positive_fixed_points, kolmogorov_consistency_check, scan_grid)
 from ivtree.recurrence import scalar_map_g
+from ivtree._solver import STABILITY_LABELS, regime
 from ivtree.scanner import CSV_HEADER, emit_curve_csv, evaluate_point
 
 from conftest import (NEGATIVE_T_POINT, TANGENT_CASE, THREE_ROOT_EXPECTED, THREE_ROOT_POINT,
@@ -426,10 +427,10 @@ def test_error_heavy_scan_is_byte_identical_for_one_two_and_three_workers():
 # 100 cuts both grids part-way: 441 = 4 * 100 + 41 and 1331 = 13 * 100 + 31
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_output_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    """Cells are solved in chunks of _CHUNK_CELLS, their roots checked in
-    blocks of as many, and the text is emitted in blocks of _EMIT_ROWS
-    rows; each chunk's and block's errors and residuals must land on its
-    own cells, with the same bits, whatever the boundaries."""
+    """Cells are solved and their roots checked in chunks of _CHUNK_CELLS,
+    and the text is emitted in blocks of _EMIT_ROWS rows; each chunk's and
+    block's errors and residuals must land on its own cells, with the same
+    bits, whatever the boundaries."""
     def outputs():
         return (emit_jsonl(scan_grid(LOW_T_GRID, check_consistency=True)),
                 emit_csv(scan_grid(README_GRID)),
@@ -466,11 +467,15 @@ def test_emission_formats_each_axis_value_and_weight_once(monkeypatch):
     assert seen == expected
 
 
-def test_a_non_finite_residual_makes_an_error_cell(monkeypatch):
+# chunks of 1 and 7 cells start at cells other than 0: each chunk's errors
+# must land on its own cells
+@pytest.mark.parametrize("chunk", [ivtree.scanner._CHUNK_CELLS, 1, 7])
+def test_a_non_finite_residual_makes_an_error_cell(chunk, monkeypatch):
     """A root whose residual is not finite (here every root above 1) turns
     its cell into an error cell: found cleared, residual NaN, a fixed
     message, null in JSONL and empty in CSV.  The other cells keep their
     answers."""
+    monkeypatch.setattr(ivtree.scanner, "_CHUNK_CELLS", chunk)
     plain = scan_grid(README_GRID, check_consistency=True)
     original = ivtree._check.consistency_residuals
     monkeypatch.setattr(ivtree._check, "consistency_residuals",
@@ -537,6 +542,15 @@ def test_jsonl_round_trip():
     assert rec["root_count"] == 1
     assert rec["regime"] == "unique"
     assert "error" not in rec
+
+
+def test_jsonl_quotes_its_words_as_json_does():
+    """The emitter quotes the stability labels and the regimes itself,
+    without json: each is a word that json.dumps writes as it is."""
+    words = set(STABILITY_LABELS) | {regime(d) for d in (1.0, 2.0, 3.0)}
+    assert words == {"stable", "marginal", "unstable", "unique", "multi-capable"}
+    for word in words:
+        assert '"%s"' % word == json.dumps(word)
 
 
 def test_jsonl_carries_cell_errors():

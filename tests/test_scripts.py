@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 import shutil
 from pathlib import Path
 
@@ -76,16 +77,22 @@ def test_tangency_sweep_rejects_what_it_cannot_sweep(argv, message):
 
 
 def test_one_cell_ab_compares_a_tree_with_itself():
-    """Both copies of one tree give equal answers and solver arrays, and
-    each round prints a p50 and a mean for each."""
+    """Both copies of one tree give equal answers and solver arrays, each
+    round prints a p50 and a mean for each, and the last line gives the
+    new tree's wins and the old tree's p50 quartiles."""
     src = str(Path(ivtree.__file__).resolve().parent.parent)
     proc = run_script("one_cell_ab.py", src, src, "--draws", "12", "--rounds", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
+    assert len(lines) == 5
     assert lines[0].startswith("12 draws, equal PhasePoints and solver arrays; ")
     assert [line.split(":")[0] for line in lines[1:3]] == ["round 1", "round 2"]
     assert all(line.count(" p50 ") == 2 and line.count(" mean ") == 2 for line in lines[1:3])
     assert lines[3].startswith("median of rounds: old p50 ")
+    match = re.fullmatch(r"new p50 lower in (\d) of 2 rounds; "
+                         r"old p50 quartiles (\S+) to (\S+) us", lines[4])
+    assert match and int(match[1]) <= 2
+    assert 0 < float(match[2]) <= float(match[3])
 
 
 def test_one_cell_ab_finds_solver_bits_that_no_phase_point_shows(tmp_path):
@@ -122,7 +129,9 @@ def test_cli_ab_compares_a_tree_with_itself():
     lines = proc.stdout.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("equal output: exit 0, ")
-    assert lines[1].startswith("2 rounds: old median ")
+    match = re.fullmatch(r"2 rounds: old median (\S+) ms \(quartiles (\S+) to (\S+) ms\), "
+                         r"new median \S+ ms", lines[1])
+    assert match and 0 < float(match[2]) <= float(match[3])
     assert lines[2].startswith("new - old: median ") and lines[2].endswith(" of 2")
 
 
