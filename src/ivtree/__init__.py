@@ -13,17 +13,14 @@ __version__ = "0.1.0"
 
 # the public names of each module, as the module defines them
 _EXPORTS = {
-    "fixpoint": ("FixedPointReport", "ThresholdReport", "critical_points",
+    "fixpoint": ("FixedPointReport", "ThresholdReport", "critical_points", "emit_curve",
                  "find_positive_fixed_points", "iterate_map", "solve_fixed_points"),
-    "model": ("BoundaryFieldVector", "ConfigClass", "CouplingParameters",
-              "SemiBallConfiguration", "TransferWeights", "classify_config", "couplings",
-              "derive_weights", "field_form_from_pqrs", "field_from_scalar"),
+    "model": ("BoundaryFieldVector", "CouplingParameters", "TransferWeights", "couplings",
+              "derive_weights", "field_from_scalar"),
     "oracle": ("CayleyTree", "FiniteVolumeMeasure", "build_tree", "finite_measure",
-               "hamiltonian", "kolmogorov_consistency_check",
-               "verify_recurrence_by_enumeration"),
-    "recurrence": ("VVector", "check_identities", "full_step", "reduced_step", "scalar_map_dg",
-                   "scalar_map_g"),
-    "scanner": ("GridSpec", "PhasePoint", "emit_csv", "emit_curve", "emit_jsonl", "scan_grid"),
+               "hamiltonian", "kolmogorov_consistency_check"),
+    "recurrence": ("full_step", "scalar_map_dg", "scalar_map_g"),
+    "scanner": ("GridSpec", "PhasePoint", "emit_csv", "emit_jsonl", "scan_grid"),
 }
 
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}

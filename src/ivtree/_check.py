@@ -129,8 +129,9 @@ def _log_brackets(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (m, 2, 2) over (column, i, j) with index 0 for spin +1, for each column
     of a (10, m) block of coefficients (beta J, beta Jp, h_1..h_8).
 
-    B(i, j) is the leaf sum of branch_sum over one outermost semi-ball with
-    center spin j and grandparent spin i.  The depth-1 rows with root spin j
+    B(i, j) is the leaf sum over one outermost semi-ball with center spin j
+    and grandparent spin i: exp(beta J j S + beta Jp i S + sign h_class)
+    summed over the eight leaf triples, S the triple's sum.  The depth-1 rows with root spin j
     hold j*S in E and the class sign in M_k, so log B(i, j) is the
     log-sum-exp of their log weights plus beta Jp i j E; being a log-sum-exp,
     it stays finite at weights whose terms overflow a double.

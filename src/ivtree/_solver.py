@@ -111,8 +111,9 @@ def coupling_weight(name: str, log_weight: float) -> float:
 
 
 def scalar_field_h(t):
-    """h_1..h_8 of the field encoded by x = e^t, as field_form_from_pqrs
-    forms them from (p, q, r, s) = (2.25 t, 0.75 t, 0.75 t, 2.25 t).
+    """h_1..h_8 of the field encoded by x = e^t: the corners (h_1, h_4, h_5,
+    h_8) = (2.25 t, 0.75 t, 0.75 t, 2.25 t), and each inner component from
+    the cube identities 3h_2 = h_4 - 2h_1 and 3h_3 = h_1 - 2h_4.
 
     t may be a float or an array; the arithmetic is elementwise, so every
     entry has the bits of the float case.

@@ -131,8 +131,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.format != "csv" or args.check_consistency:
             parser.error("--curve writes CSV only and takes neither "
                          "--format jsonl nor --check-consistency")
+        from .fixpoint import emit_curve_csv
         from .model import couplings
-        from .scanner import emit_curve_csv
 
         params = couplings(spec.j[0], spec.jp[0], spec.t[0])
         try:

@@ -1,14 +1,16 @@
-"""Fixed points of the scalar map g and their stability, one cell at a time.
-The solver and the cell rules live in the scan kernel _solver; their names stay here."""
+"""Fixed points of the scalar map g and their stability, one cell at a time,
+and the curve of g that marks them.  The solver and the cell rules live in
+the scan kernel _solver."""
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from ._solver import (STABILITY_LABELS, STABILITY_TOL, FixedPointBatch, regime, root_errors,
-                      solve_fixed_points, stability_codes)
-from .model import TransferWeights
+import numpy as np
+
+from ._solver import regime, solve_fixed_points
+from .model import CouplingParameters, TransferWeights, derive_weights
 
 
 class FixedPointReport(NamedTuple):
@@ -96,3 +98,50 @@ def iterate_map(x0: float, w: TransferWeights, max_iter: int = 200,
             break
     return IterationResult(trajectory=tuple(traj), limit=x,
                            converged=converged, matched_root=matched)
+
+
+def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4, 1e4),
+               samples: int = 400) -> list[tuple[float, float, float, bool]]:
+    """Exactly `samples` rows of (x, g(x), g(x)-x, is_fixed_point).
+
+    The x column is log-uniform over x_range, except that for each fixed
+    point inside the range the nearest unused sample is snapped to the exact
+    root and flagged, so the table always has `samples` rows and still marks
+    every root it covers.  Roots outside x_range are not marked.
+    """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    lo, hi = x_range
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("x_range must satisfy 0 < lo < hi < inf")
+    from .recurrence import scalar_map_g
+
+    w = derive_weights(params)
+    log_xs = np.linspace(math.log(lo), math.log(hi), samples)
+    xs = np.exp(log_xs)
+    xs[0], xs[-1] = lo, hi
+    marked = np.zeros(samples, dtype=bool)
+    for r in find_positive_fixed_points(w).roots:
+        if not (lo <= r <= hi):
+            continue
+        order = np.argsort(np.abs(log_xs - math.log(r)))
+        slot = next((k for k in order if not marked[k]), None)
+        if slot is not None:
+            xs[slot] = r
+            marked[slot] = True
+    rows = []
+    for x, m in zip(xs.tolist(), marked.tolist()):
+        g = scalar_map_g(x, w)
+        rows.append((x, g, g - x, m))
+    rows.sort(key=lambda row: row[0])
+    return rows
+
+
+def emit_curve_csv(params: CouplingParameters, x_range: tuple[float, float] = (1e-4, 1e4),
+                   samples: int = 400) -> str:
+    """The rows of emit_curve as CSV, floats at 12 significant digits as in
+    the grid CSV."""
+    rows = [",".join((format(x, ".12g"), format(g, ".12g"), format(gap, ".12g"),
+                      "true" if marker else "false"))
+            for x, g, gap, marker in emit_curve(params, x_range, samples)]
+    return "\n".join(["x,g,g_minus_x,is_fixed_point"] + rows) + "\n"

@@ -115,46 +115,6 @@ def derive_weights(params: CouplingParameters) -> TransferWeights:
                            coupling_weight("Jp", params.beta * params.Jp))
 
 
-class _SemiBallConfigurationFields(NamedTuple):
-    center: int
-    successors: tuple[int, int, int]
-
-
-class SemiBallConfiguration(CheckedRecord, _SemiBallConfigurationFields):
-    """Spins on a depth-1 semi-ball: center plus its ordered successor triple."""
-
-    __slots__ = ()
-
-    def __new__(cls, center: int, successors: tuple[int, int, int]):
-        if any(s not in (-1, 1) for s in (center, *successors)) or len(successors) != 3:
-            raise ValueError("spins must be +-1 with exactly three successors")
-        return super().__new__(cls, center, successors)
-
-
-class ConfigClass(NamedTuple):
-    """One of the eight permutation classes of semi-ball configurations."""
-
-    class_index: int
-    sign: int
-
-
-def class_index(center: int, minus_count: int) -> int:
-    """Class index from the center spin and the number of -1 successors."""
-    return (1 if center == 1 else 5) + minus_count
-
-
-def classify_config(cfg: SemiBallConfiguration) -> ConfigClass:
-    """Class index in 1..8 and the spin product of the four spins.
-
-    Classes 1-4 have center spin +1 and 0..3 minus successors; classes 5-8
-    repeat the pattern for center spin -1.  The index depends only on the
-    multiset of successor spins.
-    """
-    minus = sum(1 for s in cfg.successors if s == -1)
-    sign = cfg.center * cfg.successors[0] * cfg.successors[1] * cfg.successors[2]
-    return ConfigClass(class_index=class_index(cfg.center, minus), sign=sign)
-
-
 def class_sign(index: int) -> int:
     return -1 if index in INVERTED_CLASSES else 1
 
@@ -187,26 +147,13 @@ class BoundaryFieldVector(CheckedRecord, _BoundaryFieldVectorFields):
         return cls(np.log(u))
 
 
-def field_form_from_pqrs(p: float, q: float, r: float, s: float) -> BoundaryFieldVector:
-    """Four-parameter field family with the inner components tied down.
-
-    h = (p, (q-2p)/3, (p-2q)/3, q, r, (s-2r)/3, (r-2s)/3, s): components 2, 3
-    (and 6, 7) are fixed by the outer pair so that the cube identities
-    3h_2 = h_4 - 2h_1 and 3h_3 = h_1 - 2h_4 hold by construction.
-    """
-    return BoundaryFieldVector(h=(
-        float(p), (q - 2.0 * p) / 3.0, (p - 2.0 * q) / 3.0, float(q),
-        float(r), (s - 2.0 * r) / 3.0, (r - 2.0 * s) / 3.0, float(s),
-    ))
-
-
 def field_from_scalar(x: float) -> BoundaryFieldVector:
     """Boundary field encoded by the single scalar x > 0.
 
     Sets v_4 = v_5 = x^{1/4}, v_1 = v_4^3, v_8 = v_5^3 and u_i = v_i^3 for
-    i in {1, 4, 5, 8}; the remaining components come from field_form_from_pqrs
-    with (p, q, r, s) = (h_1, h_4, h_5, h_8) (see scalar_field_h).  The
-    scalar can be read back as x = exp(4 h_4 / 3).
+    i in {1, 4, 5, 8}; the inner components follow from the cube identities
+    3h_2 = h_4 - 2h_1, 3h_3 = h_1 - 2h_4 and their center -1 twins (see
+    scalar_field_h).  The scalar can be read back as x = exp(4 h_4 / 3).
     """
     if not (x > 0 and math.isfinite(x)):
         raise ValueError("x must be positive finite")

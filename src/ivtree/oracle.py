@@ -5,13 +5,13 @@ enumeration (or by branch-factorized leaf sums where full enumeration is
 infeasible), give an independent check on every closed-form recurrence
 result.  Depth 2 means 2^13 = 8192 configurations.  The volumes, count
 tables and bracket kernel live in the check kernel _check and are kept
-here; branch_sum and enumerated_semi_ball_sum are the kernel's enumerated
-references.
+here.  The enumerated branch and semi-ball update sums that the kernel and
+full_step are checked against are test-side references
+(tests/reference.py).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._check import (_MAX_DEPTH, CayleyTree, _feature_table, _log_brackets, build_tree,
                      consistency_residuals)
-from .model import BoundaryFieldVector, CouplingParameters, TransferWeights
+from .model import BoundaryFieldVector, CouplingParameters
 
 # A spin configuration is a +-1 integer array over the volume's vertices.
 SpinConfiguration = np.ndarray
@@ -52,26 +52,6 @@ def boundary_term(cfg: SpinConfiguration, tree: CayleyTree,
         sign = cfg[x] * triple[0] * triple[1] * triple[2]
         total += sign * hv[idx]
     return float(total)
-
-
-def branch_sum(i: int, j: int, params: CouplingParameters,
-               h: BoundaryFieldVector) -> float:
-    """Leaf sum over one outermost semi-ball: center spin j, grandparent spin i.
-
-    Sums exp(beta*J*j*S + beta*Jp*i*S + sign*h_class) over the eight spin
-    triples with triple sum S.  This is the enumerated counterpart of the
-    closed-form branch bracket.
-    """
-    hv = h.h
-    total = 0.0
-    for triple in itertools.product((1, -1), repeat=3):
-        s = sum(triple)
-        minus = triple.count(-1)
-        idx = (0 if j == 1 else 4) + minus
-        sign = j * triple[0] * triple[1] * triple[2]
-        total += math.exp(params.beta * (params.J * j * s + params.Jp * i * s)
-                          + sign * hv[idx])
-    return total
 
 
 def _log_partition_factorized(depth: int, params: CouplingParameters,
@@ -149,47 +129,3 @@ def kolmogorov_consistency_check(params: CouplingParameters,
     consistency_residuals."""
     coef = (params.beta * params.J, params.beta * params.Jp) + tuple(h.h)
     return float(consistency_residuals(np.array(coef)[:, None])[0])
-
-
-def enumerated_semi_ball_sum(i: int, jvec: tuple[int, int, int], h: BoundaryFieldVector,
-                             w: TransferWeights) -> float:
-    """Defining sum for one semi-ball update: all 2^9 grandchild assignments.
-
-    The semi-ball has center spin i and successor spins jvec; each successor
-    carries three further spins.  The weight of an assignment is the product
-    over the three branches of exp(beta*J*j_b*S_b + beta*Jp*i*S_b) times the
-    branch's own class field factor u^sign, u = e^h.
-    """
-    u_arr = h.u
-    factors = []
-    for j in jvec:
-        f = np.empty(8)
-        for t_idx, triple in enumerate(itertools.product((1, -1), repeat=3)):
-            s = sum(triple)
-            minus = triple.count(-1)
-            cls = (0 if j == 1 else 4) + minus
-            sign = j * triple[0] * triple[1] * triple[2]
-            f[t_idx] = (w.a ** (j * s)) * (w.b ** (i * s)) * (u_arr[cls] ** sign)
-        factors.append(f)
-    weights = factors[0][:, None, None] * factors[1][None, :, None] * factors[2][None, None, :]
-    return float(weights.sum())
-
-
-_CLASS_REPS = [(1, (1, 1, 1)), (1, (1, 1, -1)), (1, (1, -1, -1)), (1, (-1, -1, -1)),
-               (-1, (1, 1, 1)), (-1, (1, 1, -1)), (-1, (1, -1, -1)), (-1, (-1, -1, -1))]
-
-
-def verify_recurrence_by_enumeration(h: BoundaryFieldVector, w: TransferWeights) -> np.ndarray:
-    """Relative mismatch of full_step's eight updates against their sums.
-
-    full_step solves the classes 2, 4, 5, 7 for h_i itself, so its output
-    is multiplied by the class sign first.  The enumerated side carries an
-    unknown common normalization; it is fitted from the first class and
-    divided out, so a zero residual vector means the recurrence reproduces
-    the defining sums up to one shared constant.
-    """
-    from .recurrence import _SIGNS, full_step
-
-    closed = np.exp(_SIGNS * full_step(h, w).h)
-    ratio = closed / np.array([enumerated_semi_ball_sum(i, jvec, h, w) for i, jvec in _CLASS_REPS])
-    return np.abs(ratio / ratio[0] - 1.0)

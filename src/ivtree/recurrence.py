@@ -11,43 +11,22 @@ The eight equations collapse further: cube identities pin h_2, h_3, h_6, h_7
 in terms of the corner components, the corner system reduces to four
 variables (v_1, v_4, v_5, v_8 with e^{h_i} = v_i^3), and on the invariant
 set v_1 = v_4^3, v_8 = v_5^3 with v_4^4 = v_5^4 = x everything contracts to
-the scalar rational map g.
+the scalar rational map g, which scalar_map_g and scalar_map_dg evaluate.
+The corner system and the cube identities are test-side references
+(tests/reference.py), checked there against full_step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import BoundaryFieldVector, CheckedRecord, TransferWeights, class_sign
+from .model import BoundaryFieldVector, TransferWeights, class_sign
 
 # class sign s_k and minus-successor count m_k of the eight classes
 _SIGNS = np.array([class_sign(k) for k in range(1, 9)], dtype=float)
 _MINUS = np.arange(8) % 4
-
-
-class _VVectorFields(NamedTuple):
-    v1: float
-    v4: float
-    v5: float
-    v8: float
-
-
-class VVector(CheckedRecord, _VVectorFields):
-    """Corner variables v_1, v_4, v_5, v_8 of the reduced four-equation system."""
-
-    __slots__ = ()
-
-    def __new__(cls, v1: float, v4: float, v5: float, v8: float):
-        for v in (v1, v4, v5, v8):
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError("v components must be positive finite")
-        return super().__new__(cls, v1, v4, v5, v8)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
 
 
 def full_step(h: BoundaryFieldVector, w: TransferWeights) -> BoundaryFieldVector:
@@ -70,44 +49,6 @@ def full_step(h: BoundaryFieldVector, w: TransferWeights) -> BoundaryFieldVector
     if not np.isfinite(h_next).all():
         raise OverflowError("full_step: h' is outside the double range")
     return BoundaryFieldVector(h_next)
-
-
-def check_identities(h_next: BoundaryFieldVector) -> np.ndarray:
-    """Residuals of the four cube identities tying inner to corner components.
-
-    Returns |exp(3 h2' + 2 h1' - h4') - 1| and the three analogous
-    combinations; all vanish identically for any full_step output, whatever
-    the gauge.
-    """
-    l = np.array(h_next.h)
-    return np.abs(np.expm1(3.0 * l[[1, 2, 5, 6]] + 2.0 * l[[0, 3, 4, 7]] - l[[3, 0, 7, 4]]))
-
-
-def reduced_step(v: VVector, w: TransferWeights) -> VVector:
-    """One application of the four-variable corner system.
-
-    v1' = R1^3        with R1 = (1 + (ab)^2 v1 v4) / (a b v4)
-    1/v4' = R2^3      with R2 = (d + c v5 v8) / (a b v5)
-    1/v5' = R3^3      with R3 = (d + c v1 v4) / (a b v4)
-    v8' = R4^3        with R4 = (1 + (ab)^2 v5 v8) / (a b v5)
-
-    Note the cross coupling: the (v4, v5) updates each mix the opposite
-    corner pair.
-    """
-    c, d = w.c, w.d
-    ab = w.a * w.b
-    r1 = (1.0 + ab * ab * v.v1 * v.v4) / (ab * v.v4)
-    r2 = (d + c * v.v5 * v.v8) / (ab * v.v5)
-    r3 = (d + c * v.v1 * v.v4) / (ab * v.v4)
-    r4 = (1.0 + ab * ab * v.v5 * v.v8) / (ab * v.v5)
-    try:
-        # a float ** that overflows raises; a product that does gives inf
-        out = (r1**3, 1.0 / r2**3, 1.0 / r3**3, r4**3)
-        if any(not (0 < x < math.inf) for x in out):
-            raise OverflowError
-    except OverflowError:
-        raise OverflowError("reduced step out of representable range") from None
-    return VVector(*out)
 
 
 def _finite(name: str, x: float, f, *args) -> float:

@@ -25,14 +25,15 @@ rows' templates and fills them with one % over its values, so no more than
 one block of text is held at a time.  emit_csv and emit_jsonl join the blocks
 into one string; the command line writes them to its output one by one.
 
-With the consistency check, the field of every found root of a chunk is
-checked by one consistency_residuals call, and a cell's residual is the
-largest over its roots.  A root's residual has the same bits in any call,
-so the check keeps the rule that output bytes never depend on how the work
-is cut.  At import this module loads only the solver kernel; the
-check's kernel _check is imported only by a scan that checks, and model,
-fixpoint and recurrence only by evaluate_point and emit_curve, so a grid
-scan compiles none of them, nor the oracle.
+With the consistency check, the fields of a chunk's found roots are
+checked by consistency_residuals in slices of at most _CHUNK_CELLS roots,
+and a cell's residual is the largest over its roots.  A root's residual has
+the same bits in any call, so the check keeps the rule that output bytes
+never depend on how the work is cut.  At import this module loads only the
+solver kernel; the check's kernel _check is imported only by a scan that
+checks, and model only by evaluate_point, so a grid scan compiles neither,
+nor fixpoint, recurrence or the oracle.  The curve of g lives in fixpoint
+(emit_curve).
 """
 
 from __future__ import annotations
@@ -42,19 +43,16 @@ import math
 import operator
 import warnings
 from collections.abc import Iterator, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from ._solver import (STABILITY_LABELS, CheckedRecord, coupling_weight, regime, root_errors,
                       scalar_field_h, solve_fixed_points, stability_codes)
 
-if TYPE_CHECKING:
-    from .model import CouplingParameters
-
-# cells per solver call and per consistency_residuals call: the work arrays
-# (a few dozen doubles per cell, about 140 per root checked, at most three
-# roots a cell) stay within about 10 MB however large the grid
+# cells per solver call and roots per consistency_residuals call: the work
+# arrays (a few dozen doubles per cell, about 140 per root checked) stay
+# within about 10 MB however large the grid
 _CHUNK_CELLS = 4096
 
 # rows per block of emitted text: a block's strings (about 0.3 MB) stay
@@ -245,8 +243,8 @@ def _scan_chunk(axes: tuple[np.ndarray, ...], rejected: tuple[dict[int, str], di
     Adds the error text of each failed cell to errors and clears its found
     slots.  rejected maps the position of each (J, T) and (Jp, T) pair whose
     weight did not fit in a double to its text; those weights are NaN in c
-    and d.  With check, one consistency_residuals call checks every found
-    root.
+    and d.  With check, consistency_residuals checks every found root, at
+    most _CHUNK_CELLS roots a call.
     """
     shape = tuple(axis.size for axis in axes)
     c_rejected, d_rejected = rejected
@@ -280,7 +278,10 @@ def _scan_chunk(axes: tuple[np.ndarray, ...], rejected: tuple[dict[int, str], di
     # math.log, not np.log: the bits of field_from_scalar
     coef[2:] = scalar_field_h(np.array([math.log(r) for r in roots[found].tolist()]))
     per_slot = np.full(found.shape, -np.inf)
-    per_slot[found] = _check.consistency_residuals(coef)
+    checked = np.empty(beta.size)
+    for s in range(0, beta.size, _CHUNK_CELLS):
+        checked[s:s + _CHUNK_CELLS] = _check.consistency_residuals(coef[:, s:s + _CHUNK_CELLS])
+    per_slot[found] = checked
     answered = found.any(axis=1)
     residual = np.where(answered, per_slot.max(axis=1), np.nan)
     bad = (answered & ~np.isfinite(residual)).nonzero()[0]
@@ -478,49 +479,3 @@ def emit_jsonl(table: ScanTable) -> str:
     any cell error, and consistency_residual when the scan ran the check.
     An eta that saturated outside the double range is null."""
     return "".join(_emit_blocks(table, "jsonl"))
-
-
-def emit_curve(params: CouplingParameters, x_range: tuple[float, float] = (1e-4, 1e4),
-               samples: int = 400) -> list[tuple[float, float, float, bool]]:
-    """Exactly `samples` rows of (x, g(x), g(x)-x, is_fixed_point).
-
-    The x column is log-uniform over x_range, except that for each fixed
-    point inside the range the nearest unused sample is snapped to the exact
-    root and flagged, so the table always has `samples` rows and still marks
-    every root it covers.  Roots outside x_range are not marked.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    lo, hi = x_range
-    if not 0 < lo < hi < math.inf:
-        raise ValueError("x_range must satisfy 0 < lo < hi < inf")
-    from .fixpoint import find_positive_fixed_points
-    from .model import derive_weights
-    from .recurrence import scalar_map_g
-
-    w = derive_weights(params)
-    log_xs = np.linspace(math.log(lo), math.log(hi), samples)
-    xs = np.exp(log_xs)
-    xs[0], xs[-1] = lo, hi
-    marked = np.zeros(samples, dtype=bool)
-    for r in find_positive_fixed_points(w).roots:
-        if not (lo <= r <= hi):
-            continue
-        order = np.argsort(np.abs(log_xs - math.log(r)))
-        slot = next((k for k in order if not marked[k]), None)
-        if slot is not None:
-            xs[slot] = r
-            marked[slot] = True
-    rows = []
-    for x, m in zip(xs.tolist(), marked.tolist()):
-        g = scalar_map_g(x, w)
-        rows.append((x, g, g - x, m))
-    rows.sort(key=lambda row: row[0])
-    return rows
-
-
-def emit_curve_csv(params: CouplingParameters, x_range: tuple[float, float] = (1e-4, 1e4),
-                   samples: int = 400) -> str:
-    rows = [",".join((_spell(x), _spell(g), _spell(gap), "true" if marker else "false"))
-            for x, g, gap, marker in emit_curve(params, x_range, samples)]
-    return "\n".join(["x,g,g_minus_x,is_fixed_point"] + rows) + "\n"

@@ -7,12 +7,16 @@ than against itself.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ivtree import TransferWeights, couplings, derive_weights, scalar_map_dg
-from ivtree.fixpoint import STABILITY_LABELS, FixedPointReport, stability_codes
+import ivtree
+from ivtree import FixedPointReport, TransferWeights, couplings, derive_weights, scalar_map_dg
+from ivtree._solver import STABILITY_LABELS, stability_codes
 
 # (J, Jp, T) with three positive fixed points: two stable measures coexist
 THREE_ROOT_POINT = (-1.7, 6.5, 13.0)
@@ -63,6 +67,20 @@ def three_root_weights() -> TransferWeights:
 @pytest.fixture
 def three_root_params():
     return couplings(*THREE_ROOT_POINT)
+
+
+def run_python(*argv, stdout=subprocess.PIPE, blas_threads=None, preexec_fn=None):
+    """Run a fresh interpreter; OPENBLAS_NUM_THREADS is blas_threads, or unset."""
+    # the child imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(ivtree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # importing ivtree.cli here sets the variable in this process's environment
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, preexec_fn=preexec_fn)
 
 
 def assert_close(actual, expected, rtol, label=""):

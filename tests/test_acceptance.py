@@ -14,11 +14,9 @@ from ivtree import (
     BoundaryFieldVector,
     GridSpec,
     TransferWeights,
-    check_identities,
     couplings,
     derive_weights,
     emit_csv,
-    field_form_from_pqrs,
     field_from_scalar,
     find_positive_fixed_points,
     full_step,
@@ -27,12 +25,12 @@ from ivtree import (
     scalar_map_dg,
     scalar_map_g,
     scan_grid,
-    verify_recurrence_by_enumeration,
 )
 from ivtree.scanner import evaluate_point
 
 from conftest import (THREE_ROOT_EXPECTED, THREE_ROOT_POINT, eta_closed_forms,
                       quartic_positive_roots, scalar_map_d2g)
+from reference import check_identities, field_form_from_pqrs, verify_recurrence_by_enumeration
 
 EPS = float(np.finfo(float).eps)
 

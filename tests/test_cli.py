@@ -4,7 +4,6 @@ import json
 import os
 import signal
 import subprocess
-import sys
 import tracemalloc
 
 import pytest
@@ -14,6 +13,8 @@ import ivtree
 import ivtree._check  # noqa: F401
 from ivtree import GridSpec, emit_csv, emit_jsonl, scan_grid
 from ivtree.cli import main
+
+from conftest import run_python
 
 
 def run_cli(capsys, *argv):
@@ -126,20 +127,6 @@ def test_invalid_invocations_exit_2(argv, recwarn):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-
-
-def run_python(*argv, stdout=subprocess.PIPE, blas_threads=None, preexec_fn=None):
-    """Run a fresh interpreter; OPENBLAS_NUM_THREADS is blas_threads, or unset."""
-    # the child imports the package under test, installed or not
-    src = os.path.dirname(os.path.dirname(ivtree.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    # importing ivtree.cli here sets the variable in this process's environment
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
-    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env, preexec_fn=preexec_fn)
 
 
 def run_module(*argv, stdout=subprocess.PIPE, blas_threads=None, preexec_fn=None):
@@ -459,19 +446,25 @@ def test_grid_output_memory_does_not_grow_with_the_table(fmt):
     assert peak < 22e6
 
 
-def test_the_check_adds_one_chunk_of_memory_not_one_grid(monkeypatch):
-    """A 151 x 151 scan in 45 chunks of 512 cells: with --check-consistency
-    the traced peak stays within 2 MB of the unchecked run's, because each
-    chunk's roots are checked as soon as it is solved (0.6 MB more).
-    Checking every root of the grid after the solve, from grid-wide copies
-    of the roots' logs and field coefficients, added 4.8 MB."""
-    monkeypatch.setattr(ivtree.scanner, "_CHUNK_CELLS", 512)
+@pytest.mark.parametrize("grid, chunk", [
+    (["--J=-3:3:151", "--Jp=-3:7:151"], 512),
+    (["--J=-1.75:-1.65:64", "--Jp=6.4:6.6:64"], ivtree.scanner._CHUNK_CELLS),
+], ids=["151x151-chunk512", "three-roots-64x64"])
+def test_the_check_adds_one_chunk_of_memory_not_one_grid(grid, chunk, monkeypatch):
+    """With --check-consistency the traced peak stays within 2 MB of the
+    unchecked run's, because each chunk's roots are checked as soon as it
+    is solved, at most one chunk's count of roots a call.  The 151 x 151
+    scan runs in 45 chunks of 512 cells (0.3 MB more); checking every root
+    of the grid after the solve, from grid-wide copies of the roots' logs
+    and field coefficients, added 4.8 MB.  Every cell of the 64 x 64 grid
+    has three roots, so its one chunk of 4096 cells has 12,288 (1.5 MB
+    more); checking them in one call added 9.0 MB."""
+    monkeypatch.setattr(ivtree.scanner, "_CHUNK_CELLS", chunk)
     peaks = []
     for flags in ([], ["--check-consistency"]):
         tracemalloc.start()
         try:
-            code = main(["--J=-3:3:151", "--Jp=-3:7:151", "--T", "13", *flags,
-                         "--out", os.devnull])
+            code = main([*grid, "--T", "13", *flags, "--out", os.devnull])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

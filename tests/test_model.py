@@ -14,21 +14,19 @@ from ivtree import (
     CouplingParameters,
     GridSpec,
     PhasePoint,
-    SemiBallConfiguration,
     TransferWeights,
-    VVector,
     build_tree,
     find_positive_fixed_points,
     full_step,
-    classify_config,
     couplings,
     derive_weights,
-    field_form_from_pqrs,
     field_from_scalar,
 )
-from ivtree.model import INVERTED_CLASSES, class_index, class_sign, scalar_field_h
+from ivtree.model import INVERTED_CLASSES, class_sign, scalar_field_h
 
 from conftest import NEGATIVE_T_POINT, THREE_ROOT_POINT, assert_close
+from reference import (SemiBallConfiguration, VVector, class_index, classify_config,
+                       field_form_from_pqrs)
 
 
 def all_semi_ball_configs():

@@ -13,24 +13,19 @@ from ivtree import (
     build_tree,
     couplings,
     derive_weights,
-    field_form_from_pqrs,
     field_from_scalar,
     find_positive_fixed_points,
     finite_measure,
     hamiltonian,
     kolmogorov_consistency_check,
-    verify_recurrence_by_enumeration,
 )
 from ivtree._check import _feature_table, _log_brackets, _spin_table, consistency_residuals
-from ivtree.oracle import (
-    _log_partition_factorized,
-    boundary_term,
-    branch_sum,
-    enumerated_semi_ball_sum,
-)
+from ivtree.oracle import _log_partition_factorized, boundary_term
 
 from conftest import NEGATIVE_T_POINT, THREE_ROOT_POINT, assert_close
-from test_cli import run_python
+from conftest import run_python
+from reference import (branch_sum, enumerated_semi_ball_sum, field_form_from_pqrs,
+                       verify_recurrence_by_enumeration)
 
 
 def spin_index(cfg: np.ndarray) -> int:

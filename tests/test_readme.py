@@ -1,7 +1,10 @@
 """The library example in README.md runs and prints what its comments say."""
 
 import ast
+import re
 from pathlib import Path
+
+import ivtree
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,3 +44,9 @@ def test_the_readme_library_example_prints_what_its_comments_say():
 
     assert claims["kolmogorov_consistency_check(params, h)"] == "~1e-16"
     assert run("kolmogorov_consistency_check(params, h)") < 1e-12
+
+
+def test_the_readme_names_every_public_name():
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in ivtree.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert not missing

@@ -9,18 +9,16 @@ from hypothesis import given, settings, strategies as st
 from ivtree import (
     BoundaryFieldVector,
     TransferWeights,
-    VVector,
-    check_identities,
     couplings,
     derive_weights,
     full_step,
     iterate_map,
-    reduced_step,
     scalar_map_dg,
     scalar_map_g,
 )
 
 from conftest import THREE_ROOT_POINT, assert_close, scalar_map_d2g
+from reference import VVector, check_identities, reduced_step
 
 EPS = np.finfo(float).eps
 

@@ -17,7 +17,8 @@ from ivtree import (GridSpec, TransferWeights, couplings, critical_points, deriv
                     find_positive_fixed_points, kolmogorov_consistency_check, scan_grid)
 from ivtree.recurrence import scalar_map_g
 from ivtree._solver import STABILITY_LABELS, regime
-from ivtree.scanner import CSV_HEADER, emit_curve_csv, evaluate_point
+from ivtree.fixpoint import emit_curve_csv
+from ivtree.scanner import CSV_HEADER, evaluate_point
 
 from conftest import (NEGATIVE_T_POINT, TANGENT_CASE, THREE_ROOT_EXPECTED, THREE_ROOT_POINT,
                       assert_close)

@@ -12,7 +12,7 @@ import conftest
 import ivtree
 from ivtree import GridSpec, emit_csv, scan_grid
 
-from test_cli import run_python
+from conftest import run_python
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
