@@ -31,22 +31,20 @@ and critical_points (which solves only at d >= 2) are batches of one, so
 the code counts numpy calls, not elements: each costs a microsecond or so
 on a one-cell batch.  Scalar operands are module-level 0-d float64 arrays,
 because numpy converts a Python float operand on every call to the same
-double, and errstate wraps _solve as a decorator.  A batch in which every
-cell has d >= 2 computes its tangency data on views, not gathered copies;
-a batch in which no cell has d > 2 solves every cell's one bracket
-directly, with no per-slot masks, brackets or gathers, and takes its
-tangency data as the NaN fill itself; the Newton loop narrows its own
-copies of the brackets in place.  These shortcuts test the batch's data,
-not its size, and give the same arrays.  A batch of one cell, and only
-such a batch, computes its Newton starts and runs its Newton loop on
-Python floats instead, one root slot at a time: the same IEEE operations
-with no numpy call for the start instead of about 25, and about two a step
-instead of 25.  The tangency setup and the brackets stay on arrays for
-every batch.  numpy still takes the logaddexp and tanh of each step,
-because math.tanh and math.exp differ from numpy's in the last bit on about
-20 % and 5 % of inputs uniform on [-20, 20].  Batches of two or more cells
-keep the array loop: a Python loop over the thousands of cells of a scan
-chunk would be slower.
+double, and errstate wraps _solve as a decorator.  The special cases
+give the arrays of the general path, and each stays because a one-cell
+query (a point query or a library call) is slower without it, as timed
+with scripts/one_cell_ab.py: _solve's two shortcuts for a batch below
+d = 2, root_errors' early return, and the float path.  A batch of one
+cell, and only such a batch, computes its Newton starts and runs its
+Newton loop on Python floats instead, one root slot at a time: the same
+IEEE operations with no numpy call for the start instead of about 25,
+and about two a step instead of 25.  The tangency setup and the brackets
+stay on arrays for every batch.  numpy still takes the logaddexp and tanh
+of each step, because math.tanh and math.exp differ from numpy's in the
+last bit on about 20 % and 5 % of inputs uniform on [-20, 20].  Batches of
+two or more cells keep the array loop: a Python loop over the thousands of
+cells of a scan chunk would be slower.
 At a fixed point g'(x*) = 3 (sigma(lc+ld+t) - sigma(lc-ld+t)), which never
 overflows.
 
@@ -135,7 +133,6 @@ _SLOT_SIGN = np.array([1.0, -1.0, 1.0])
 # operation is the same
 _ZERO, _HALF, _ONE, _THREE_HALVES, _TWO, _THREE, _FOUR, _MINUS_TWO = (
     np.array(v) for v in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, -2.0))
-_RTOL = np.array(_NEWTON_RTOL)
 _TOL, _MINUS_TOL = np.array(_TANGENCY_TOL), np.array(-_TANGENCY_TOL)
 # the range of the normal doubles
 _TINY, _HUGE = np.array(sys.float_info.min), np.array(sys.float_info.max)
@@ -190,9 +187,9 @@ def _newton(lc, lcd, ld, lo, hi, sign):
     sign is +1 where G falls on the bracket and -1 where it rises, and
     each entry starts at its _model_root.  An iterate has converged when
     its Newton step is below _NEWTON_RTOL * max(1, |t|); that test comes
-    first, because a converged iterate may sit on the bracket's edge, and
-    once every open entry has passed it the call returns without updating
-    the brackets.  A Newton step is taken when it stays in the bracket (up
+    first, because a converged iterate may sit on the bracket's edge, so a
+    done entry keeps its Newton iterate even where its bracket closed in
+    the same step.  A Newton step is taken when it stays in the bracket (up
     to the tolerance; it is then clipped) and is at most half the previous
     move; otherwise the bracket is bisected, so the iteration cannot cycle.
     Converged entries leave the active set at once.  Entries still open
@@ -210,14 +207,10 @@ def _newton(lc, lcd, ld, lo, hi, sign):
         f = _gap(z, t, ld)
         step = f / (_slope(z) - _ONE)
         size = np.abs(step)
-        tol = _RTOL * np.maximum(_ONE, np.abs(t))
+        tol = _NEWTON_RTOL * np.maximum(_ONE, np.abs(t))
         flat = f == _ZERO
         done = (size <= tol) | flat
         newton_t = t - step
-        if np.count_nonzero(done) == t.size:
-            np.copyto(newton_t, t, where=flat)      # a done entry's value
-            out[todo] = newton_t
-            return out
         right = sign * f > _ZERO        # the zero lies right of t
         np.copyto(lo, t, where=right)
         np.copyto(hi, t, where=~right)
@@ -234,7 +227,7 @@ def _newton(lc, lcd, ld, lo, hi, sign):
             t = nxt
             continue
         out[todo[closed]] = nxt[closed]
-        np.copyto(newton_t, t, where=flat)
+        np.copyto(newton_t, t, where=flat)      # a done entry's value
         out[todo[done]] = newton_t[done]
         if stopped == t.size:
             return out
@@ -339,6 +332,8 @@ def root_errors(found, log_roots, roots) -> dict[int, ArithmeticError]:
     root that is not a normal double, and its error names the first such
     slot: FloatingPointError when its iteration did not converge (t is NaN,
     and so is x), OverflowError when x = e^t is outside the double range.
+    The early return for a block with no such row saves 7 % of a one-cell
+    query.
     """
     bad = found & ~((roots >= _TINY) & (roots <= _HUGE))
     if not np.count_nonzero(bad):
@@ -391,8 +386,16 @@ class FixedPointBatch(NamedTuple):
 
 
 def solve_fixed_points(c, d) -> FixedPointBatch:
-    """Positive fixed points of g for every cell of the weight arrays c, d."""
-    return _solve(np.array(c, dtype=float, ndmin=1), np.array(d, dtype=float, ndmin=1))
+    """Positive fixed points of g for every cell of the weight arrays c, d.
+
+    Raises ValueError unless every weight is positive and finite, as
+    TransferWeights does; the scanner, whose weights are checked, calls
+    _solve.
+    """
+    c, d = np.array(c, dtype=float, ndmin=1), np.array(d, dtype=float, ndmin=1)
+    if not np.all((c > _ZERO) & (c < np.inf) & (d > _ZERO) & (d < np.inf)):
+        raise ValueError("c and d must be positive finite")
+    return _solve(c, d)
 
 
 # NaN marks an empty slot; as a decorator, errstate costs less per call
@@ -402,10 +405,12 @@ def _solve(c, d):
     """solve_fixed_points on 1-d arrays.
 
     The tangency data (q, the square root, the log and G(t_i)) is computed
-    only for the cells with d >= 2, on views when that is every cell, and is
-    NaN elsewhere.  When no cell has d > 2, each cell's one bracket
+    on the gathered cells with d >= 2, and is NaN elsewhere; a batch with
+    none skips it.  When no cell has d > 2, each cell's one bracket
     [-3|ld|, 3|ld|], where G falls, is solved without per-slot masks or
-    gathers.  A batch of one cell runs _newton_cell in place of _newton.
+    gathers.  Without these two shortcuts a one-cell query with d < 2
+    takes about 30 % longer.  A batch of one cell runs _newton_cell in
+    place of _newton.
     """
     n = c.size
     newton = _newton_cell if n == 1 else _newton
@@ -417,15 +422,13 @@ def _solve(c, d):
     # 1/c^2 (the textbook difference cancels to 0 for d >~ e^18); tangency
     # holds their logs over log eta_1, log eta_2
     tangency = np.empty((2, 2, n))
+    tangency.fill(np.nan)
     real = (d >= _TWO).nonzero()[0]
-    if real.size < n:
-        tangency.fill(np.nan)
     if real.size:
-        pick = slice(None) if real.size == n else real    # a view when every cell is real
-        lct, ldt, q = lc[pick], ld[pick], np.square(_ONE / d[pick])
+        lct, ldt, q = lc[real], ld[real], np.square(_ONE / d[real])
         t2 = ldt - lct + np.log(_ONE - _TWO * q + np.sqrt((_ONE - q) * (_ONE - _FOUR * q)))
         crit = np.array((_MINUS_TWO * lct - t2, t2))
-        tangency[:, :, pick] = crit, _gap(lcd[:, None, pick] + crit, crit, ldt)
+        tangency[:, :, real] = crit, _gap(lcd[:, None, real] + crit, crit, ldt)
 
     multi = d > _TWO
     log_roots = np.empty((n, 3))
@@ -460,8 +463,7 @@ def _solve(c, d):
         tangent = (multi & (np.abs(log_eta) <= _TOL)).T
         np.copyto(log_roots[:, 0::2], log_crit.T, where=tangent)
         found[:, 0::2] |= tangent
-    # exp of the NaN fill is the same NaN
-    exp_tangency = np.exp(tangency) if real.size else tangency
+    exp_tangency = np.exp(tangency)
     return FixedPointBatch(found=found, log_roots=log_roots, roots=np.exp(log_roots),
                            slopes=_slope(lcd[:, :, None] + log_roots),
                            x_crit=exp_tangency[0].T, eta=exp_tangency[1].T)

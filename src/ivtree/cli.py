@@ -18,6 +18,8 @@ a run that exits 2 creates or truncates no file, and a grid scan with an
 unwritable --out exits before it scans.  A grid's text is written in blocks
 of rows, so the run never holds the whole table's text; a write that fails
 part-way leaves the blocks already written in place, and the run exits 2.
+A warning of the scan, such as the one for dropped T = 0 cells, is printed
+as one line, "ivtree: warning: ...", where the filters let it through.
 
 Importing this module starts numpy with one BLAS thread unless the caller
 has set OPENBLAS_NUM_THREADS.  No run calls BLAS, and OpenBLAS's thread
@@ -51,6 +53,7 @@ try:
     import contextlib
     import os
     import sys
+    import warnings
 
     # before numpy's first import: OpenBLAS reads this once, when it loads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -144,8 +147,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     with _output(parser, args.out) as fh:
-        table = scan_grid(spec, workers=args.workers,
-                          check_consistency=args.check_consistency)
+        with warnings.catch_warnings(record=True) as caught:
+            table = scan_grid(spec, workers=args.workers,
+                              check_consistency=args.check_consistency)
+        for warning in caught:
+            print(f"{parser.prog}: warning: {warning.message}", file=sys.stderr)
         fh.writelines(_emit_blocks(table, args.format))
     return 0
 

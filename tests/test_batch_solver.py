@@ -106,8 +106,31 @@ def _assert_cells_alone_have_the_bits_of_the_batch(c, d):
         assert _batch_bytes(solve_fixed_points(c[k], d[k])) == _batch_bytes(batch, [k])
 
 
-def test_cells_solved_alone_have_the_bits_of_the_batch():
-    _assert_cells_alone_have_the_bits_of_the_batch(*_pinned_sample())
+def _part_of_the_sample(part):
+    c, d = _pinned_sample()
+    cells = part(d)
+    return c[cells], d[cells]
+
+
+def _twice(c, d):
+    """A batch of the one cell (c, d), twice, so the batch takes the array loop."""
+    return np.array([c, c]), np.array([d, d])
+
+
+# the batches on one side of d = 2 take _solve's shortcuts (every cell
+# gathered for the tangency block, or one bracket per cell); d = 2 is the
+# edge of both, the tangent case counts a double root and (1, 2) is the
+# triple point x = 1
+@pytest.mark.parametrize("cells", [
+    pytest.param(_pinned_sample, id="pinned-sample"),
+    pytest.param(lambda: _part_of_the_sample(lambda d: d >= 2.0), id="every-d>=2"),
+    pytest.param(lambda: _part_of_the_sample(lambda d: d <= 2.0), id="every-d<=2"),
+    pytest.param(lambda: (np.geomspace(1e-6, 1e6, 25), np.full(25, 2.0)), id="d=2"),
+    pytest.param(lambda: _twice(TANGENT_CASE["c"], TANGENT_CASE["d"]), id="tangent-case"),
+    pytest.param(lambda: _twice(1.0, 2.0), id="triple-point"),
+])
+def test_cells_solved_alone_have_the_bits_of_the_batch(cells):
+    _assert_cells_alone_have_the_bits_of_the_batch(*cells())
 
 
 def test_near_tangency_cells_solved_alone_have_the_bits_of_the_batch():
@@ -220,18 +243,24 @@ def _three_root_cell():
     return [w.c] * 2, [w.d] * 2
 
 
-# each cell comes twice: a batch of one cell does not call the array loop
+# each cell comes twice: a batch of one cell does not call the array loop;
+# a count of ValueError marks weights that no TransferWeights accepts
 @pytest.mark.parametrize("cells, count", [
     pytest.param(_pinned_sample, None, id="pinned-sample"),
     pytest.param(lambda: ([3.0] * 2, [1.5] * 2), 1, id="d<2"),
     pytest.param(lambda: ([2.0] * 2, [2.0] * 2), 1, id="d=2"),
     pytest.param(lambda: ([100.0] * 2, [3.0] * 2), 1, id="d>2-one-root"),
     pytest.param(_three_root_cell, 3, id="d>2-three-roots"),
+    pytest.param(lambda: ([-1.0] * 2, [3.0] * 2), ValueError, id="c<0"),
+    pytest.param(lambda: ([math.inf] * 2, [3.0] * 2), ValueError, id="c=inf"),
+    pytest.param(lambda: ([math.nan] * 2, [1.0] * 2), ValueError, id="c=nan"),
+    pytest.param(lambda: ([1.0] * 2, [0.0] * 2), ValueError, id="d=0"),
 ])
 def test_the_solver_leaves_its_input_arrays_unchanged(cells, count, monkeypatch):
     """solve_fixed_points keeps c and d, and every _newton call keeps all its
     arguments, the brackets it narrows included: each call works on its own
-    copies."""
+    copies.  Weights that are not positive and finite raise ValueError,
+    for a batch and for one cell, before anything is solved."""
     c, d = (np.array(x, dtype=float) for x in cells())
     kept = []
     newton = ivtree._solver._newton
@@ -244,11 +273,17 @@ def test_the_solver_leaves_its_input_arrays_unchanged(cells, count, monkeypatch)
 
     monkeypatch.setattr(ivtree._solver, "_newton", checked_newton)
     c_before, d_before = c.tobytes(), d.tobytes()
-    batch = solve_fixed_points(c, d)
-    assert kept == [True]
+    if count is ValueError:
+        for args in ((c, d), (c.item(0), d.item(0))):
+            with pytest.raises(ValueError, match="^c and d must be positive finite$"):
+                solve_fixed_points(*args)
+        assert kept == []
+    else:
+        batch = solve_fixed_points(c, d)
+        assert kept == [True]
+        if count is not None:
+            assert batch.report(0).count == count
     assert (c.tobytes(), d.tobytes()) == (c_before, d_before)
-    if count is not None:
-        assert batch.report(0).count == count
 
 
 def test_unconverged_slots_come_back_nan(monkeypatch):

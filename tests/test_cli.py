@@ -140,6 +140,19 @@ def test_module_invocation():
     assert proc.stdout.splitlines()[1].startswith("0,0,1,1,1,1,1,stable")
 
 
+def test_dropped_temperature_zero_cells_warn_in_one_line(capsys, recwarn):
+    """A fresh process under the default filter, and main in this process
+    under recwarn's, print the warning as one line of their own."""
+    argv = ["--J", "1", "--Jp", "1", "--T=-1:1:3"]
+    proc = run_module(*argv)
+    assert proc.returncode == 0
+    assert proc.stderr == "ivtree: warning: dropping grid cell(s) at T = 0\n"
+    assert len(proc.stdout.splitlines()) == 3
+    assert main(argv) == 0
+    assert capsys.readouterr() == (proc.stdout, proc.stderr)
+    assert not recwarn
+
+
 def test_workers_start_no_process_pool():
     """--workers is accepted, but the scan stays in this process: the
     process-pool module is never imported."""
@@ -329,6 +342,10 @@ def test_an_unknown_package_name_raises_attribute_error():
         ivtree.no_such_name
     with pytest.raises(ImportError):
         from ivtree import no_such_name  # noqa: F401
+    # dir() lists every public name, loaded or not, and no unknown one
+    names = dir(ivtree)
+    assert names == sorted(names) and set(ivtree.__all__) <= set(names)
+    assert "no_such_name" not in names
 
 
 def test_large_prolonged_coupling_scan_answers_every_cell(capsys):

@@ -274,6 +274,9 @@ def test_depth_three_measure_is_implicit(three_root_params):
 def test_finite_measure_depth_guard(three_root_params):
     with pytest.raises(ValueError):
         finite_measure(CayleyTree(depth=4), three_root_params, field_from_scalar(1.0))
+    for depth in (1, 4):
+        with pytest.raises(ValueError, match="supports depth 2 or 3"):
+            _log_partition_factorized(depth, three_root_params, field_from_scalar(1.0))
 
 
 # -------------------------------------------------------------- consistency

@@ -195,8 +195,9 @@ def test_scalar_map_trivial_cases():
     w2 = TransferWeights(2.0, 5.0)
     assert_close(scalar_map_g(0.0, w2), (1.0 / 5.0) ** 3, 1e-15, "g(0)")
     for x in (-1.0, math.nan):
-        with pytest.raises(ValueError):
-            scalar_map_g(x, w2)
+        for f in (scalar_map_g, scalar_map_dg):
+            with pytest.raises(ValueError, match="x must be nonnegative"):
+                f(x, w2)
 
 
 def test_scalar_map_saturates_at_d_cubed():
@@ -255,6 +256,8 @@ def test_scalar_maps_return_every_finite_value():
 def test_first_derivative_vanishes_at_d_equal_one():
     w = TransferWeights(4.2, 1.0)
     assert scalar_map_dg(17.0, w) == 0.0
+    # c x overflows, so the value comes from the log-space fallback's d = 1 case
+    assert scalar_map_dg(1e10, TransferWeights(1e300, 1.0)) == 0.0
 
 
 @given(w=weights_st, x=st.floats(0.0, 100.0))

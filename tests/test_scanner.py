@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,19 @@ def test_temperature_zero_cells_are_dropped_with_warning():
     with pytest.warns(UserWarning, match="T = 0"):
         vals = spec.t_values()
     assert vals.tolist() == [-1.0, 1.0]
+
+
+def test_the_temperature_zero_warning_names_the_line_that_scans():
+    """Under the default filter, which shows a warning once per line, two
+    scans from two lines warn twice, each at its own line."""
+    spec = GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(-1, 1, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        scan_grid(spec)
+        scan_grid(spec)
+    assert [str(w.message) for w in caught] == ["dropping grid cell(s) at T = 0"] * 2
+    assert [w.filename for w in caught] == [__file__] * 2
+    assert caught[1].lineno == caught[0].lineno + 1
 
 
 def test_all_zero_temperature_grid_is_an_error():
