@@ -1,11 +1,12 @@
 """Compare the wall time of one ivtree command line in two source trees,
 each run in a fresh process.
 
-Checks first that both trees give the same exit code and the same stdout
-bytes for ARGV, then runs `python -m ivtree ARGV` from each tree in turn,
-the first tree of a round alternating, each run pinned to one CPU where the
-platform allows it and with bytecode writing off, so a checkout without
-__pycache__ compiles its sources in every run, as a fresh checkout does.
+Checks first that both trees give the same exit code, the same stdout
+bytes and the same stderr bytes for ARGV, then runs `python -m ivtree ARGV`
+from each tree in turn, its output discarded, the first tree of a round
+alternating, each run pinned to one CPU where the platform allows it and
+with bytecode writing off, so a checkout without __pycache__ compiles its
+sources in every run, as a fresh checkout does.
 It prints each tree's median, the old tree's quartiles, the median paired
 difference (new minus old), its quartiles and the number of rounds that the
 new tree won.  A fresh process pays the interpreter's start-up, numpy's
@@ -29,16 +30,17 @@ import time
 from pathlib import Path
 
 
-def child(root: str, argv: list[str], stdout) -> subprocess.CompletedProcess:
-    """Run `python -m ivtree argv` with root's sources, bytecode writing off."""
+def child(root: str, argv: list[str], output) -> subprocess.CompletedProcess:
+    """Run `python -m ivtree argv` with root's sources, bytecode writing off;
+    output (PIPE or DEVNULL) takes both stdout and stderr."""
     # safe path: the working directory must not shadow root's package
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"), PYTHONDONTWRITEBYTECODE="1",
                PYTHONSAFEPATH="1")
     pin = None
     if hasattr(os, "sched_setaffinity"):
         pin = functools.partial(os.sched_setaffinity, 0, {max(os.sched_getaffinity(0))})
-    return subprocess.run([sys.executable, "-m", "ivtree", *argv], stdout=stdout,
-                          stderr=subprocess.DEVNULL, env=env, preexec_fn=pin)
+    return subprocess.run([sys.executable, "-m", "ivtree", *argv], stdout=output,
+                          stderr=output, env=env, preexec_fn=pin)
 
 
 def main(argv=None) -> int:
@@ -63,12 +65,14 @@ def main(argv=None) -> int:
 
     outputs = {name: child(root, ivtree_argv, subprocess.PIPE) for name, root in roots.items()}
     old, new = outputs.values()
-    if (old.returncode, old.stdout) != (new.returncode, new.stdout):
-        print(f"different output: old exit {old.returncode}, {len(old.stdout)} bytes; "
-              f"new exit {new.returncode}, {len(new.stdout)} bytes", file=sys.stderr)
+    if (old.returncode, old.stdout, old.stderr) != (new.returncode, new.stdout, new.stderr):
+        print(f"different output: old exit {old.returncode}, {len(old.stdout)} bytes, "
+              f"{len(old.stderr)} on stderr; new exit {new.returncode}, "
+              f"{len(new.stdout)} bytes, {len(new.stderr)} on stderr", file=sys.stderr)
         return 1
     print(f"equal output: exit {old.returncode}, {len(old.stdout)} bytes, "
-          f"sha256 {hashlib.sha256(old.stdout).hexdigest()[:16]}")
+          f"sha256 {hashlib.sha256(old.stdout).hexdigest()[:16]}, "
+          f"{len(old.stderr)} on stderr")
 
     times = {name: [] for name in roots}
     for r in range(args.rounds):

@@ -388,11 +388,14 @@ class FixedPointBatch(NamedTuple):
 def solve_fixed_points(c, d) -> FixedPointBatch:
     """Positive fixed points of g for every cell of the weight arrays c, d.
 
-    Raises ValueError unless every weight is positive and finite, as
+    Raises ValueError unless c and d are 1-d (a scalar is one cell) and of
+    one length, and unless every weight is positive and finite, as
     TransferWeights does; the scanner, whose weights are checked, calls
     _solve.
     """
     c, d = np.array(c, dtype=float, ndmin=1), np.array(d, dtype=float, ndmin=1)
+    if c.ndim != 1 or c.shape != d.shape:
+        raise ValueError("c and d must be 1-d arrays of one length")
     if not np.all((c > _ZERO) & (c < np.inf) & (d > _ZERO) & (d < np.inf)):
         raise ValueError("c and d must be positive finite")
     return _solve(c, d)

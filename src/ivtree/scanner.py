@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 import warnings
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
@@ -113,17 +112,9 @@ class GridSpec(CheckedRecord, _GridSpecFields):
 
     def t_values(self) -> np.ndarray:
         """Temperature cells with any exact zero dropped; at least one
-        remains.  The warning names the first line outside this module, the
-        caller of t_values or of the scan_grid that called it, so the
-        default filter shows it once per calling line."""
+        remains.  scan_grid warns when it drops one."""
         vals = self._axis(self.t)
-        if np.count_nonzero(vals) < vals.size:
-            frame, level = sys._getframe(1), 2
-            while frame.f_globals is globals():
-                frame, level = frame.f_back, level + 1
-            warnings.warn("dropping grid cell(s) at T = 0", stacklevel=level)
-            vals = vals[vals != 0.0]
-        return vals
+        return vals if np.count_nonzero(vals) == vals.size else vals[vals != 0.0]
 
     def is_singleton(self) -> bool:
         return self.j[2] == self.jp[2] == self.t[2] == 1
@@ -317,9 +308,12 @@ def scan_grid(spec: GridSpec, workers: int = 1,
 
     Per-cell failures land in the cell's error field and never abort the scan.
     workers is accepted for compatibility and ignored: every scan runs in
-    this process, because a process pool cost more than it saved.
+    this process, because a process pool cost more than it saved.  A scan
+    that drops T = 0 cells warns once, at the line that called it.
     """
     j, jp, t = spec.j_values(), spec.jp_values(), spec.t_values()
+    if t.size < spec.t[2]:
+        warnings.warn("dropping grid cell(s) at T = 0", stacklevel=2)
     shape = j.size, jp.size, t.size
     # beta = 1/T once per temperature, as CouplingParameters forms it
     betas = [1.0 / T for T in t.tolist()]
@@ -357,13 +351,6 @@ def _spell(x: float) -> str:
     return format(x, ".12g")
 
 
-def _json_float(x: float) -> str:
-    """A float as json.dumps(x, allow_nan=False) writes it."""
-    if not math.isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return repr(x)
-
-
 def _emit_blocks(table: ScanTable, fmt: str) -> Iterator[str]:
     """The text of emit_csv (fmt "csv") or emit_jsonl (fmt "jsonl") in
     blocks of _EMIT_ROWS rows; the CSV header is a block of its own.
@@ -384,13 +371,14 @@ def _emit_blocks(table: ScanTable, fmt: str) -> Iterator[str]:
     if jsonl:
         # the stability labels and regimes are plain ASCII words, which
         # json.dumps quotes as they are
-        spell, blank, sep, word, num = _json_float, "null", ", ", '"{}"'.format, "%r"
+        spell, blank, sep, word, num = repr, "null", ", ", '"{}"'.format, "%r"
     else:
         spell, blank, sep, word, num = _spell, "", ";", str, "%.12g"
     n, shape = len(table), (table.j.size, table.jp.size, table.t.size)
-    # a weight is NaN only where its cell is an error row, which prints none
-    texts = [np.array([blank if math.isnan(v) else spell(v) for v in values.tolist()],
-                      dtype=object) for values in (table.j, table.jp, table.t, table.c, table.d)]
+    # every axis value is finite (GridSpec), and a weight is NaN only where
+    # its cell is an error row, which prints no weight
+    texts = [np.array([spell(v) for v in values.tolist()], dtype=object)
+             for values in (table.j, table.jp, table.t, table.c, table.d)]
     residual = [] if table.residual is None else ["consistency_residual"]
     if jsonl:
         names = CSV_HEADER[:-1] + ["regime", "phase_transition"] + residual
@@ -459,7 +447,8 @@ def _emit_blocks(table: ScanTable, fmt: str) -> Iterator[str]:
         if jsonl:
             shown = numbers[printed[:, 5:11]]
             if not np.isfinite(shown).all():
-                _json_float(shown[~np.isfinite(shown)][0].item())
+                raise ValueError("Out of range float values are not JSON compliant: "
+                                 + repr(shown[~np.isfinite(shown)][0].item()))
             keys += regime_of[cells[4]] << 9
             if bad.size:
                 import json

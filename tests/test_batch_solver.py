@@ -286,6 +286,17 @@ def test_the_solver_leaves_its_input_arrays_unchanged(cells, count, monkeypatch)
     assert (c.tobytes(), d.tobytes()) == (c_before, d_before)
 
 
+@pytest.mark.parametrize("c, d", [
+    pytest.param([1.0, 2.0], [3.0], id="lengths-2-and-1"),
+    pytest.param([[1.0, 2.0]], [[3.0, 3.0]], id="2-d"),
+])
+def test_weights_of_other_shapes_are_refused(c, d):
+    """c and d must be 1-d and of one length: a shorter d would leave a cell
+    unsolved, and a 2-d batch would fail inside the solver."""
+    with pytest.raises(ValueError, match="^c and d must be 1-d arrays of one length$"):
+        solve_fixed_points(c, d)
+
+
 def test_unconverged_slots_come_back_nan(monkeypatch):
     """With the step budget cut to two, the reference cell (seven Newton
     iterations) leaves every slot open, while c = d = 1, whose Newton start

@@ -121,10 +121,15 @@ def test_singleton_axis_is_the_value_itself(value):
 
 
 def test_temperature_zero_cells_are_dropped_with_warning():
+    """t_values drops the zero quietly; the scan that drops it warns once."""
     spec = GridSpec(j=(0, 0, 1), jp=(0, 0, 1), t=(-1, 1, 3))
-    with pytest.warns(UserWarning, match="T = 0"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         vals = spec.t_values()
     assert vals.tolist() == [-1.0, 1.0]
+    with pytest.warns(UserWarning, match="T = 0") as caught:
+        assert len(scan_grid(spec)) == 2
+    assert len(caught) == 1
 
 
 def test_the_temperature_zero_warning_names_the_line_that_scans():
@@ -591,6 +596,20 @@ def test_jsonl_is_strict_on_every_error_kind(spec, check):
     assert len(lines) == len(table)
     for line in lines:
         json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("spec", [
+    README_GRID, WIDE_GRID, LOW_T_GRID,
+    GridSpec(j=(-800, 800, 33), jp=(-800, 800, 33), t=(0.5, 4, 5)),
+    GridSpec(j=(5e-324, 1e-300, 5), jp=(-0.0, 0.0, 2), t=(1e-310, 1e308, 4)),
+], ids=["readme", "wide", "low-T", "800", "extreme-axes"])
+def test_jsonl_lines_are_what_json_dumps_writes(spec, check):
+    """Every line, read back and written again by json.dumps, keeps its
+    bytes: the emitter spells each float as json.dumps does (repr), on
+    axes that reach the subnormals, -0.0 and 1e308 too."""
+    for line in emit_jsonl(scan_grid(spec, check_consistency=check)).splitlines():
+        assert line == json.dumps(json.loads(line))
 
 
 @pytest.mark.parametrize("column", ["roots", "residual"])

@@ -136,17 +136,23 @@ def test_cli_ab_compares_a_tree_with_itself():
 
 
 def test_cli_ab_refuses_trees_whose_output_differs(tmp_path):
+    """A tree whose stdout differs is refused, and so is one whose stderr
+    alone differs: here, the text of the T = 0 warning."""
     home = Path(ivtree.__file__).resolve().parent
-    shutil.copytree(home, tmp_path / "src" / "ivtree",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    scanner = tmp_path / "src" / "ivtree" / "scanner.py"
-    text = scanner.read_text(encoding="utf-8")
-    header = 'CSV_HEADER = ["J", '
-    assert text.count(header) == 1
-    scanner.write_text(text.replace(header, 'CSV_HEADER = ["j", '), encoding="utf-8")
-    proc = run_script("cli_ab.py", str(home.parents[1]), str(tmp_path), "--", *GRID_ARGV)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("different output: old exit 0, ")
+    zero_t_argv = ("--J", "1", "--Jp", "1", "--T=-1:1:3")
+    for case, old, new, argv in [
+        ("stdout", 'CSV_HEADER = ["J", ', 'CSV_HEADER = ["j", ', GRID_ARGV),
+        ("stderr", '"dropping grid cell(s)', '"skipping grid cell(s)', zero_t_argv),
+    ]:
+        shutil.copytree(home, tmp_path / case / "src" / "ivtree",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        scanner = tmp_path / case / "src" / "ivtree" / "scanner.py"
+        text = scanner.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        scanner.write_text(text.replace(old, new), encoding="utf-8")
+        proc = run_script("cli_ab.py", str(home.parents[1]), str(tmp_path / case), "--", *argv)
+        assert proc.returncode == 1, case
+        assert proc.stderr.startswith("different output: old exit 0, "), case
 
 
 def test_cli_ab_rejects_a_directory_without_the_package(tmp_path):
