@@ -1,11 +1,12 @@
 """Compare the one-cell query time of two source trees of ivtree in one process.
 
 Loads the ivtree package of each tree under its own name, checks on seeded
-draws that both give the same PhasePoint (compared by repr, so every bit)
-and the same bytes in the six FixedPointBatch arrays of
+draws that both give the same PhasePoint (compared by repr, so every bit),
+the same bytes in the six FixedPointBatch arrays of
 solve_fixed_points(c, d), which also hold the slopes, log-roots and
-tangency points that no PhasePoint shows, then times one-cell scans of the
-draws that both answer, the trees taking turns: each round queries every
+tangency points that no PhasePoint shows, and the same ThresholdReport of
+critical_points(w) (by repr), then times one-cell scans of the draws that
+both answer, the trees taking turns: each round queries every
 draw on one tree and at once on the other, and the next round starts with
 the other tree.  Separate processes of the same code can differ by more
 than a 5-10 % change, so only the interleaved figures of one process are
@@ -59,12 +60,21 @@ def one_cell(scanner, J: float, Jp: float):
     return scanner.scan_grid(scanner.GridSpec((J, J, 1), (Jp, Jp, 1), (1.0, 1.0, 1)))[0]
 
 
+def weights(package, J: float, Jp: float):
+    return package.derive_weights(package.couplings(J, Jp, 1.0))
+
+
 def batch_bytes(package, J: float, Jp: float) -> bytes:
     """The bytes of the FixedPointBatch arrays of the draw's weights at T = 1."""
-    w = package.derive_weights(package.couplings(J, Jp, 1.0))
+    w = weights(package, J, Jp)
     batch = package.solve_fixed_points(w.c, w.d)
     return b"".join(np.ascontiguousarray(getattr(batch, name)).tobytes()
                     for name in BATCH_FIELDS)
+
+
+def threshold_report(package, J: float, Jp: float) -> str:
+    """The repr of the ThresholdReport of the draw's weights at T = 1."""
+    return repr(package.critical_points(weights(package, J, Jp)))
 
 
 def sweep(scanners, cells) -> list[list[float]]:
@@ -114,10 +124,16 @@ def main(argv=None) -> int:
         if old_bytes != new_bytes:
             print(f"different solver arrays at J={J!r}, Jp={Jp!r}", file=sys.stderr)
             return 1
+        old_report, new_report = (threshold_report(package, J, Jp)
+                                  for package in packages.values())
+        if old_report != new_report:
+            print(f"different threshold reports at J={J!r}, Jp={Jp!r}:\n"
+                  f"  old {old_report}\n  new {new_report}", file=sys.stderr)
+            return 1
         if "error=None" in old:
             answered.append((J, Jp))
     print(f"{args.draws} draws, equal PhasePoints and solver arrays; "
-          f"{len(answered)} answered, timed")
+          f"equal threshold reports; {len(answered)} answered, timed")
     if not answered:
         return 0
 

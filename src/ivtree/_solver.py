@@ -27,11 +27,11 @@ and the closed-form eta are not evaluated here; they live on the test side
 as independent checks.  solve_fixed_points solves a whole batch of cells as
 arrays; every root stops at its own convergence test, so its value does not
 depend on which other cells share the batch.  find_positive_fixed_points
-and critical_points (which solves only at d >= 2) are batches of one, so
-the code counts numpy calls, not elements: each costs a microsecond or so
-on a one-cell batch.  Scalar operands are module-level 0-d float64 arrays,
-because numpy converts a Python float operand on every call to the same
-double, and errstate wraps _solve as a decorator.  The special cases
+and critical_points are batches of one, so the code counts numpy calls,
+not elements: each costs a microsecond or so on a one-cell batch.  Scalar
+operands are module-level 0-d float64 arrays, because numpy converts a
+Python float operand on every call to the same double, and errstate
+wraps _solve as a decorator.  The special cases
 give the arrays of the general path, and each stays because a one-cell
 query (a point query or a library call) is slower without it, as timed
 with scripts/one_cell_ab.py: _solve's two shortcuts for a batch below
@@ -222,14 +222,10 @@ def _newton(lc, lcd, ld, lo, hi, sign):
         np.copyto(nxt, np.minimum(np.maximum(newton_t, lo), hi), where=newton)
         closed = width <= tol
         stop = done | closed
-        stopped = np.count_nonzero(stop)
-        if not stopped:
-            t = nxt
-            continue
         out[todo[closed]] = nxt[closed]
         np.copyto(newton_t, t, where=flat)      # a done entry's value
         out[todo[done]] = newton_t[done]
-        if stopped == t.size:
+        if np.count_nonzero(stop) == t.size:
             return out
         keep = ~stop
         lcd = lcd[:, keep]
@@ -249,19 +245,12 @@ def _minimum(a, b):
     return a if a < b or a != a else b
 
 
-def _divide(a, b):
-    """a / b as numpy divides floats: where b is +-0 it is a * (+-inf), the
-    IEEE quotient (+-inf, or NaN for 0/0 and NaN/0), where Python raises
-    ZeroDivisionError."""
-    return a / b if b else a * math.copysign(math.inf, b)
-
-
 def _model_start(lc, ld, lpd, lo, hi, sign):
     """_model_root for one entry, on Python floats, with the same bits.
 
     The same IEEE operations in the same order, with _maximum and _minimum
     for numpy's (-lc - (-|ld|) is -lc + |ld| in IEEE arithmetic).  Only
-    segment k's zero is computed, and its quotient needs no _divide,
+    segment k's zero is computed, and its quotient cannot divide by zero,
     because va > vb makes va - vb nonzero.
     """
     a = abs(ld)
@@ -282,8 +271,8 @@ def _newton_one(lc, lpd, lmd, ld, lo, hi, sign):
 
     lpd and lmd are lc + ld and lc - ld, and the entry starts at its
     _model_start.  Every step, test and bracket update is _newton's IEEE
-    operation on floats, with _maximum, _minimum and _divide where Python's
-    max, min and / differ from numpy's.  numpy keeps logaddexp and tanh: on
+    operation on floats, with _maximum and _minimum where Python's max and
+    min differ from numpy's.  numpy keeps logaddexp and tanh: on
     a 2-tuple they give the bits they give in an array, and math.exp and
     math.tanh do not.
     """
@@ -296,7 +285,9 @@ def _newton_one(lc, lpd, lmd, ld, lo, hi, sign):
         if f == 0.0:
             return t
         hp, hm = np.tanh((0.5 * zp, 0.5 * zm)).tolist()
-        step = _divide(f, 1.5 * (hp - hm) - 1.0)
+        slope = 1.5 * (hp - hm) - 1.0
+        # G'(t) = 0 gives an infinite step, which leaves the bracket and bisects
+        step = f / slope if slope else math.inf
         size = abs(step)
         tol = _NEWTON_RTOL * _maximum(1.0, abs(t))
         newton_t = t - step

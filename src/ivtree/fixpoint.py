@@ -52,13 +52,12 @@ def critical_points(w: TransferWeights) -> ThresholdReport:
 
     The tangency abscissas are real and positive only for d >= 2 (the
     discriminant (d^2-1)(d^2-4) is negative on 1 < d < 2, and for d < 1 both
-    quadratic roots are negative), so below d = 2 nothing is solved.
+    quadratic roots are negative); the solver leaves them NaN below d = 2,
+    and they are reported as None.
     """
-    eta1 = eta2 = x1 = x2 = None
-    if w.d >= 2.0:
-        batch = solve_fixed_points(w.c, w.d)
-        eta1, eta2 = batch.eta[0].tolist()
-        x1, x2 = batch.x_crit[0].tolist()
+    batch = solve_fixed_points(w.c, w.d)
+    eta1, eta2, x1, x2 = (None if math.isnan(v) else v
+                          for v in batch.eta[0].tolist() + batch.x_crit[0].tolist())
     return ThresholdReport(eta1=eta1, eta2=eta2, x_crit_1=x1, x_crit_2=x2, regime=regime(w.d))
 
 

@@ -34,7 +34,7 @@ def hamiltonian(cfg: SpinConfiguration, tree: CayleyTree,
     ex, ey = tree.edge_pairs()
     px, pz = tree.prolonged_pairs()
     nn = float(np.sum(cfg[ex] * cfg[ey]))
-    nnn = float(np.sum(cfg[px] * cfg[pz])) if px.size else 0.0
+    nnn = float(np.sum(cfg[px] * cfg[pz]))
     return -params.J * nn - params.Jp * nnn
 
 

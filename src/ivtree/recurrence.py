@@ -90,7 +90,9 @@ def scalar_map_dg(x: float, w: TransferWeights) -> float:
     c, d = w.c, w.d
     try:
         den = (d + c * x) ** 4
-        dg = 3.0 * c * (d * d - 1.0) * (1.0 + c * d * x) ** 2 / den
+        # (d - 1)(d + 1) keeps d^2 - 1 to the last bits near d = 1, where
+        # d * d - 1 cancels and d - 1 is exact
+        dg = 3.0 * c * ((d - 1.0) * (d + 1.0)) * (1.0 + c * d * x) ** 2 / den
         # a subnormal den (below 2^-1022) has lost bits
         if math.isfinite(dg) and den >= 2.0**-1022:
             return dg

@@ -141,19 +141,59 @@ def test_near_tangency_cells_solved_alone_have_the_bits_of_the_batch():
 
 
 def test_float_helpers_give_the_bits_of_numpy():
-    """The float Newton loop divides, and takes max and min, with numpy's
-    IEEE results: Python raises where numpy returns +-inf or NaN for a zero
-    divisor, and its max and min treat NaN and signed zeros otherwise."""
+    """The float Newton loop takes max and min with numpy's IEEE results:
+    Python's max and min treat NaN and signed zeros otherwise."""
     # +-0, +-inf, NaN of either sign and finite values
     special = [0.0, -0.0, 1.5, -2.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, -math.nan]
     fp = ivtree._solver
     for a in special:
         for b in special:
             x, y = np.array(a), np.array(b)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                assert np.float64(fp._divide(a, b)).tobytes() == (x / y).tobytes(), (a, b)
             assert np.float64(fp._maximum(a, b)).tobytes() == np.maximum(x, y).tobytes(), (a, b)
             assert np.float64(fp._minimum(a, b)).tobytes() == np.minimum(x, y).tobytes(), (a, b)
+
+
+def test_a_zero_slope_step_bisects_in_both_newton_loops(monkeypatch):
+    """Where G'(t) is exactly 0 the Newton step is infinite, leaves the
+    bracket, and both loops bisect.  numpy.tanh is patched for the first
+    step of the first root slot to give (2/3, 0), for which
+    1.5 * (2/3 - 0) - 1 == 0; the float loop and the array loop then give
+    the same bits on every slot, and still find the unpatched roots."""
+    assert 1.5 * (2.0 / 3.0 - 0.0) - 1.0 == 0.0
+    calls = []
+    newton = ivtree._solver._newton
+
+    def recorded_newton(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(ivtree._solver, "_newton", recorded_newton)
+    solve_fixed_points(*_three_root_cell())
+    monkeypatch.undo()
+    [args] = calls
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        unpatched = newton(*args)
+    tanh = np.tanh
+    zero_slopes = []
+
+    def zero_slope_once(z):
+        h = tanh(z)
+        if not zero_slopes:
+            # the first entry of the first step: slot 0 of the first cell
+            h.reshape(2, -1)[:, 0] = 2.0 / 3.0, 0.0
+            zero_slopes.append(z)
+        return h
+
+    loops = []
+    for loop in (newton, ivtree._solver._newton_cell):
+        zero_slopes.clear()
+        monkeypatch.setattr(np, "tanh", zero_slope_once)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            loops.append(np.array(loop(*args)))
+        monkeypatch.undo()
+        assert len(zero_slopes) == 1
+    assert loops[0].tobytes() == loops[1].tobytes()
+    assert_close(np.exp(loops[0]), np.exp(unpatched), 1e-12, "roots after a zero slope")
 
 
 def _assert_float_starts_have_the_bits_of_model_root(lc, ld, lpd, lo, hi, sign):

@@ -260,6 +260,22 @@ def test_first_derivative_vanishes_at_d_equal_one():
     assert scalar_map_dg(1e10, TransferWeights(1e300, 1.0)) == 0.0
 
 
+def test_first_derivative_keeps_its_digits_near_d_equal_one():
+    """g' carries the factor d^2 - 1, which d * d - 1 would leave with only
+    the bits of d - 1 that survive the square: 8 digits lost at d = 1 + 1e-8.
+    Against 40-digit values at d = 1 +- 10^-k, the relative error stays at
+    rounding level."""
+    mpmath = pytest.importorskip("mpmath")
+    for c, x in ((1.3, 0.7), (0.02, 35.0), (60.0, 0.004)):
+        for k in range(2, 15):
+            for d in (1.0 + 10.0**-k, 1.0 - 10.0**-k):
+                with mpmath.workdps(40):
+                    cc, dd, xx = mpmath.mpf(c), mpmath.mpf(d), mpmath.mpf(x)
+                    true = 3 * cc * (dd * dd - 1) * (1 + cc * dd * xx) ** 2 / (dd + cc * xx) ** 4
+                got = scalar_map_dg(x, TransferWeights(c, d))
+                assert abs(got - float(true)) <= 1e-13 * abs(float(true)), (c, x, d)
+
+
 @given(w=weights_st, x=st.floats(0.0, 100.0))
 def test_monotonicity_sign(w, x):
     dg = scalar_map_dg(x, w)

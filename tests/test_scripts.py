@@ -111,6 +111,24 @@ def test_one_cell_ab_finds_solver_bits_that_no_phase_point_shows(tmp_path):
     assert proc.stderr.startswith("different solver arrays at J=")
 
 
+def test_one_cell_ab_finds_threshold_reports_that_differ(tmp_path):
+    """A tree whose critical_points gives eta1 one ulp up has the same
+    PhasePoints and solver arrays, and the threshold reports tell the trees
+    apart."""
+    home = Path(ivtree.__file__).resolve().parent
+    copy = tmp_path / "ivtree"
+    shutil.copytree(home, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    fixpoint = copy / "fixpoint.py"
+    text = fixpoint.read_text(encoding="utf-8")
+    report = "return ThresholdReport(eta1=eta1,"
+    assert text.count(report) == 1
+    fixpoint.write_text(text.replace(report, "return ThresholdReport(eta1=eta1 and "
+                                             "math.nextafter(eta1, math.inf),"), encoding="utf-8")
+    proc = run_script("one_cell_ab.py", str(home.parent), str(tmp_path), "--draws", "4")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("different threshold reports at J=")
+
+
 def test_one_cell_ab_rejects_a_directory_without_the_package(tmp_path):
     proc = run_script("one_cell_ab.py", str(tmp_path), str(tmp_path), "--draws", "2")
     assert proc.returncode == 2
