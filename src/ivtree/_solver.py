@@ -22,20 +22,20 @@ _TANGENCY_TOL is itself a (double) root, and the count is two.
 
 Each bracket is solved by Newton's method in t, started at the zero of the
 piecewise-linear limit of G and falling back to bisection whenever a step
-would leave the bracket or fails to halve the previous move.  The x-quartic
-and the closed-form eta are not evaluated here; they live on the test side
-as independent checks.  solve_fixed_points solves a whole batch of cells as
-arrays; every root stops at its own convergence test, so its value does not
-depend on which other cells share the batch.  find_positive_fixed_points
-and critical_points are batches of one, so the code counts numpy calls,
-not elements: each costs a microsecond or so on a one-cell batch.  Scalar
-operands are module-level 0-d float64 arrays, because numpy converts a
-Python float operand on every call to the same double, and errstate
-wraps _solve as a decorator.  The special cases
-give the arrays of the general path, and each stays because a one-cell
-query (a point query or a library call) is slower without it, as timed
-with scripts/one_cell_ab.py: _solve's two shortcuts for a batch below
-d = 2, root_errors' early return, and the float path.  A batch of one
+would leave the bracket or fails to halve the previous move.  No quartic
+and no closed-form eta is evaluated here: the tests check the roots against
+40-digit references and eta against its closed form.  solve_fixed_points
+solves a whole batch of cells as arrays; every root stops at its own
+convergence test, so its value does not depend on which other cells share
+the batch.  find_positive_fixed_points and critical_points are batches of
+one, so the code counts numpy calls, not elements: each costs a
+microsecond or so on a one-cell batch.  Scalar operands are module-level
+0-d float64 arrays, because numpy converts a Python float operand on every
+call to the same double, and errstate wraps _solve as a decorator.  The
+special cases give the arrays of the general path, and each stays because
+a one-cell query (a point query or a library call) is slower without it,
+as timed with scripts/one_cell_ab.py: _solve's two shortcuts for a batch
+below d = 2, root_errors' early return, and the float path.  A batch of one
 cell, and only such a batch, computes its Newton starts and runs its
 Newton loop on Python floats instead, one root slot at a time: the same
 IEEE operations with no numpy call for the start instead of about 25,

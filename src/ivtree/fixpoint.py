@@ -16,8 +16,8 @@ from .model import CouplingParameters, TransferWeights, derive_weights
 class FixedPointReport(NamedTuple):
     """Positive fixed points in ascending order with stability data.
 
-    quartic_roots is kept for callers that read it; the solver leaves it
-    empty (the companion-matrix route is a test-side oracle).
+    quartic_roots is kept for callers that read it; the solver always
+    leaves it empty.
     """
 
     roots: tuple[float, ...]

@@ -31,6 +31,8 @@ def hamiltonian(cfg: SpinConfiguration, tree: CayleyTree,
     cfg = np.asarray(cfg)
     if cfg.shape != (tree.n_vertices,):
         raise ValueError("configuration does not cover the volume")
+    if not np.all((cfg == 1) | (cfg == -1)):
+        raise ValueError("configuration entries must be +1 or -1")
     ex, ey = tree.edge_pairs()
     px, pz = tree.prolonged_pairs()
     nn = float(np.sum(cfg[ex] * cfg[ey]))

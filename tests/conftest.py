@@ -60,22 +60,28 @@ TANGENT_CASE = {
 }
 
 
+def numpy_simd():
+    """numpy's SIMD baseline, its dispatch targets and the CPU features this
+    process enables (a dict), or None where numpy does not say."""
+    # numpy 2.x keeps the extension in numpy._core, numpy 1.x in numpy.core
+    for home in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(home)
+            return umath.__cpu_baseline__, umath.__cpu_dispatch__, umath.__cpu_features__
+        except (ImportError, AttributeError):
+            continue
+    return None
+
+
 def pytest_report_header(config):
     """numpy's version and SIMD targets: the baseline, then the dispatch
     targets with a * on each this CPU enables.  The pinned digests hold for
     the log/exp/tanh kernels of one build and CPU, so a digest that fails
     on another host shows which kernels it ran on."""
-    # numpy 2.x keeps the extension in numpy._core, numpy 1.x in numpy.core
-    for home in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        try:
-            umath = importlib.import_module(home)
-            baseline, dispatch = umath.__cpu_baseline__, umath.__cpu_dispatch__
-            enabled = umath.__cpu_features__
-            break
-        except (ImportError, AttributeError):
-            continue
-    else:
+    simd = numpy_simd()
+    if simd is None:
         return f"numpy {np.__version__}, SIMD targets unknown"
+    baseline, dispatch, enabled = simd
     targets = [*baseline, *(name + "*" * bool(enabled.get(name)) for name in dispatch)]
     return f"numpy {np.__version__}, SIMD {' '.join(targets)}"
 
@@ -121,36 +127,52 @@ def assert_close(actual, expected, rtol, label=""):
 # tests can compare two independent computations of the same values.
 
 
-def quartic_coefficients(w: TransferWeights) -> np.ndarray:
-    """Coefficients of x(d+cx)^3 - (1+cdx)^3 in descending powers.
+def _bisect_log(fn, lo, hi, steps=200):
+    """Sign change of fn in (lo, hi), 0 < lo < hi, bisected in log y."""
+    import mpmath
 
-    Positive roots of this quartic are exactly the positive fixed points of g.
-    The leading coefficient c^3 > 0 and constant term -1 < 0 force at least
-    one positive real root.
+    s_lo, s_hi = mpmath.log(lo), mpmath.log(hi)
+    lo_negative = fn(lo) < 0
+    for _ in range(steps):
+        mid = (s_lo + s_hi) / 2
+        if (fn(mpmath.exp(mid)) < 0) == lo_negative:
+            s_lo = mid
+        else:
+            s_hi = mid
+    return mpmath.exp((s_lo + s_hi) / 2)
+
+
+def mp_fixed_points(c: float, d: float):
+    """Positive fixed points of g at 40 digits, and whether the cell is
+    within 1e-12 of a tangency.  A test that calls it skips without mpmath.
+
+    x = y^3 turns g(x) = x into f(y) = c y^4 - c d y^3 + d y - 1 = 0, whose
+    positive roots lie in [min(d, 1/d), max(d, 1/d)].  f'' = 6 c y (2y - d),
+    so f' has its only positive minimum at y = d/2; when that minimum is
+    negative, the two zeros of f' split the range into monotone pieces.  A
+    minimum within 1e-12 of zero is treated the same way, so that the triple
+    root at (c, d) = (1, 2), where both zeros of f' meet at y = 1, and its
+    neighbours are flagged as near a tangency.
     """
-    c, d = w.c, w.d
-    return np.array([
-        c**3,
-        3.0 * c**2 * d - c**3 * d**3,
-        3.0 * c * d**2 - 3.0 * c**2 * d**2,
-        d**3 - 3.0 * c * d,
-        -1.0,
-    ])
-
-
-def quartic_positive_roots(w: TransferWeights) -> tuple[float, ...]:
-    """Positive real roots of the x-quartic from its companion matrix.
-
-    Ill-conditioned for extreme weights (coefficients up to c^3 d^3), so only
-    a cross-check on moderate weights; roots closer than 1e-7 are merged.
-    """
-    qr = np.roots(quartic_coefficients(w))
-    qr = qr[(np.abs(qr.imag) <= 1e-7 * (1.0 + np.abs(qr.real))) & (qr.real > 0)]
-    kept: list[float] = []
-    for x in np.sort(qr.real):
-        if not kept or x - kept[-1] > 1e-7 * max(1.0, x):
-            kept.append(float(x))
-    return tuple(kept)
+    mpmath = pytest.importorskip("mpmath")
+    mp, mpf = mpmath.mp, mpmath.mpf
+    with mp.workdps(40):
+        c, d = mpf(c), mpf(d)
+        f = lambda y: ((c * y - c * d) * y * y + d) * y - 1
+        df = lambda y: (4 * c * y - 3 * c * d) * y * y + d
+        lo, hi = min(d, 1 / d) / 2, max(d, 1 / d) * 2
+        crit = []
+        y_min = d / 2
+        if df(y_min) < mpf("1e-12") * ((4 * c * y_min + 3 * c * d) * y_min * y_min + d):
+            # f' > 0 at y -> 0, below 1/sqrt(3c), and at y = d
+            y_low = min(y_min, 1 / mpmath.sqrt(3 * c)) / 2
+            crit = [_bisect_log(df, y_low, y_min), _bisect_log(df, y_min, d)]
+        near_tangent = any(
+            abs(f(y)) < mpf("1e-12") * (c * y**4 + c * d * y**3 + d * y + 1) for y in crit)
+        edges = [lo] + [y for y in crit if lo < y < hi] + [hi]
+        roots = [_bisect_log(f, a, b) for a, b in zip(edges, edges[1:])
+                 if (f(a) < 0) != (f(b) < 0)]
+        return [y**3 for y in roots], near_tangent
 
 
 def eta_closed_forms(c: float, d: float) -> tuple[float, float]:

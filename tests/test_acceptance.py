@@ -28,8 +28,8 @@ from ivtree import (
 )
 from ivtree.scanner import evaluate_point
 
-from conftest import (THREE_ROOT_EXPECTED, THREE_ROOT_POINT, eta_closed_forms,
-                      quartic_positive_roots, scalar_map_d2g)
+from conftest import (DECREASING_EXPECTED, DECREASING_POINT, THREE_ROOT_EXPECTED,
+                      THREE_ROOT_POINT, eta_closed_forms, scalar_map_d2g)
 from reference import check_identities, field_form_from_pqrs, verify_recurrence_by_enumeration
 
 EPS = float(np.finfo(float).eps)
@@ -47,22 +47,20 @@ def _rel(a, b):
 def test_acceptance_01_three_roots_and_agreeing_root_oracles():
     """J=-1.7, Jp=6.5, T=13 has exactly three positive fixed points.
 
-    The bracketing route and the quartic companion-matrix route must agree
-    to 1e-9 on every root, and a single solve must finish within 10 ms.
+    The solver must agree to 1e-9 on every root with the 40-digit mpmath
+    roots frozen in conftest, and a single solve must finish within 10 ms.
     """
     w = derive_weights(couplings(*THREE_ROOT_POINT))
     best = min(_timed(find_positive_fixed_points, w) for _ in range(5))
     rep = find_positive_fixed_points(w)
-    quartic = quartic_positive_roots(w)
 
-    ok = rep.count == 3 and len(quartic) == 3
-    worst = max(_rel(r, q) for r, q in zip(rep.roots, quartic)) if ok else float("inf")
+    ok = rep.count == 3
     frozen = max(_rel(r, e) for r, e in zip(rep.roots, THREE_ROOT_EXPECTED["roots"])) if ok else float("inf")
-    ok = ok and worst < 1e-9 and frozen < 1e-9 and best < 0.010
+    ok = ok and frozen < 1e-9 and best < 0.010
     _verdict(
-        "three roots, dual oracles",
+        "three roots, 40-digit oracle",
         ok,
-        f"count={rep.count} oracle gap={worst:.2e} vs frozen={frozen:.2e} best={best * 1e3:.2f} ms",
+        f"count={rep.count} gap to frozen mpmath roots={frozen:.2e} best={best * 1e3:.2f} ms",
     )
 
 
@@ -175,15 +173,16 @@ def test_acceptance_03_negative_temperature_point_has_one_root():
 def test_acceptance_04_decreasing_map_point_oracle_agreement():
     """J = Jp = -1.045, T = 6.55 sits in the d < 1 regime where g is
     decreasing and the fixed point is unique.  The acceptance condition is
-    that the two independent root oracles agree on the count."""
-    w = derive_weights(couplings(-1.045, -1.045, 6.55))
+    that the solver finds one root, within 1e-9 of the 40-digit mpmath root
+    frozen in conftest."""
+    w = derive_weights(couplings(*DECREASING_POINT))
     rep = find_positive_fixed_points(w)
-    quartic_count = len(quartic_positive_roots(w))
-    ok = w.d < 1.0 and rep.count == quartic_count == 1
+    gap = _rel(rep.roots[0], DECREASING_EXPECTED["root"]) if rep.count == 1 else float("inf")
+    ok = w.d < 1.0 and rep.count == 1 and gap < 1e-9
     _verdict(
         "decreasing-map oracle agreement",
         ok,
-        f"d={w.d:.4f} bracketing count={rep.count} quartic count={quartic_count}",
+        f"d={w.d:.4f} count={rep.count} gap to frozen mpmath root={gap:.2e}",
     )
 
 

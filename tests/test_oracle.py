@@ -120,6 +120,20 @@ def test_hamiltonian_rejects_wrong_size():
         hamiltonian(np.ones(5), build_tree(2), couplings(1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("entry", [2, 3, 0, -2, 0.5, math.nan])
+def test_configurations_take_only_plus_and_minus_one(entry):
+    """hamiltonian, and the measure's log_weight and probability through it,
+    reject any other entry (boundary_term would read it as -1)."""
+    t, p = build_tree(2), couplings(1.0, 1.0, 1.0)
+    cfg = np.ones(13)
+    cfg[5] = entry
+    m = finite_measure(t, p, field_from_scalar(2.0))
+    for call in (lambda: hamiltonian(cfg, t, p), lambda: m.log_weight(cfg),
+                 lambda: m.probability(cfg)):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            call()
+
+
 # ----------------------------------------------------------------- measures
 
 

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import json
 import math
+import os
 import random
 import warnings
 
@@ -22,7 +23,7 @@ from ivtree.fixpoint import emit_curve_csv
 from ivtree.scanner import CSV_HEADER, evaluate_point
 
 from conftest import (NEGATIVE_T_POINT, TANGENT_CASE, THREE_ROOT_EXPECTED, THREE_ROOT_POINT,
-                      assert_close)
+                      assert_close, numpy_simd, run_python)
 
 
 def singleton(J, Jp, T) -> GridSpec:
@@ -323,6 +324,54 @@ def test_consistency_jsonl_is_pinned_apart_from_residual_round_off():
     canonical = "\n".join(json.dumps(row) for row in rows).encode()
     assert hashlib.sha256(canonical).hexdigest() == (
         "ac8bfbf6bf1b11be53527fa1c6f4ff2608ef747543ec0c01bffbd12bbd78139b")
+
+
+# The README plane at T = 13, the wide box at T = 1 (a third of it roots
+# outside the double range), a low-T block and the plane from T = 0.5 to 2.
+DISPATCH_GRIDS = (
+    GridSpec(j=(-3.0, 3.0, 101), jp=(-3.0, 7.0, 101), t=(13.0, 13.0, 1)),
+    GridSpec(j=(-350.0, 350.0, 41), jp=(-350.0, 350.0, 41), t=(1.0, 1.0, 1)),
+    GridSpec(j=(-5.0, 5.0, 41), jp=(-5.0, 5.0, 41), t=(0.005, 0.5, 11)),
+    GridSpec(j=(-3.0, 3.0, 101), jp=(-3.0, 7.0, 101), t=(0.5, 2.0, 4)),
+)
+
+
+def dispatch_summary():
+    """Per grid of DISPATCH_GRIDS: each cell's root count and transition
+    flag, and the error cells with their texts, as JSON values."""
+    summary = []
+    for spec in DISPATCH_GRIDS:
+        table = scan_grid(spec)
+        counts = table.found.sum(axis=1)
+        summary.append({"counts": counts.tolist(), "transitions": (counts >= 2).tolist(),
+                        "errors": {str(i): text for i, text in sorted(table.errors.items())}})
+    return summary
+
+
+def test_root_counts_do_not_depend_on_simd_dispatch(monkeypatch):
+    """A child process with every dispatch target this CPU enables switched
+    off runs numpy's baseline log/exp/tanh kernels, whose last bits differ,
+    and still gives the same counts, transition flags and error cells as
+    this process, on 71,177 cells."""
+    simd = numpy_simd()
+    enabled = [name for name in simd[1] if simd[2].get(name)] if simd else []
+    if not enabled:
+        pytest.skip("numpy dispatches to no SIMD target on this CPU")
+    # keep what this process already switched off, so the child runs the baseline alone
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() + enabled
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(disabled))
+    script = ("import json, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "from conftest import numpy_simd\n"
+              "from test_scanner import dispatch_summary\n"
+              "_, dispatch, enabled = numpy_simd()\n"
+              "print(json.dumps({'enabled': [n for n in dispatch if enabled.get(n)],\n"
+              "                  'scans': dispatch_summary()}))\n")
+    proc = run_python("-c", script, os.path.dirname(__file__))
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["enabled"] == []
+    assert child["scans"] == dispatch_summary()
 
 
 def test_scan_rows_equal_their_one_cell_answers():

@@ -10,49 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ivtree import TransferWeights, couplings, derive_weights, solve_fixed_points
 from ivtree.scanner import evaluate_point
 
-mpmath = pytest.importorskip("mpmath")
-mp, mpf = mpmath.mp, mpmath.mpf
+from conftest import mp_fixed_points
 
-
-def _bisect_log(fn, lo, hi, steps=200):
-    """Sign change of fn in (lo, hi), 0 < lo < hi, bisected in log y."""
-    s_lo, s_hi = mpmath.log(lo), mpmath.log(hi)
-    lo_negative = fn(lo) < 0
-    for _ in range(steps):
-        mid = (s_lo + s_hi) / 2
-        if (fn(mpmath.exp(mid)) < 0) == lo_negative:
-            s_lo = mid
-        else:
-            s_hi = mid
-    return mpmath.exp((s_lo + s_hi) / 2)
-
-
-def mp_fixed_points(c: float, d: float):
-    """Positive fixed points of g at 40 digits, and whether the cell is
-    within 1e-12 of a tangency.
-
-    x = y^3 turns g(x) = x into f(y) = c y^4 - c d y^3 + d y - 1 = 0, whose
-    positive roots lie in [min(d, 1/d), max(d, 1/d)].  f'' = 6 c y (2y - d),
-    so f' has its only positive minimum at y = d/2; when that minimum is
-    negative, the two zeros of f' split the range into monotone pieces.
-    """
-    with mp.workdps(40):
-        c, d = mpf(c), mpf(d)
-        f = lambda y: ((c * y - c * d) * y * y + d) * y - 1
-        df = lambda y: (4 * c * y - 3 * c * d) * y * y + d
-        lo, hi = min(d, 1 / d) / 2, max(d, 1 / d) * 2
-        crit = []
-        if df(d / 2) < 0:
-            # f' > 0 at y -> 0, below 1/sqrt(3c), and at y = d
-            y_low = min(d / 2, 1 / mpmath.sqrt(3 * c)) / 2
-            crit = [_bisect_log(df, y_low, d / 2), _bisect_log(df, d / 2, d)]
-        near_tangent = any(
-            abs(f(y)) < mpf("1e-12") * (c * y**4 + c * d * y**3 + d * y + 1) for y in crit)
-        edges = [lo] + [y for y in crit if lo < y < hi] + [hi]
-        roots = [_bisect_log(f, a, b) for a, b in zip(edges, edges[1:])
-                 if (f(a) < 0) != (f(b) < 0)]
-        return [y**3 for y in roots], near_tangent
-
+mpf = pytest.importorskip("mpmath").mpf
 
 log_beta_st = st.builds(
     lambda mag, negative: -math.exp(mag) if negative else math.exp(mag),
